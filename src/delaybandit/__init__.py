@@ -29,6 +29,7 @@ from .policies import (
     g_value,
     ghost_summary,
     greedy_arm,
+    orbit,
     ranking_arm,
     rollout,
 )

@@ -21,9 +21,9 @@ from fractions import Fraction
 import numpy as np
 
 from . import __version__
-from .core import BanditInstance, Discount, Environment, expected_payoff, make_instance, substream
+from .core import BanditInstance, Discount, Environment, make_instance, substream
 from .low_switch import run_pi_low, stage_schedule
-from .policies import GreedyPolicy, PolicyTrace, ghost_summary, rollout
+from .policies import GreedyPolicy, PolicyTrace, ghost_summary, orbit, rollout
 from .ucb import run_ucb_rankings
 
 __all__ = [
@@ -77,14 +77,20 @@ def dump_instance(instance: BanditInstance, label: str = "") -> dict:
     return doc
 
 
+def _field(doc, name: str):
+    if not isinstance(doc, dict) or name not in doc:
+        raise ValueError(f"instance field {name!r} is missing")
+    return doc[name]
+
+
 def _discount_from_doc(doc: dict) -> Discount:
-    kind = doc.get("kind")
+    kind = _field(doc, "kind")
     if kind == "geometric":
-        return Discount.geometric(_num_from_json(doc["gamma"]))
+        return Discount.geometric(_num_from_json(_field(doc, "gamma")))
     if kind == "constant":
-        return Discount.constant(_num_from_json(doc["c"]))
+        return Discount.constant(_num_from_json(_field(doc, "c")))
     if kind == "table":
-        return Discount.table([_num_from_json(v) for v in doc["values"]])
+        return Discount.table([_num_from_json(v) for v in _field(doc, "values")])
     raise ValueError(f"unknown discount kind {kind!r}")
 
 
@@ -95,11 +101,10 @@ def load_instance(source) -> BanditInstance:
             doc = json.load(fh)
     else:
         doc = dict(source)
-    mus = [_num_from_json(v) for v in doc["mu"]]
-    ds = [int(v) for v in doc["d"]]
+    mus = [_num_from_json(v) for v in _field(doc, "mu")]
     if "k" in doc and int(doc["k"]) != len(mus):
         raise ValueError("field k disagrees with mu length")
-    return make_instance(mus, ds, _discount_from_doc(doc["discount"]))
+    return make_instance(mus, _field(doc, "d"), _discount_from_doc(_field(doc, "discount")))
 
 
 def instance_hash(instance: BanditInstance) -> str:
@@ -159,20 +164,14 @@ def materialize_instance(spec: dict, seed: int) -> BanditInstance:
 def ghost_reference(instance: BanditInstance, T: int) -> np.ndarray:
     """Cumulative expected reward of the best ranking policy over T pulls.
 
-    Deterministic: the first cycle from the all-zero state pays the raw
-    baselines, after that every pull sits on the steady cycle.
+    Deterministic: the policy's orbit (a first cycle from the all-zero state
+    at the raw baselines, then the steady cycle) tiled to T pulls.
     """
     if T < 0:
         raise ValueError("horizon must be >= 0")
-    if T == 0:
-        return np.zeros(0)
     r = ghost_summary(instance).r_star
-    first = [float(instance.arms[j].mu) for j in range(r)]
-    steady = [float(expected_payoff(instance, j, r if r <= instance.arms[j].d else 0))
-              for j in range(r)]
-    reps = T // r + 2
-    series = np.array(first + list(np.tile(steady, reps)))[:T]
-    return np.cumsum(series)
+    first, steady = (np.array(part, float) for part in orbit(instance, lambda state: range(r)))
+    return np.cumsum(np.concatenate([first, np.tile(steady, T // len(steady) + 1)])[:T])
 
 
 @dataclass

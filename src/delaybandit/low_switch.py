@@ -122,9 +122,12 @@ class LowSwitchRun:
     schedule: StageSchedule
     stages: list
     survivors: tuple
-    total_switches: int
     tail_pulls: int
     arm_order: tuple
+
+    @property
+    def total_switches(self) -> int:
+        return self.trace.total_switches
 
 
 def run_pi_low(instance: BanditInstance, T: int, delta: float, seed: int = 0,
@@ -147,8 +150,6 @@ def run_pi_low(instance: BanditInstance, T: int, delta: float, seed: int = 0,
     env = Environment(instance, rng, capacity=T)
     active = list(range(1, k + 1))
     records: list[StageRecord] = []
-    last_policy = None
-    switches = 0
     for s in range(1, sched.num_stages + 1):
         if env.t >= T:
             break
@@ -165,9 +166,6 @@ def run_pi_low(instance: BanditInstance, T: int, delta: float, seed: int = 0,
             if n == 0:
                 truncated = True
                 break
-            if last_policy is not None and last_policy != m:
-                switches += 1
-            last_policy = m
             ret_sum, ret_n = env.pull_cycles(order[:m], n, policy=m, retain_from=m)
             sums[m] = ret_sum
             counts[m] = ret_n
@@ -190,9 +188,7 @@ def run_pi_low(instance: BanditInstance, T: int, delta: float, seed: int = 0,
     if env.t < T:
         # budget left after the final scheduled stage: exploit the last best
         best = records[-1].best if records and records[-1].best is not None else 1
-        if last_policy is not None and last_policy != best:
-            switches += 1
         tail = T - env.t
         env.pull_cycles(order[:best], tail, policy=best, retain_from=tail)
     trace = PolicyTrace.from_env(env)
-    return LowSwitchRun(trace, sched, records, tuple(active), switches, tail, order)
+    return LowSwitchRun(trace, sched, records, tuple(active), tail, order)

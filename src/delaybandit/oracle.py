@@ -6,8 +6,9 @@ of the state graph (Karp's recurrence, restricted to states reachable from the
 all-zero start). Weights stay exact rationals whenever the instance is exact;
 otherwise double precision with a 1e-12 comparison tolerance.
 
-Also here: steady-state values of fixed periodic arm patterns (used for the
-two-policy alternation bonus), and the periodic-maintenance reduction with a
+Also here: long-run values of fixed periodic arm patterns (used for the
+two-policy alternation bonus) and of delay-feedback policies, each the mean of
+one `policies.orbit` cycle, and the periodic-maintenance reduction with a
 brute-force feasibility checker.
 """
 
@@ -20,7 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from .core import Arm, BanditInstance, Discount, advance_state, expected_payoff, initial_state
-from .policies import g_value
+from .policies import g_value, orbit
 
 __all__ = [
     "OptimalCycle",
@@ -279,33 +280,23 @@ def optimal_average(instance: BanditInstance, cap: int = 10**6):
     return rho, cycle
 
 
+def _cycle_mean(cycle):
+    total = sum(cycle)
+    if isinstance(total, (int, Fraction)):
+        return Fraction(total, len(cycle))
+    return total / len(cycle)
+
+
 def steady_state_average(instance: BanditInstance, pattern):
     """Long-run per-pull expected reward of repeating a fixed arm pattern.
 
-    Simulates from the all-zero state and detects the periodic orbit of the
-    pattern-boundary states, so the value is exact for exact instances and
-    correct even when the orbit spans several pattern repetitions.
+    The mean of the pattern's orbit cycle, so the value is exact for exact
+    instances and correct even when the orbit spans several repetitions.
     """
-    pattern = list(pattern)
+    pattern = tuple(pattern)
     if not pattern:
         raise ValueError("pattern must be nonempty")
-    state = initial_state(instance)
-    seen = {}
-    cum = 0
-    step = 0
-    while True:
-        if state in seen:
-            step0, cum0 = seen[state]
-            diff = cum - cum0
-            pulls = step - step0
-            if isinstance(diff, (int, Fraction)):
-                return Fraction(diff, pulls)
-            return diff / pulls
-        seen[state] = (step, cum)
-        for arm in pattern:
-            cum = cum + expected_payoff(instance, arm, state[arm])
-            state = advance_state(state, arm, instance)
-            step += 1
+    return _cycle_mean(orbit(instance, lambda state: pattern)[1])
 
 
 def alternation_value(instance: BanditInstance, m: int, n: int):
@@ -324,23 +315,7 @@ def alternation_value(instance: BanditInstance, m: int, n: int):
 
 def long_run_average(instance: BanditInstance, policy):
     """Exact long-run average of a deterministic delay-feedback policy(state) -> arm."""
-    state = initial_state(instance)
-    seen = {}
-    cum = 0
-    step = 0
-    while True:
-        if state in seen:
-            step0, cum0 = seen[state]
-            diff = cum - cum0
-            pulls = step - step0
-            if isinstance(diff, (int, Fraction)):
-                return Fraction(diff, pulls)
-            return diff / pulls
-        seen[state] = (step, cum)
-        arm = policy(state)
-        cum = cum + expected_payoff(instance, arm, state[arm])
-        state = advance_state(state, arm, instance)
-        step += 1
+    return _cycle_mean(orbit(instance, lambda state: (policy(state),))[1])
 
 
 # -- periodic maintenance scheduling ---------------------------------------

@@ -1,8 +1,11 @@
-"""Ranking policies, the greedy rule, per-cutoff values g(m), and rollouts.
+"""Ranking policies, the greedy rule, per-cutoff values g(m), orbits, and rollouts.
 
 The ranking policy with cutoff m cycles deterministically over the m best
 arms (baseline order). g(m) is its steady per-pull expected reward; the best
-cutoff r_star defines the reference ("ghost") policy used for regret.
+cutoff r_star defines the reference ("ghost") policy used for regret. `orbit`
+plays any deterministic block rule from the all-zero state until its delay
+state repeats; the ghost reference and the oracle's periodic values are read
+off it.
 """
 
 from __future__ import annotations
@@ -14,7 +17,8 @@ from numbers import Rational
 
 import numpy as np
 
-from .core import BanditInstance, Environment, RewardSample, expected_payoff, segment_sum
+from .core import (BanditInstance, Environment, RewardSample, advance_state, expected_payoff,
+                   initial_state, segment_sum)
 
 __all__ = [
     "GhostSummary",
@@ -24,6 +28,7 @@ __all__ = [
     "g_value",
     "ghost_summary",
     "greedy_arm",
+    "orbit",
     "ranking_arm",
     "rollout",
 ]
@@ -85,6 +90,26 @@ def g_value(instance: BanditInstance, m: int):
     if isinstance(total, Rational):
         return Fraction(total) / m
     return total / m
+
+
+def orbit(instance: BanditInstance, block) -> tuple[list, list]:
+    """Expected payoffs of playing block(state) -> arms from the all-zero state.
+
+    Blocks are played until a delay state at a block boundary repeats; from
+    then on the payoffs are periodic. Returns (prefix, cycle): the payoffs
+    before the periodic part and those of one period, exact for exact
+    instances.
+    """
+    state = initial_state(instance)
+    seen = {}
+    payoffs = []
+    while state not in seen:
+        seen[state] = len(payoffs)
+        for arm in block(state):
+            payoffs.append(expected_payoff(instance, arm, state[arm]))
+            state = advance_state(state, arm, instance)
+    start = seen[state]
+    return payoffs[:start], payoffs[start:]
 
 
 @dataclass(frozen=True)

@@ -33,8 +33,11 @@ class UcbRun:
     selections: int
     selection_counts: dict
     means: dict
-    total_switches: int
     arm_order: tuple
+
+    @property
+    def total_switches(self) -> int:
+        return self.trace.total_switches
 
 
 def run_ucb_rankings(instance: BanditInstance, T: int, seed: int = 0,
@@ -57,8 +60,6 @@ def run_ucb_rankings(instance: BanditInstance, T: int, seed: int = 0,
     counts = [0] * (k + 1)   # 1-based cutoffs
     means = [0.0] * (k + 1)
     n = 0
-    last = None
-    switches = 0
     while env.t < T:
         m = None
         for c in range(1, k + 1):
@@ -74,9 +75,6 @@ def run_ucb_rankings(instance: BanditInstance, T: int, seed: int = 0,
                     m = c
         target = 2 * m
         pulls = min(target, T - env.t)
-        if last is not None and last != m:
-            switches += 1
-        last = m
         ret_sum, ret_n = env.pull_cycles(order[:m], pulls, policy=m, retain_from=m)
         n += 1
         if pulls == target:
@@ -89,6 +87,5 @@ def run_ucb_rankings(instance: BanditInstance, T: int, seed: int = 0,
         n,
         {m: counts[m] for m in range(1, k + 1)},
         {m: means[m] for m in range(1, k + 1)},
-        switches,
         order,
     )

@@ -280,3 +280,22 @@ class TestEnvironment:
         env = Environment(inst, substream(0, "ret"))
         ret_sum, ret_n = env.pull_cycles((0,), 10, retain_from=4)
         assert (ret_sum, ret_n) == (6.0, 6)  # zero discount: every pull pays 1
+
+    def test_long_block_rejects_repeated_arms(self):
+        inst = make_instance([0.9, 0.6, 0.3], [2, 3, 1], Discount.geometric(0.7))
+        env = Environment(inst, substream(3, "env"))
+        with pytest.raises(ValueError, match="distinct arms"):
+            env.pull_cycles((0, 0, 1), 200)
+        assert env.t == 0  # rejected before any pull
+
+    def test_short_block_with_repeated_arms_equals_stepwise(self):
+        inst = make_instance([0.9, 0.6, 0.3], [2, 3, 1], Discount.geometric(0.7))
+        e1 = Environment(inst, substream(3, "env"))
+        e2 = Environment(inst, substream(3, "env"))
+        prefix = (0, 0, 1)
+        e1.pull_cycles(prefix, 60, retain_from=5)
+        for t in range(60):
+            e2.pull(prefix[t % 3], retained=t >= 5)
+        c1, c2 = e1.columns(), e2.columns()
+        for key in c1:
+            assert np.array_equal(c1[key], c2[key]), key

@@ -263,5 +263,29 @@ class TestCli:
     def test_invalid_instance_fails(self, tmp_path):
         assert main(["ghost", "--instance", str(tmp_path / "missing.json")]) == 2
 
+    @pytest.mark.parametrize("field, doc", [
+        ("mu", {"d": [1], "discount": {"kind": "constant", "c": 0.5}}),
+        ("d", {"mu": [0.9], "discount": {"kind": "constant", "c": 0.5}}),
+        ("discount", {"mu": [0.9], "d": [1]}),
+        ("gamma", {"mu": [0.9], "d": [1], "discount": {"kind": "geometric"}}),
+        ("c", {"mu": [0.9], "d": [1], "discount": {"kind": "constant"}}),
+        ("values", {"mu": [0.9], "d": [1], "discount": {"kind": "table"}}),
+    ])
+    def test_missing_field_is_one_error_line(self, tmp_path, capsys, field, doc):
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps(doc))
+        assert main(["ghost", "--instance", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error:")
+        assert repr(field) in err
+
+    def test_fractional_delay_rejected(self, tmp_path, capsys):
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps({"mu": [0.9, 0.5], "d": [2, 1.5],
+                                    "discount": {"kind": "constant", "c": 0.5}}))
+        assert main(["ghost", "--instance", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "1.5" in err
+
     def test_invalid_intervals_fail(self):
         assert main(["pmsp", "--intervals", "1,2"]) == 2

@@ -11,6 +11,7 @@ from delaybandit import (
     ghost_summary,
     greedy_arm,
     make_instance,
+    orbit,
     ranking_arm,
     rollout,
     segment_sum,
@@ -83,6 +84,25 @@ class TestGValue:
             g_value(inst, 0)
         with pytest.raises(ValueError):
             g_value(inst, 3)
+
+
+class TestOrbit:
+    def test_ranking_first_and_steady_cycle(self):
+        prefix, cycle = orbit(fig3_instance(), lambda state: range(2))
+        assert prefix == [1, F(13, 15)]          # baselines from the all-zero state
+        assert cycle == [F(3, 4), F(13, 20)]     # every gap is 2 from then on
+        assert sum(cycle) / len(cycle) == g_value(fig3_instance(), 2)
+
+    def test_stationary_policy(self):
+        inst = section3_example()
+        prefix, cycle = orbit(inst, lambda state: (greedy_arm(inst, state),))
+        assert prefix == [1] and cycle == [F(1, 2)]
+
+    def test_float_instance(self):
+        inst = make_instance([0.9, 0.6], [2, 3], Discount.geometric(0.7))
+        prefix, cycle = orbit(inst, lambda state: (0, 1))
+        assert prefix == [0.9, 0.6]
+        assert cycle == [(1 - 0.7**2) * 0.9, (1 - 0.7**2) * 0.6]
 
 
 class TestGhostSummary:
