@@ -28,6 +28,7 @@ def _cmd_oracle(args) -> int:
     rho, cycle = optimal_average(instance, cap=args.cap)
     print(f"optimal_average: {float(rho)!r}")
     print(f"cycle_length: {len(cycle)}")
+    print(f"reachable_states: {cycle.reachable_states}")
     print("arms: " + " ".join(str(a) for a in cycle.arms))
     print("states: " + " ".join("/".join(map(str, s)) for s in cycle.states))
     return 0
@@ -153,7 +154,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="optimal long-run average and witness cycle")
     _add_instance_arg(p)
-    p.add_argument("--cap", type=int, default=10**6, help="state-space size cap")
+    p.add_argument("--cap", type=int, default=10**6,
+                   help="most delay states reachable from all-zero to search; "
+                        "memory grows as states x arms")
     p.set_defaults(func=_cmd_oracle)
 
     p = sub.add_parser("ghost", help="ranking-policy values g(m), r_star, r_zero")

@@ -17,6 +17,7 @@ import json
 import os
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from numbers import Real
 
 import numpy as np
 
@@ -58,10 +59,19 @@ def _num_to_json(x):
     return x
 
 
-def _num_from_json(v):
+def _num_from_json(v, name: str):
+    if isinstance(v, bool) or not isinstance(v, (Real, str)):
+        raise ValueError(f"instance field {name!r} must hold numbers, got {v!r}")
     if isinstance(v, str):
         return Fraction(v)
     return v
+
+
+def _nums_from_json(doc, name: str) -> list:
+    values = _field(doc, name)
+    if not isinstance(values, (list, tuple)):
+        raise ValueError(f"instance field {name!r} must be a list, got {values!r}")
+    return [_num_from_json(v, name) for v in values]
 
 
 def dump_instance(instance: BanditInstance, label: str = "") -> dict:
@@ -86,11 +96,11 @@ def _field(doc, name: str):
 def _discount_from_doc(doc: dict) -> Discount:
     kind = _field(doc, "kind")
     if kind == "geometric":
-        return Discount.geometric(_num_from_json(_field(doc, "gamma")))
+        return Discount.geometric(_num_from_json(_field(doc, "gamma"), "gamma"))
     if kind == "constant":
-        return Discount.constant(_num_from_json(_field(doc, "c")))
+        return Discount.constant(_num_from_json(_field(doc, "c"), "c"))
     if kind == "table":
-        return Discount.table([_num_from_json(v) for v in _field(doc, "values")])
+        return Discount.table(_nums_from_json(doc, "values"))
     raise ValueError(f"unknown discount kind {kind!r}")
 
 
@@ -101,10 +111,10 @@ def load_instance(source) -> BanditInstance:
             doc = json.load(fh)
     else:
         doc = dict(source)
-    mus = [_num_from_json(v) for v in _field(doc, "mu")]
-    if "k" in doc and int(doc["k"]) != len(mus):
+    mus = _nums_from_json(doc, "mu")
+    if "k" in doc and _num_from_json(doc["k"], "k") != len(mus):
         raise ValueError("field k disagrees with mu length")
-    return make_instance(mus, _field(doc, "d"), _discount_from_doc(_field(doc, "discount")))
+    return make_instance(mus, _nums_from_json(doc, "d"), _discount_from_doc(_field(doc, "discount")))
 
 
 def instance_hash(instance: BanditInstance) -> str:

@@ -2,9 +2,13 @@
 
 The delay vector is a finite sufficient state and pulls are deterministic
 transitions, so the optimal long-run average reward is the maximum mean cycle
-of the state graph (Karp's recurrence, restricted to states reachable from the
-all-zero start). Weights stay exact rationals whenever the instance is exact;
-otherwise double precision with a 1e-12 comparison tolerance.
+of the state graph. The graph holds only the states reachable from the
+all-zero start, found by breadth-first search; its size is capped. Howard
+policy iteration (Cochet-Terrasson et al. 1998, multichain form) solves it
+in O(nk) memory, in double precision with a 1e-12 switching tolerance. When
+the instance is exact, the iteration continues in rationals from the float
+policy and the optimum is certified exactly: the optimality conditions are
+checked on every edge, and the witness cycle's mean must equal it.
 
 Also here: long-run values of fixed periodic arm patterns (used for the
 two-policy alternation bonus) and of delay-feedback policies, each the mean of
@@ -20,7 +24,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import Arm, BanditInstance, Discount, advance_state, expected_payoff, initial_state
+from .core import Arm, BanditInstance, Discount, expected_payoff, initial_state
 from .policies import g_value, orbit
 
 __all__ = [
@@ -40,12 +44,14 @@ __all__ = [
 ]
 
 FLOAT_TOL = 1e-12
+MAX_POLICY_ITERATIONS = 500
 
 
 @dataclass
 class StateGraph:
-    """Complete transition graph over delay vectors.
+    """Transition graph over the delay vectors reachable from the all-zero start.
 
+    Node 0 is the start and nodes are numbered in breadth-first order.
     succ[i] has one (next_node, weight) entry per arm; weight is the expected
     payoff of that pull from state i. `exact` marks rational weights.
     """
@@ -62,25 +68,28 @@ class StateGraph:
 
 
 def build_state_graph(instance: BanditInstance, cap: int = 10**6) -> StateGraph:
-    """Enumerate all prod(d_i + 1) states with their deterministic transitions."""
-    size = 1
-    for a in instance.arms:
-        size *= a.d + 1
-        if size > cap:
-            raise ValueError(f"state space exceeds cap ({cap}); refusing to enumerate")
-    ranges = [range(a.d + 1) for a in instance.arms]
-    nodes = [()]
-    for r in ranges:
-        nodes = [s + (tau,) for s in nodes for tau in r]
-    index = {s: i for i, s in enumerate(nodes)}
+    """Breadth-first search from the all-zero state; more than `cap` reachable states is an error."""
+    ds = instance.ds
+    payoff = [[expected_payoff(instance, arm, tau) for tau in range(d + 1)] for arm, d in enumerate(ds)]
+    start = initial_state(instance)
+    nodes = [start]
+    index = {start: 0}
     succ = []
-    for s in nodes:
+    for state in nodes:  # nodes grows behind the loop: a breadth-first queue
+        # advance_state for every arm at once: age all taus, then reset the pulled one
+        aged = tuple(0 if tau == 0 or tau >= d else tau + 1 for tau, d in zip(state, ds))
         row = []
         for arm in range(instance.k):
-            nxt = advance_state(s, arm, instance)
-            row.append((index[nxt], expected_payoff(instance, arm, s[arm])))
+            nxt = aged[:arm] + (1,) + aged[arm + 1:]
+            v = index.get(nxt)
+            if v is None:
+                if len(nodes) >= cap:
+                    raise ValueError(f"more than {cap} reachable states; raise the cap to go on")
+                v = index[nxt] = len(nodes)
+                nodes.append(nxt)
+            row.append((v, payoff[arm][state[arm]]))
         succ.append(row)
-    return StateGraph(nodes, index, succ, index[initial_state(instance)], instance.is_exact)
+    return StateGraph(nodes, index, succ, 0, instance.is_exact)
 
 
 @dataclass
@@ -89,187 +98,125 @@ class OptimalCycle:
 
     mean is always the arithmetic mean of the cycle's edge weights; mean_exact
     carries the same value as a Fraction when the graph was exact.
+    reachable_states counts the states of the graph that was searched.
     """
 
     mean: float
     mean_exact: Fraction | None
     states: list
     arms: list
+    reachable_states: int
 
     def __len__(self):
         return len(self.arms)
 
 
-def _reachable(graph: StateGraph) -> list:
-    seen = {graph.start}
-    frontier = [graph.start]
-    while frontier:
-        u = frontier.pop()
-        for v, _ in graph.succ[u]:
-            if v not in seen:
-                seen.add(v)
-                frontier.append(v)
-    return sorted(seen)
+def _evaluate_policy(nxt, wts, policy, h_prev):
+    """Cycle mean eta and bias h of every node under a policy (one arm per node).
 
-
-def _karp_exact(n, in_edges):
-    """Max cycle mean via Karp's recurrence with free starts, exact Fractions."""
-    zero = Fraction(0)
-    D = [[zero] * n]
-    for j in range(1, n + 1):
-        prev = D[-1]
-        row = [None] * n
-        for v in range(n):
-            best = None
-            for u, w in in_edges[v]:
-                if prev[u] is not None:
-                    cand = prev[u] + w
-                    if best is None or cand > best:
-                        best = cand
-            row[v] = best
-        D.append(row)
-    lam = None
-    final = D[n]
-    for v in range(n):
-        if final[v] is None:
-            continue
-        inner = None
-        for j in range(n):
-            if D[j][v] is None:
-                continue
-            val = Fraction(final[v] - D[j][v], n - j)
-            if inner is None or val < inner:
-                inner = val
-        if lam is None or inner > lam:
-            lam = inner
-    return lam
-
-
-def _karp_float(n, src, dst, w):
-    """Same recurrence vectorized over the edge arrays."""
-    neg = -np.inf
-    D = np.full((n + 1, n), neg)
-    D[0] = 0.0
-    for j in range(1, n + 1):
-        row = np.full(n, neg)
-        cand = D[j - 1][src] + w
-        np.maximum.at(row, dst, cand)
-        D[j] = row
-    with np.errstate(invalid="ignore"):
-        numer = D[n][None, :] - D[:n, :]
-        denom = (n - np.arange(n)).astype(float)[:, None]
-        ratios = numer / denom
-    ratios[np.isnan(ratios)] = np.inf     # -inf minus -inf: no walk of either length
-    ratios[D[:n, :] == neg] = np.inf      # skip lengths that cannot reach v
-    inner = ratios.min(axis=0)
-    inner[D[n] == neg] = -np.inf          # v unreachable in exactly n steps
-    return float(inner.max())
-
-
-def _find_tight_cycle(n, out_edges, lam, tol):
-    """Witness extraction: longest-path potentials under weights w - lam.
-
-    With the maximum shifted cycle mean equal to zero, potentials converge and
-    every critical cycle consists of tight edges, so any cycle inside the
-    tight subgraph telescopes to mean lam.
+    Each policy cycle's root, its smallest node, keeps its bias from h_prev;
+    every other node satisfies h(u) = w - eta(u) + h(v) on its policy edge.
     """
-    zero = lam * 0  # keeps Fraction vs float arithmetic uniform
-    p = [zero] * n
-    for _ in range(n + 1):
-        changed = False
-        for u in range(n):
-            base = p[u]
-            for v, w, _arm in out_edges[u]:
-                cand = base + (w - lam)
-                if cand > p[v] + tol:
-                    p[v] = cand
-                    changed = True
-        if not changed:
-            break
-    tight = [[] for _ in range(n)]
-    for u in range(n):
-        for v, w, arm in out_edges[u]:
-            if p[u] + (w - lam) >= p[v] - tol:
-                tight[u].append((v, arm))
-    color = [0] * n
-    for root in range(n):
-        if color[root]:
-            continue
-        stack = [(root, iter(tight[root]))]
-        color[root] = 1
-        path = [root]
-        arms_path = []
-        while stack:
-            u, it = stack[-1]
-            advanced = False
-            for v, arm in it:
-                if color[v] == 1:
-                    i = path.index(v)
-                    return path[i:], arms_path[i:] + [arm]
-                if color[v] == 0:
-                    color[v] = 1
-                    path.append(v)
-                    arms_path.append(arm)
-                    stack.append((v, iter(tight[v])))
-                    advanced = True
-                    break
-            if not advanced:
-                color[u] = 2
-                stack.pop()
-                path.pop()
-                if arms_path:
-                    arms_path.pop()
-    return None
+    n = len(nxt)
+    succ = nxt[np.arange(n), policy].tolist()
+    gain = wts[np.arange(n), policy].tolist()
+    eta, h, visit = [None] * n, [None] * n, [-1] * n
+    for s in range(n):
+        path, u = [], s
+        while eta[u] is None and visit[u] != s:
+            visit[u] = s
+            path.append(u)
+            u = succ[u]
+        if eta[u] is None:  # the walk closed a new cycle at u
+            i = path.index(u)
+            cycle = path[i:]
+            root = min(cycle)
+            r = cycle.index(root)
+            eta[root] = sum(gain[x] for x in cycle) / len(cycle)
+            h[root] = h_prev[root]
+            path = path[:i] + cycle[r + 1:] + cycle[:r]
+        for x in reversed(path):  # each node after its successor
+            v = succ[x]
+            eta[x] = eta[v]
+            h[x] = gain[x] - eta[v] + h[v]
+    return np.array(eta), np.array(h)
+
+
+def _improve_policy(nxt, wts, policy, eta, h, tol) -> bool:
+    """Switch, in place, every arm that gains more than tol; False when none does.
+
+    Moves toward a larger cycle mean come first; only when there are none
+    does a node switch to an edge of equal mean with a larger bias.
+    """
+    reach = eta[nxt]
+    switch = reach.max(axis=1) > eta + tol
+    if not switch.any():
+        reach = np.where(reach == eta[:, None], wts + h[nxt], -np.inf)
+        switch = reach.max(axis=1) > eta + h + tol
+    policy[switch] = reach.argmax(axis=1)[switch]
+    return bool(switch.any())
+
+
+def _howard(nxt, wts, policy, h, tol):
+    """Multichain Howard policy iteration (Cochet-Terrasson et al. 1998) from `policy`.
+
+    nxt and wts are n x k arrays of successors and weights; float weights
+    run in float64, Fraction weights in object arrays, through the same code.
+    """
+    for _ in range(MAX_POLICY_ITERATIONS):
+        eta, h = _evaluate_policy(nxt, wts, policy, h)
+        if not _improve_policy(nxt, wts, policy, eta, h, tol):
+            return eta, h
+    raise RuntimeError(f"policy iteration did not settle in {MAX_POLICY_ITERATIONS} rounds")
+
+
+def _certify(nxt, wts, eta, h) -> None:
+    """Raise unless (eta, h) meet the multichain optimality conditions on every edge.
+
+    eta never rises along an edge, and between nodes of equal eta
+    h(u) >= w - eta(u) + h(v). Summed around any cycle, these bound its mean
+    by the eta of its nodes, so no cycle reachable from a node beats its eta.
+    """
+    for u, (row, ws) in enumerate(zip(nxt.tolist(), wts.tolist())):
+        for v, w in zip(row, ws):
+            if eta[v] > eta[u] or (eta[v] == eta[u] and w - eta[u] + h[v] > h[u]):
+                raise RuntimeError(f"optimality certificate fails on edge {u} -> {v}")
 
 
 def max_mean_cycle(graph: StateGraph) -> OptimalCycle:
-    """Maximum mean over all cycles reachable from the all-zero start state."""
-    reach = _reachable(graph)
-    n = len(reach)
-    local = {g: i for i, g in enumerate(reach)}
-    out_edges = [[] for _ in range(n)]
-    in_edges = [[] for _ in range(n)]
-    for gi in reach:
-        u = local[gi]
-        for arm, (gv, w) in enumerate(graph.succ[gi]):
-            if gv in local:
-                v = local[gv]
-                out_edges[u].append((v, w, arm))
-                in_edges[v].append((u, w))
+    """Maximum mean over all cycles reachable from the start state, with a witness.
+
+    Howard policy iteration in floats from the greedy policy. For an exact
+    graph it continues in Fractions from the float policy and certifies the
+    result exactly; the witness is the policy cycle the start state runs into.
+    """
+    n = graph.n_nodes
+    nxt = np.array([[v for v, _ in row] for row in graph.succ], np.int64)
+    wts = np.array([[float(w) for _, w in row] for row in graph.succ])
+    policy = wts.argmax(axis=1)
+    eta, h = _howard(nxt, wts, policy, np.zeros(n), max(FLOAT_TOL, 4.0 * n * 1e-16))
     if graph.exact:
-        lam = _karp_exact(n, [[(u, Fraction(w)) for u, w in ie] for ie in in_edges])
-        lam = Fraction(lam)
-        tol = Fraction(0)
-    else:
-        src = np.array([u for u in range(n) for _ in out_edges[u]], np.int64)
-        dst = np.array([v for u in range(n) for v, _, _ in out_edges[u]], np.int64)
-        w = np.array([float(wt) for u in range(n) for _, wt, _ in out_edges[u]])
-        lam = _karp_float(n, src, dst, w)
-        tol = max(FLOAT_TOL, 4.0 * n * 1e-16)
-    found = None
-    for widen in range(4):
-        found = _find_tight_cycle(n, out_edges, lam, tol * (10**widen) if not graph.exact else tol)
-        if found is not None:
-            break
-    if found is None:
-        raise RuntimeError("no witness cycle found; graph or tolerance is broken")
-    cyc_nodes, cyc_arms = found
-    weights = []
-    for i, u in enumerate(cyc_nodes):
-        arm = cyc_arms[i]
-        weights.append(graph.succ[reach[u]][arm][1])
+        wts = np.array([[Fraction(w) for _, w in row] for row in graph.succ], object)
+        eta, h = _howard(nxt, wts, policy, [Fraction(0)] * n, 0)
+        _certify(nxt, wts, eta, h)
+    policy = policy.tolist()
+    seen, u = {}, graph.start
+    while u not in seen:
+        seen[u] = len(seen)
+        u = graph.succ[u][policy[u]][0]
+    cyc_nodes = list(seen)[seen[u]:]
+    cyc_arms = [policy[x] for x in cyc_nodes]
+    weights = [graph.succ[x][policy[x]][1] for x in cyc_nodes]
     if graph.exact:
-        mean_exact = Fraction(sum(Fraction(x) for x in weights), len(weights))
-        if mean_exact != lam:
-            raise RuntimeError("witness cycle mean disagrees with Karp value")
+        mean_exact = Fraction(sum(weights), len(weights))
+        if mean_exact != eta[graph.start]:
+            raise RuntimeError("witness cycle mean disagrees with the certified optimum")
         mean = float(mean_exact)
     else:
         mean_exact = None
         mean = float(sum(float(x) for x in weights) / len(weights))
-        if abs(mean - lam) > 100 * tol:
-            raise RuntimeError("witness cycle mean disagrees with Karp value")
-    states = [graph.nodes[reach[u]] for u in cyc_nodes]
-    return OptimalCycle(mean, mean_exact, states, cyc_arms)
+    states = [graph.nodes[x] for x in cyc_nodes]
+    return OptimalCycle(mean, mean_exact, states, cyc_arms, n)
 
 
 def optimal_average(instance: BanditInstance, cap: int = 10**6):

@@ -235,6 +235,12 @@ class TestCli:
         out = capsys.readouterr().out
         assert "optimal_average: 0.7933333333333333" in out
 
+    def test_oracle_reports_reachable_states(self, tmp_path, capsys):
+        assert main(["oracle", "--instance", self.write_fig3(tmp_path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1].startswith("cycle_length: ")
+        assert lines[2] == "reachable_states: 5"
+
     def test_pmsp(self, capsys):
         assert main(["pmsp", "--intervals", "2,4,4", "--check-reduction"]) == 0
         out = capsys.readouterr().out
@@ -275,6 +281,21 @@ class TestCli:
         path = tmp_path / "inst.json"
         path.write_text(json.dumps(doc))
         assert main(["ghost", "--instance", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error:")
+        assert repr(field) in err
+
+    @pytest.mark.parametrize("field, doc", [
+        ("mu", {"mu": [None], "d": [1], "discount": {"kind": "constant", "c": 0.5}}),
+        ("mu", {"mu": [True], "d": [1], "discount": {"kind": "constant", "c": 0.5}}),
+        ("d", {"mu": [0.9], "d": [None], "discount": {"kind": "constant", "c": 0.5}}),
+        ("d", {"mu": [0.9], "d": 5, "discount": {"kind": "constant", "c": 0.5}}),
+        ("c", {"mu": [0.9], "d": [1], "discount": {"kind": "constant", "c": [0.5]}}),
+    ])
+    def test_non_numeric_field_is_one_error_line(self, tmp_path, capsys, field, doc):
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps(doc))
+        assert main(["oracle", "--instance", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("error:")
         assert repr(field) in err

@@ -6,10 +6,13 @@ import pytest
 from delaybandit import (
     Discount,
     PmspInstance,
+    advance_state,
     alternation_value,
     build_state_graph,
+    expected_payoff,
     g_value,
     greedy_arm,
+    initial_state,
     long_run_average,
     make_instance,
     max_mean_cycle,
@@ -42,19 +45,41 @@ class TestStateGraph:
     def test_two_arm_counts(self):
         inst = make_instance([F(1), F(1, 2)], [1, 1], Discount.constant(F(1, 2)))
         g = build_state_graph(inst)
-        assert g.n_nodes == 4
-        assert sum(len(row) for row in g.succ) == 8
+        assert g.n_nodes == 3
+        assert sum(len(row) for row in g.succ) == 6
 
     def test_product_counts(self):
         inst = make_instance([F(3, 4), F(1, 2), F(1, 4)], [2, 2, 2], Discount.constant(F(1, 2)))
         g = build_state_graph(inst)
-        assert g.n_nodes == 27
-        assert sum(len(row) for row in g.succ) == 81
+        assert g.n_nodes == 10
+        assert sum(len(row) for row in g.succ) == 30
+
+    def test_nodes_are_the_closure_of_the_start(self):
+        rng = np.random.default_rng(20)
+        for _ in range(20):
+            inst = random_exact_instance(rng, kmax=4, dmax=4)
+            closure, frontier = {initial_state(inst)}, [initial_state(inst)]
+            while frontier:
+                state = frontier.pop()
+                for arm in range(inst.k):
+                    nxt = advance_state(state, arm, inst)
+                    if nxt not in closure:
+                        closure.add(nxt)
+                        frontier.append(nxt)
+            g = build_state_graph(inst)
+            assert set(g.nodes) == closure and g.n_nodes == len(closure)
+            assert g.nodes[g.start] == initial_state(inst)
+            for u, state in enumerate(g.nodes):
+                assert g.index[state] == u
+                for arm, (v, w) in enumerate(g.succ[u]):
+                    assert g.nodes[v] == advance_state(state, arm, inst)
+                    assert w == expected_payoff(inst, arm, state[arm])
 
     def test_cap(self):
         inst = make_instance([F(3, 4), F(1, 2)], [3, 3], Discount.constant(F(1, 2)))
+        assert build_state_graph(inst, cap=7).n_nodes == 7
         with pytest.raises(ValueError):
-            build_state_graph(inst, cap=10)
+            build_state_graph(inst, cap=6)
 
 
 class TestMaxMeanCycle:
