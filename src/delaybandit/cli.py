@@ -104,7 +104,7 @@ def _cmd_experiment(args) -> int:
         }[args.preset]()
         instance = base.instance
         algorithms = base.algorithms
-        horizon = args.horizon or base.horizon
+        horizon = args.horizon if args.horizon is not None else base.horizon
         delta = args.delta if args.delta is not None else base.delta
         cost = args.switch_cost if args.switch_cost is not None else base.switch_cost
         seeds = _parse_seeds(args.seeds) or base.seeds
@@ -115,7 +115,7 @@ def _cmd_experiment(args) -> int:
             return 2
         instance = {"file": args.instance}
         algorithms = tuple(args.algos.split(","))
-        horizon = args.horizon or 10_000
+        horizon = args.horizon if args.horizon is not None else 10_000
         delta = args.delta if args.delta is not None else 0.1
         cost = args.switch_cost if args.switch_cost is not None else 0.0
         seeds = _parse_seeds(args.seeds) or (0,)

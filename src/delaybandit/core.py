@@ -388,15 +388,19 @@ class Environment:
         return RewardSample(arm, tau, gap, p, r)
 
     def _steady(self, prefix: tuple):
+        # per position: the gap back to the same arm's previous slot in the cycle
         cached = self._steady_cache.get(prefix)
         if cached is None:
             m = len(prefix)
-            if len(set(prefix)) != m:
-                raise ValueError(f"long blocks need a prefix of distinct arms, got {prefix}")
-            taus = np.array([m if m <= self._ds[a] else 0 for a in prefix], np.int32)
-            exps = np.array([self._ptable[a][taus[j]] for j, a in enumerate(prefix)])
-            arms = np.array(prefix, np.int32)
-            cached = (arms, taus, exps)
+            last = {a: j - m for j, a in enumerate(prefix)}   # final slots of the cycle before
+            gaps = []
+            for j, a in enumerate(prefix):
+                gaps.append(j - last[a])
+                last[a] = j
+            taus = [g if g <= self._ds[a] else 0 for a, g in zip(prefix, gaps)]
+            cached = (np.array(prefix, np.int32), np.array(taus, np.int32),
+                      np.array(gaps, np.int64),
+                      np.array([self._ptable[a][tau] for a, tau in zip(prefix, taus)]))
             self._steady_cache[prefix] = cached
         return cached
 
@@ -405,11 +409,13 @@ class Environment:
         """Pull n_pulls rounds cycling over `prefix`, in order.
 
         Pulls with index >= retain_from are flagged retained; returns the
-        realized-reward sum and count over that portion. Short blocks (at most
-        len(prefix) + 64 pulls) run pull by pull. A longer block runs its first
-        cycle pull by pull too; after it every arm's gap is exactly
-        len(prefix), so the rest is tiled from the steady cycle and needs
-        distinct arms. Both paths draw the same uniforms in the same order.
+        realized-reward sum and count over that portion. Any cycle works,
+        repeated arms included. Short blocks (at most len(prefix) + 64 pulls)
+        run pull by pull. A longer block runs its first cycle pull by pull
+        too; after it every position's gap is the cyclic distance back to the
+        same arm's previous position (len(prefix) for an arm that occurs
+        once), so the rest is tiled from that steady cycle. Both paths draw
+        the same uniforms in the same order.
         """
         prefix = tuple(prefix)
         m = len(prefix)
@@ -419,11 +425,7 @@ class Environment:
         if n <= 0:
             return 0.0, 0
         self._ensure(self.t + n)
-        if n <= m + 64:
-            head = n
-        else:
-            head = m
-            arms_s, taus_s, exps_s = self._steady(prefix)
+        head = n if n <= m + 64 else m
         t0 = self.t
         ret_sum = 0
         ret_n = 0
@@ -449,6 +451,7 @@ class Environment:
         self.t = t0 + n
         if head == n:
             return float(ret_sum), ret_n
+        arms_s, taus_s, gaps_s, exps_s = self._steady(prefix)
         tail = n - m
         reps = (tail + m - 1) // m
         exp_a = np.tile(exps_s, reps)[:tail]
@@ -457,17 +460,23 @@ class Environment:
         sl = slice(t1, t0 + n)
         self._arm[sl] = np.tile(arms_s, reps)[:tail]
         self._tau[sl] = np.tile(taus_s, reps)[:tail]
-        self._gap[sl] = m
+        self._gap[sl] = np.tile(gaps_s, reps)[:tail]
         self._exp[sl] = exp_a
         self._real[sl] = real_a
         self._pol[sl] = policy
         rf = max(m, min(retain_from, n))
         self._ret[t1:t0 + rf] = False
         self._ret[t0 + rf:t0 + n] = True
-        for j in range(m):
-            self._last[prefix[j]] = t0 + j + m * ((n - 1 - j) // m)
+        for i in range(n - m, n):          # the last m pulls hold every arm's final pull
+            self._last[prefix[i % m]] = t0 + i
         retained = real_a[rf - m:]
         return float(ret_sum + int(retained.sum())), ret_n + int(retained.size)
+
+    def realized(self, start: int, stop: int) -> list:
+        """Realized rewards (0 or 1) of pulls start..stop-1."""
+        if not 0 <= start <= stop <= self.t:
+            raise ValueError(f"pull range [{start}, {stop}) outside the log of {self.t} pulls")
+        return self._real[start:stop].tolist()
 
     def columns(self) -> dict:
         """Trimmed copies of the pull log columns."""

@@ -153,6 +153,10 @@ class ExperimentConfig:
         for algo in self.algorithms:
             if algo not in ALGORITHMS:
                 raise ValueError(f"unknown algorithm {algo!r}")
+        for kind, values in (("algorithm", self.algorithms), ("seed", self.seeds)):
+            for i, value in enumerate(values):
+                if value in values[:i]:
+                    raise ValueError(f"{kind} {value!r} is repeated")
 
 
 def materialize_instance(spec: dict, seed: int) -> BanditInstance:

@@ -92,24 +92,24 @@ def g_value(instance: BanditInstance, m: int):
     return total / m
 
 
-def orbit(instance: BanditInstance, block) -> tuple[list, list]:
+def orbit(instance: BanditInstance, block, *, arms: bool = False) -> tuple[list, list]:
     """Expected payoffs of playing block(state) -> arms from the all-zero state.
 
     Blocks are played until a delay state at a block boundary repeats; from
-    then on the payoffs are periodic. Returns (prefix, cycle): the payoffs
+    then on the play is periodic. Returns (prefix, cycle): the payoffs
     before the periodic part and those of one period, exact for exact
-    instances.
+    instances. With arms=True both lists hold the arms played instead.
     """
     state = initial_state(instance)
     seen = {}
-    payoffs = []
+    played = []
     while state not in seen:
-        seen[state] = len(payoffs)
+        seen[state] = len(played)
         for arm in block(state):
-            payoffs.append(expected_payoff(instance, arm, state[arm]))
+            played.append(arm if arms else expected_payoff(instance, arm, state[arm]))
             state = advance_state(state, arm, instance)
     start = seen[state]
-    return payoffs[:start], payoffs[start:]
+    return played[:start], played[start:]
 
 
 @dataclass(frozen=True)
@@ -211,12 +211,19 @@ def rollout(instance: BanditInstance, policy, horizon: int, rng: np.random.Gener
     """Run any callable policy(t, state) -> arm for `horizon` pulls.
 
     Deterministic given (instance, policy, horizon, stream state). The trace
-    records both channels at every pull.
+    records both channels at every pull. A `GreedyPolicy` started from the
+    all-zero state depends on the state alone, so its arms are read off its
+    orbit and pulled as two blocks; the trace is the step loop's, bit for bit.
     """
     if horizon < 0:
         raise ValueError("horizon must be >= 0")
     env = Environment(instance, rng, capacity=max(horizon, 1), initial_state=initial_state)
-    for t in range(horizon):
-        arm = policy(t, env.delay_state())
-        env.pull(arm, policy=policy_id)
+    if initial_state is None and isinstance(policy, GreedyPolicy):
+        head, cycle = orbit(instance, lambda state: (policy(0, state),), arms=True)
+        env.pull_cycles(head, min(len(head), horizon), policy=policy_id)
+        env.pull_cycles(cycle, horizon - len(head), policy=policy_id)
+    else:
+        for t in range(horizon):
+            arm = policy(t, env.delay_state())
+            env.pull(arm, policy=policy_id)
     return PolicyTrace.from_env(env)

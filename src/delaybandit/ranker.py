@@ -86,14 +86,18 @@ def rank_arms(sampler, k: int, delta: float, pull_cap: int = 10**7) -> RankingOu
     """Run the elimination until at most one arm stays active (or the cap hits).
 
     `sampler(active) -> (samples, pulls_used)` must return one unbiased [0, 1]
-    sample per active arm. Arms whose comparison set is empty count as
-    separated on that side, so the extreme arms are removable too. Sorting
-    ties break on the original arm index; the survivor slots into its leaf.
+    sample per active arm. An arm is separated when its neighbours in the
+    mean order of the still-active arms lie more than 2 eps away on each
+    side; a missing neighbour counts as separated, so the extreme arms are
+    removable too. Sorting ties break on the original arm index; the
+    survivor slots into its leaf.
     If the cap is exhausted first the partial tree is returned with
     complete=False and multi-arm leaves ordered by current empirical mean.
     """
     if k < 2:
         raise ValueError("need at least two arms")
+    if pull_cap < 1:
+        raise ValueError(f"pull cap must be >= 1, got {pull_cap}")
     active = list(range(k))
     sums = [0.0] * k
     root: RankNode | RankLeaf = RankLeaf(list(range(k)))
@@ -111,16 +115,14 @@ def rank_arms(sampler, k: int, delta: float, pull_cap: int = 10**7) -> RankingOu
         means = {i: sums[i] / r for i in active}
         eps = epsilon_r(k, r, delta)
         order = sorted(active, key=lambda i: (-means[i], i))
-        for i in order:
+        prev = None                       # nearest arm above i that is still active
+        for pos, i in enumerate(order):
             if len(active) <= 1:
                 break
-            if i not in means or i not in leaf_of:
-                continue
             mi = means[i]
-            above = [means[j] for j in active if j != i and means[j] >= mi]
-            below = [means[j] for j in active if j != i and means[j] <= mi]
-            sep_above = not above or min(above) > mi + 2 * eps
-            sep_below = not below or max(below) < mi - 2 * eps
+            nxt = order[pos + 1] if pos + 1 < len(order) else None
+            sep_above = prev is None or means[prev] > mi + 2 * eps
+            sep_below = nxt is None or means[nxt] < mi - 2 * eps
             if sep_above and sep_below:
                 active.remove(i)
                 elim_round[i] = r
@@ -140,6 +142,8 @@ def rank_arms(sampler, k: int, delta: float, pull_cap: int = 10**7) -> RankingOu
                     leaf_of[j] = node.bigger
                 for j in smaller:
                     leaf_of[j] = node.smaller
+            else:
+                prev = i
     complete = len(active) <= 1
     final_means = {i: sums[i] / r for i in range(k)} if r else {}
     perm = tuple(_in_order(root, lambda a: (-final_means.get(a, 0.0), a)))
@@ -191,14 +195,13 @@ def calibrated_sample_round(env: Environment, active_arms, d0: int):
             padding = [pool[j % len(pool)] for j in range(pad_needed)]
         else:
             padding = []
-        cycle = group + padding
-        for arm in cycle:                      # calibration pass, discarded
-            env.pull(arm, policy=-1, retained=False)
-        for slot, arm in enumerate(cycle):     # estimation pass
-            keep = slot < len(group)
-            rs = env.pull(arm, policy=-1, retained=keep)
-            if keep:
-                samples[arm] = float(rs.realized)
+        # calibration pass (discarded), then the group's estimation pulls, then the padding's
+        start = env.t + d0
+        env.pull_cycles(group + padding, d0 + len(group), retain_from=d0)
+        if padding:
+            env.pull_cycles(padding, len(padding), retain_from=len(padding))
+        for arm, r in zip(group, env.realized(start, start + len(group))):
+            samples[arm] = float(r)
         pulls += 2 * d0
     return samples, pulls
 
@@ -210,10 +213,9 @@ def _serialized_round(env: Environment, active, d0: int):
     k = env.k
     for x in active:
         others = [a for a in range(k) if a != x]
-        for j in range(d0):
-            env.pull(others[j % len(others)], policy=-1, retained=False)
-        rs = env.pull(x, policy=-1, retained=True)
-        samples[x] = float(rs.realized)
+        fillers = [others[j % len(others)] for j in range(d0)]
+        env.pull_cycles(fillers + [x], d0 + 1, retain_from=d0)
+        samples[x] = float(env.realized(env.t - 1, env.t)[0])
         pulls += d0 + 1
     return samples, pulls
 

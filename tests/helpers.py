@@ -8,9 +8,11 @@ import numpy as np
 from delaybandit import (
     Discount,
     build_state_graph,
+    epsilon_r,
     ghost_summary,
     make_instance,
 )
+from delaybandit.ranker import RankingOutcome, RankLeaf, RankNode, _in_order
 
 
 def random_exact_instance(rng, kmax=3, dmax=3, denom=20):
@@ -131,3 +133,54 @@ def verify_maintenance_schedule(intervals, slots):
             if b - a != li:
                 return False
     return True
+
+
+def rank_arms_by_scan(sampler, k, delta, pull_cap=10**7):
+    """Reference elimination: each arm compared against every other active arm's mean."""
+    active = list(range(k))
+    sums = [0.0] * k
+    root = RankLeaf(list(range(k)))
+    leaf_of = {i: root for i in range(k)}
+    parent = {}
+    elim_round = {i: None for i in range(k)}
+    pulls = 0
+    r = 0
+    while len(active) > 1 and pulls < pull_cap:
+        samples, used = sampler(list(active))
+        pulls += used
+        r += 1
+        for i in active:
+            sums[i] += samples[i]
+        means = {i: sums[i] / r for i in active}
+        eps = epsilon_r(k, r, delta)
+        for i in sorted(active, key=lambda i: (-means[i], i)):
+            if len(active) <= 1:
+                break
+            mi = means[i]
+            above = [means[j] for j in active if j != i and means[j] >= mi]
+            below = [means[j] for j in active if j != i and means[j] <= mi]
+            sep_above = not above or min(above) > mi + 2 * eps
+            sep_below = not below or max(below) < mi - 2 * eps
+            if not (sep_above and sep_below):
+                continue
+            active.remove(i)
+            elim_round[i] = r
+            leaf = leaf_of.pop(i)
+            bigger = [j for j in leaf.arms if j != i and means.get(j, -1.0) > mi]
+            smaller = [j for j in leaf.arms if j != i and j in leaf_of and j not in bigger]
+            node = RankNode(i, r, RankLeaf(bigger), RankLeaf(smaller))
+            par = parent.get(id(leaf))
+            if par is None:
+                root = node
+            else:
+                pnode, side = par
+                setattr(pnode, side, node)
+            parent[id(node.bigger)] = (node, "bigger")
+            parent[id(node.smaller)] = (node, "smaller")
+            for j in bigger:
+                leaf_of[j] = node.bigger
+            for j in smaller:
+                leaf_of[j] = node.smaller
+    final_means = {i: sums[i] / r for i in range(k)} if r else {}
+    perm = tuple(_in_order(root, lambda a: (-final_means.get(a, 0.0), a)))
+    return RankingOutcome(perm, r, pulls, elim_round, root, len(active) <= 1, final_means)

@@ -281,12 +281,20 @@ class TestEnvironment:
         ret_sum, ret_n = env.pull_cycles((0,), 10, retain_from=4)
         assert (ret_sum, ret_n) == (6.0, 6)  # zero discount: every pull pays 1
 
-    def test_long_block_rejects_repeated_arms(self):
+    def test_long_block_with_repeated_arms_equals_stepwise(self):
+        # tiled past the first cycle with per-position gaps (2, 1, 3)
         inst = make_instance([0.9, 0.6, 0.3], [2, 3, 1], Discount.geometric(0.7))
-        env = Environment(inst, substream(3, "env"))
-        with pytest.raises(ValueError, match="distinct arms"):
-            env.pull_cycles((0, 0, 1), 200)
-        assert env.t == 0  # rejected before any pull
+        e1 = Environment(inst, substream(3, "env"))
+        e2 = Environment(inst, substream(3, "env"))
+        prefix = (0, 0, 1)
+        got = e1.pull_cycles(prefix, 200, retain_from=70)
+        samples = [e2.pull(prefix[t % 3], retained=t >= 70) for t in range(200)]
+        assert got == (float(sum(s.realized for s in samples[70:])), 130)
+        c1, c2 = e1.columns(), e2.columns()
+        for key in c1:
+            assert c1[key].dtype == c2[key].dtype and np.array_equal(c1[key], c2[key]), key
+        assert list(c1["gaps"][3:6]) == [2, 1, 3]
+        assert e1.delay_state() == e2.delay_state()
 
     def test_short_block_with_repeated_arms_equals_stepwise(self):
         inst = make_instance([0.9, 0.6, 0.3], [2, 3, 1], Discount.geometric(0.7))

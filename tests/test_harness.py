@@ -266,6 +266,30 @@ class TestCli:
         assert rc == 0
         assert os.path.exists(os.path.join(out_dir, "metadata.json"))
 
+    @pytest.mark.parametrize("args, message", [
+        (["--preset", "fig3-cost", "-T", "0"], "horizon must be >= 1"),
+        (["--instance", "FIG3", "-T", "0"], "horizon must be >= 1"),
+        (["--preset", "fig3-cost", "-T", "50", "--seeds", "1,0,1"], "seed 1 is repeated"),
+        (["--instance", "FIG3", "--algos", "greedy,ghost,greedy", "-T", "50"],
+         "algorithm 'greedy' is repeated"),
+    ])
+    def test_bad_experiment_is_one_error_line(self, tmp_path, capsys, args, message):
+        fig3 = self.write_fig3(tmp_path)
+        out_dir = tmp_path / "exp"
+        argv = ["experiment", *(fig3 if a == "FIG3" else a for a in args), "--out", str(out_dir)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error:") and message in err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("cap", ["0", "-3"])
+    def test_rank_rejects_pull_cap_below_one(self, tmp_path, capsys, cap):
+        assert main(["rank", "--instance", self.write_fig3(tmp_path), "--pull-cap", cap]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and captured.err.startswith("error:")
+        assert "pull cap" in captured.err
+
     def test_invalid_instance_fails(self, tmp_path):
         assert main(["ghost", "--instance", str(tmp_path / "missing.json")]) == 2
 

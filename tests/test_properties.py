@@ -1,6 +1,8 @@
-"""Property tests: batching never changes a trace; the ghost reference is the ghost run;
-the oracle's optimum bounds every ranking and alternation value and matches cycle
-enumeration; the low-switch schedule covers T in O(ln ln T) stages."""
+"""Property tests: batching never changes a trace; the greedy rollout's block path, the
+block calibrated rounds and the neighbour separation test in `rank_arms` match their
+one-at-a-time references; the ghost reference is the ghost run; the oracle's optimum
+bounds every ranking and alternation value and matches cycle enumeration; the
+low-switch schedule covers T in O(ln ln T) stages."""
 
 import math
 from fractions import Fraction as F
@@ -13,20 +15,27 @@ from hypothesis import strategies as st
 from delaybandit import (
     Discount,
     Environment,
+    GreedyPolicy,
     alternation_value,
     build_state_graph,
+    calibrated_sample_round,
     ghost_reference,
     ghost_summary,
+    greedy_arm,
     load_instance,
     make_instance,
     optimal_average,
+    orbit,
     preset_fig2,
+    rank_arms,
+    rollout,
     stage_schedule,
     substream,
 )
 from delaybandit.harness import run_algorithm
 from delaybandit.oracle import _certify, _evaluate_policy
-from helpers import brute_force_max_mean, random_exact_instance, random_float_instance
+from helpers import (brute_force_max_mean, random_exact_instance, random_float_instance,
+                     rank_arms_by_scan)
 
 SLACK = 64  # pull_cycles runs blocks of at most len(prefix) + SLACK pulls one by one
 
@@ -40,8 +49,12 @@ def fig2_instance(ds):
 
 @st.composite
 def blocks(draw, k):
-    """(prefix, n, retain_from) with a distinct prefix and n up to three vector-sized blocks."""
-    prefix = tuple(draw(st.permutations(range(k)))[:draw(st.integers(1, k))])
+    """(prefix, n, retain_from): a distinct prefix or one with repeated arms, and n up to
+    three vector-sized blocks."""
+    distinct = st.permutations(range(k)).flatmap(
+        lambda arms: st.integers(1, k).map(lambda m: tuple(arms[:m])))
+    repeated = st.lists(st.integers(0, k - 1), min_size=2, max_size=2 * k).map(tuple)
+    prefix = draw(distinct | repeated)
     n = draw(st.integers(0, 3 * (len(prefix) + SLACK)))
     return prefix, n, draw(st.integers(0, n + 1))
 
@@ -65,6 +78,99 @@ def test_batching_never_changes_a_trace(ds, block_list, seed):
     a, b = batched.columns(), stepped.columns()
     for key in a:
         assert a[key].dtype == b[key].dtype and np.array_equal(a[key], b[key]), key
+
+
+def _assert_greedy_blocks_equal_step_loop(inst, data):
+    head, cycle = orbit(inst, lambda state: (greedy_arm(inst, state),), arms=True)
+    T = data.draw(st.integers(0, len(head) + 3 * (len(cycle) + SLACK)))
+    seed = data.draw(st.integers(0, 2**16))
+    fast = rollout(inst, GreedyPolicy(inst), T, substream(seed, "env"), policy_id=2)
+    loop = rollout(inst, lambda t, s: greedy_arm(inst, s), T, substream(seed, "env"), policy_id=2)
+    for key, col in vars(loop).items():
+        got = getattr(fast, key)
+        assert got.dtype == col.dtype and np.array_equal(got, col), key
+
+
+@settings(max_examples=40, deadline=None)
+@given(ds=fig2_delays, data=st.data())
+def test_greedy_blocks_equal_step_loop_on_fig2_draws(ds, data):
+    _assert_greedy_blocks_equal_step_loop(fig2_instance(ds), data)
+
+
+@settings(max_examples=60, deadline=None)
+@given(instance_seed=st.integers(0, 2**32 - 1), exact=st.booleans(), data=st.data())
+def test_greedy_blocks_equal_step_loop(instance_seed, exact, data):
+    rng = np.random.default_rng(instance_seed)
+    inst = random_exact_instance(rng, kmax=5, dmax=4) if exact else random_float_instance(rng, kmax=5)
+    _assert_greedy_blocks_equal_step_loop(inst, data)
+
+
+def _calibrated_round_by_pulls(env, active, d0):
+    """Per-pull reference for `calibrated_sample_round`."""
+    k = env.k
+    removed = [a for a in range(k) if a not in active]
+    samples, pulls = {}, 0
+    groups = [active[i:i + d0] for i in range(0, len(active), d0)]
+    for gi, group in enumerate(groups):
+        pool = removed + [a for g in groups[:gi] for a in g]
+        if len(group) < d0 and not pool:
+            for x in active:
+                others = [a for a in range(k) if a != x]
+                for j in range(d0):
+                    env.pull(others[j % len(others)], retained=False)
+                samples[x] = float(env.pull(x).realized)
+                pulls += d0 + 1
+            return samples, pulls
+        cycle = group + [pool[j % len(pool)] for j in range(d0 - len(group))]
+        for arm in cycle:
+            env.pull(arm, retained=False)
+        for slot, arm in enumerate(cycle):
+            sample = env.pull(arm, retained=slot < len(group))
+            if slot < len(group):
+                samples[arm] = float(sample.realized)
+        pulls += 2 * d0
+    return samples, pulls
+
+
+@settings(max_examples=80, deadline=None)
+@given(instance_seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_block_calibrated_rounds_equal_per_pull_rounds(instance_seed, data):
+    rng = np.random.default_rng(instance_seed)
+    inst = random_exact_instance(rng, kmax=7, dmax=4) if rng.random() < 0.5 else \
+        random_float_instance(rng, kmax=7, dmax=4)
+    assume(inst.k >= 2)
+    d0 = max(inst.ds) + data.draw(st.integers(1, 4))
+    seed = data.draw(st.integers(0, 2**16))
+    blocked = Environment(inst, substream(seed, "rank"))
+    stepped = Environment(inst, substream(seed, "rank"))
+    arm_sets = st.permutations(range(inst.k)).flatmap(
+        lambda arms: st.integers(1, inst.k).map(lambda m: list(arms[:m])))
+    for active in data.draw(st.lists(arm_sets, min_size=1, max_size=4)):
+        got = calibrated_sample_round(blocked, active, d0)
+        assert got == _calibrated_round_by_pulls(stepped, active, d0)
+        assert list(got[0]) == active
+    a, b = blocked.columns(), stepped.columns()
+    for key in a:
+        assert a[key].dtype == b[key].dtype and np.array_equal(a[key], b[key]), key
+
+
+def _bernoulli_stream(mus, seed):
+    rng = np.random.default_rng(seed)
+
+    def sampler(active):
+        return {a: float(rng.random() < mus[a]) for a in active}, len(active)
+
+    return sampler
+
+
+@settings(max_examples=150, deadline=None)
+@given(mus=st.lists(st.sampled_from([0.0, 0.2, 0.5, 0.8, 1.0]), min_size=2, max_size=7),
+       delta=st.sampled_from([0.1, 0.5, 0.99]), seed=st.integers(0, 2**16))
+def test_neighbour_separation_matches_full_scan(mus, delta, seed):
+    # 0/1 samples and equal baselines tie empirical means all the time
+    k = len(mus)
+    got = rank_arms(_bernoulli_stream(mus, seed), k, delta, pull_cap=400 * k)
+    assert got == rank_arms_by_scan(_bernoulli_stream(mus, seed), k, delta, pull_cap=400 * k)
 
 
 def _assert_ghost_reference_is_ghost_run(inst, T):
