@@ -30,7 +30,6 @@ from .policies import (
     ghost_summary,
     greedy_arm,
     orbit,
-    ranking_arm,
     rollout,
 )
 from .oracle import (

@@ -97,6 +97,9 @@ def _cmd_pmsp(args) -> int:
 
 def _cmd_experiment(args) -> int:
     if args.preset:
+        for flag, value in (("--algos", args.algos), ("--instance", args.instance)):
+            if value is not None:
+                raise ValueError(f"{flag} cannot be combined with --preset")
         base = {
             "fig2": lambda: preset_fig2(),
             "fig3-cost": lambda: preset_fig3(cost=True),
@@ -111,10 +114,9 @@ def _cmd_experiment(args) -> int:
         label = base.label
     else:
         if not args.instance:
-            print("either --preset or --instance is required", file=sys.stderr)
-            return 2
+            raise ValueError("either --preset or --instance is required")
         instance = {"file": args.instance}
-        algorithms = tuple(args.algos.split(","))
+        algorithms = tuple((args.algos or "low,ucb").split(","))
         horizon = args.horizon if args.horizon is not None else 10_000
         delta = args.delta if args.delta is not None else 0.1
         cost = args.switch_cost if args.switch_cost is not None else 0.0
@@ -188,7 +190,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("experiment", help="run a preset or custom experiment")
     p.add_argument("--preset", choices=["fig2", "fig3-cost", "fig3-free"])
     p.add_argument("--instance", help="custom instance file (with --algos)")
-    p.add_argument("--algos", default="low,ucb")
+    p.add_argument("--algos", help="comma-separated algorithms, custom runs only "
+                                    "(default low,ucb)")
     p.add_argument("-T", "--horizon", type=int, default=None)
     p.add_argument("--delta", type=float, default=None)
     p.add_argument("--switch-cost", type=float, default=None)

@@ -274,14 +274,16 @@ class RewardSample:
 class Environment:
     """Sequential sampler over an instance; owns its RNG stream and pull log.
 
-    State is kept as per-arm last-pull times so a pull costs O(1) regardless of
-    k; the capped delay vector is materialized on demand. Uniform variates are
-    drawn in buffered blocks, so the realized channel depends only on the
-    stream and the pull sequence, not on how pulls are batched.
+    Every pull runs through `pull_cycles`; `pull` is a block of one. State is
+    kept as per-arm last-pull times so a pull costs O(1) regardless of k; the
+    capped delay vector is materialized on demand. Every environment starts
+    from the all-zero state. Uniform variates are drawn in buffered blocks, so
+    the realized channel depends only on the stream and the pull sequence,
+    not on how pulls are batched.
     """
 
     def __init__(self, instance: BanditInstance, rng: np.random.Generator,
-                 capacity: int = 1024, initial_state=None):
+                 capacity: int = 1024):
         self.instance = instance
         self.k = instance.k
         self._rng = rng
@@ -293,14 +295,6 @@ class Environment:
         ]
         self.t = 0
         self._last: list = [None] * self.k
-        if initial_state is not None:
-            if len(initial_state) != self.k:
-                raise ValueError("initial state length does not match instance")
-            for i, tau in enumerate(initial_state):
-                if not 0 <= tau <= self._ds[i]:
-                    raise ValueError(f"initial state component {i} out of range")
-                if tau > 0:
-                    self._last[i] = -tau
         self._buf = np.empty(0)
         self._bi = 0
         self._steady_cache: dict = {}
@@ -338,18 +332,11 @@ class Environment:
 
     # -- state views -------------------------------------------------------
 
-    def gap_of(self, arm: int):
-        last = self._last[arm]
-        return None if last is None else self.t - last
-
-    def tau_of(self, arm: int) -> int:
-        gap = self.gap_of(arm)
-        if gap is None or gap > self._ds[arm]:
-            return 0
-        return gap
-
     def delay_state(self) -> tuple:
-        return tuple(self.tau_of(i) for i in range(self.k))
+        """Capped delay vector: rounds since each arm's last pull, 0 past its delay."""
+        t = self.t
+        return tuple(0 if last is None or t - last > d else t - last
+                     for last, d in zip(self._last, self._ds))
 
     # -- pulling -----------------------------------------------------------
 
@@ -365,27 +352,13 @@ class Environment:
             setattr(self, name, grown)
 
     def pull(self, arm: int, policy: int = -1, retained: bool = True) -> RewardSample:
-        """Pull one arm, advance time, log the sample."""
-        # keeps its own per-pull body: sharing pull_cycles' loop measured slower
+        """Pull one arm as a block of one through `pull_cycles`; returns the logged row."""
         if not 0 <= arm < self.k:
             raise IndexError(f"arm index {arm} out of range")
-        self._ensure(self.t + 1)
-        t = self.t
-        last = self._last[arm]
-        gap = -1 if last is None else t - last
-        tau = gap if 0 < gap <= self._ds[arm] else 0
-        p = self._ptable[arm][tau]
-        r = 1 if self._uniform() < p else 0
-        self._arm[t] = arm
-        self._tau[t] = tau
-        self._gap[t] = gap
-        self._exp[t] = p
-        self._real[t] = r
-        self._pol[t] = policy
-        self._ret[t] = retained
-        self._last[arm] = t
-        self.t = t + 1
-        return RewardSample(arm, tau, gap, p, r)
+        self.pull_cycles((arm,), 1, policy, retain_from=0 if retained else 1)
+        t = self.t - 1
+        return RewardSample(arm, int(self._tau[t]), int(self._gap[t]), float(self._exp[t]),
+                            int(self._real[t]))
 
     def _steady(self, prefix: tuple):
         # per position: the gap back to the same arm's previous slot in the cycle

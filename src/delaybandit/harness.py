@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 import os
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
@@ -22,9 +23,9 @@ from numbers import Real
 import numpy as np
 
 from . import __version__
-from .core import BanditInstance, Discount, Environment, make_instance, substream
+from .core import BanditInstance, Discount, make_instance, substream
 from .low_switch import run_pi_low, stage_schedule
-from .policies import GreedyPolicy, PolicyTrace, ghost_summary, orbit, rollout
+from .policies import GreedyPolicy, PolicyTrace, RankingPolicy, ghost_summary, orbit, rollout
 from .ucb import run_ucb_rankings
 
 __all__ = [
@@ -148,8 +149,10 @@ class ExperimentConfig:
             raise ValueError("horizon must be >= 1")
         if not self.seeds:
             raise ValueError("need at least one seed")
-        if self.switch_cost < 0:
-            raise ValueError("switch cost must be >= 0")
+        if not math.isfinite(self.switch_cost) or self.switch_cost < 0:
+            raise ValueError(f"switch cost must be a finite number >= 0, got {self.switch_cost}")
+        if not 0 < self.delta < 1:
+            raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
         for algo in self.algorithms:
             if algo not in ALGORITHMS:
                 raise ValueError(f"unknown algorithm {algo!r}")
@@ -184,7 +187,7 @@ def ghost_reference(instance: BanditInstance, T: int) -> np.ndarray:
     if T < 0:
         raise ValueError("horizon must be >= 0")
     r = ghost_summary(instance).r_star
-    first, steady = (np.array(part, float) for part in orbit(instance, lambda state: range(r)))
+    first, steady = (np.array(part, float) for part in orbit(instance, RankingPolicy(r)))
     return np.cumsum(np.concatenate([first, np.tile(steady, T // len(steady) + 1)])[:T])
 
 
@@ -301,9 +304,7 @@ def run_algorithm(name: str, instance: BanditInstance, T: int, delta: float, see
         return trace, {}
     if name == "ghost":
         r = ghost_summary(instance).r_star
-        env = Environment(instance, substream(seed, "env"), capacity=T)
-        env.pull_cycles(tuple(range(r)), T, policy=r, retain_from=0)
-        return PolicyTrace.from_env(env), {}
+        return rollout(instance, RankingPolicy(r), T, substream(seed, "env"), policy_id=r), {}
     raise ValueError(f"unknown algorithm {name!r}")
 
 

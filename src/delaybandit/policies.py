@@ -2,10 +2,10 @@
 
 The ranking policy with cutoff m cycles deterministically over the m best
 arms (baseline order). g(m) is its steady per-pull expected reward; the best
-cutoff r_star defines the reference ("ghost") policy used for regret. `orbit`
-plays any deterministic block rule from the all-zero state until its delay
-state repeats; the ghost reference and the oracle's periodic values are read
-off it.
+cutoff r_star defines the reference ("ghost") policy used for regret. Both
+shipped policies are block rules policy(state) -> arms. `orbit` plays any
+such rule from the all-zero state until its delay state repeats; rollouts,
+the ghost reference and the oracle's periodic values are read off it.
 """
 
 from __future__ import annotations
@@ -17,8 +17,8 @@ from numbers import Rational
 
 import numpy as np
 
-from .core import (BanditInstance, Environment, RewardSample, advance_state, expected_payoff,
-                   initial_state, segment_sum)
+from .core import (BanditInstance, Environment, advance_state, expected_payoff, initial_state,
+                   segment_sum)
 
 __all__ = [
     "GhostSummary",
@@ -29,30 +29,26 @@ __all__ = [
     "ghost_summary",
     "greedy_arm",
     "orbit",
-    "ranking_arm",
     "rollout",
 ]
 
 
-def ranking_arm(m: int, t: int) -> int:
-    """Arm pulled at 0-based step t by the cutoff-m ranking policy: t mod m."""
-    if m < 1:
-        raise ValueError("cutoff must be >= 1")
-    if t < 0:
-        raise ValueError("step must be >= 0")
-    return t % m
-
-
 @dataclass(frozen=True)
 class RankingPolicy:
-    """Cycles over the first m arms of `order` (identity order by default)."""
+    """Block rule of the cutoff-m ranking policy: the first m arms of `order`.
+
+    The block ignores the state; `order` is the identity by default.
+    """
 
     m: int
     order: tuple | None = None
 
-    def __call__(self, t: int, state) -> int:
-        idx = ranking_arm(self.m, t)
-        return idx if self.order is None else self.order[idx]
+    def __post_init__(self):
+        if self.m < 1:
+            raise ValueError("cutoff must be >= 1")
+
+    def __call__(self, state) -> tuple:
+        return tuple(range(self.m)) if self.order is None else tuple(self.order[:self.m])
 
 
 def greedy_arm(instance: BanditInstance, state) -> int:
@@ -68,13 +64,13 @@ def greedy_arm(instance: BanditInstance, state) -> int:
 
 
 class GreedyPolicy:
-    """Delay-vector feedback rule: always pull the currently best-looking arm."""
+    """Delay-vector feedback rule as a block of one: the currently best-looking arm."""
 
     def __init__(self, instance: BanditInstance):
         self.instance = instance
 
-    def __call__(self, t: int, state) -> int:
-        return greedy_arm(self.instance, state)
+    def __call__(self, state) -> tuple:
+        return (greedy_arm(self.instance, state),)
 
 
 def g_value(instance: BanditInstance, m: int):
@@ -199,31 +195,21 @@ class PolicyTrace:
     def total_switches(self) -> int:
         return int(self.cum_switches[-1]) if len(self) else 0
 
-    def sample(self, i: int) -> RewardSample:
-        return RewardSample(
-            int(self.arms[i]), int(self.taus[i]), int(self.gaps[i]),
-            float(self.expected[i]), int(self.realized[i]),
-        )
-
 
 def rollout(instance: BanditInstance, policy, horizon: int, rng: np.random.Generator,
-            initial_state=None, policy_id: int = -1) -> PolicyTrace:
-    """Run any callable policy(t, state) -> arm for `horizon` pulls.
+            policy_id: int = -1) -> PolicyTrace:
+    """Play the block rule policy(state) -> arms for `horizon` pulls from the all-zero state.
 
-    Deterministic given (instance, policy, horizon, stream state). The trace
-    records both channels at every pull. A `GreedyPolicy` started from the
-    all-zero state depends on the state alone, so its arms are read off its
-    orbit and pulled as two blocks; the trace is the step loop's, bit for bit.
+    The rule sees the delay state alone, so its play is its orbit: the prefix,
+    cut to the horizon, and then the cycle tiled, pulled as two `pull_cycles`
+    blocks. Deterministic given (instance, policy, horizon, stream state); the
+    trace records both channels at every pull and equals pulling the same arms
+    one at a time, bit for bit.
     """
     if horizon < 0:
         raise ValueError("horizon must be >= 0")
-    env = Environment(instance, rng, capacity=max(horizon, 1), initial_state=initial_state)
-    if initial_state is None and isinstance(policy, GreedyPolicy):
-        head, cycle = orbit(instance, lambda state: (policy(0, state),), arms=True)
-        env.pull_cycles(head, min(len(head), horizon), policy=policy_id)
-        env.pull_cycles(cycle, horizon - len(head), policy=policy_id)
-    else:
-        for t in range(horizon):
-            arm = policy(t, env.delay_state())
-            env.pull(arm, policy=policy_id)
+    head, cycle = orbit(instance, policy, arms=True)
+    env = Environment(instance, rng, capacity=max(horizon, 1))
+    env.pull_cycles(head, min(len(head), horizon), policy=policy_id)
+    env.pull_cycles(cycle, horizon - len(head), policy=policy_id)
     return PolicyTrace.from_env(env)

@@ -7,6 +7,8 @@ import numpy as np
 
 from delaybandit import (
     Discount,
+    Environment,
+    PolicyTrace,
     build_state_graph,
     epsilon_r,
     ghost_summary,
@@ -48,6 +50,14 @@ def random_float_instance(rng, kmax=4, dmax=3):
         n = int(rng.integers(1, 5))
         disc = Discount.table(sorted(rng.uniform(0.0, 1.0, size=n).tolist(), reverse=True))
     return make_instance(mus.tolist(), ds, disc)
+
+
+def step_rollout(inst, arm_of_state, T, rng, policy_id=-1):
+    """Reference rollout: T single pulls, each arm read off the current delay state."""
+    env = Environment(inst, rng, capacity=max(T, 1))
+    for _ in range(T):
+        env.pull(arm_of_state(env.delay_state()), policy=policy_id)
+    return PolicyTrace.from_env(env)
 
 
 def brute_force_max_mean(instance):

@@ -17,7 +17,7 @@ from delaybandit import (
     segment_sum,
     substream,
 )
-from helpers import random_exact_instance
+from helpers import random_exact_instance, random_float_instance
 
 
 def fig3_instance():
@@ -233,15 +233,26 @@ class TestSubstream:
 
 class TestEnvironment:
     def test_state_matches_pure_dynamics(self):
+        # every pull against the delay-vector model: tau from advance_state, gap from the
+        # last-pull times, expected from the payoff law, realized from the raw stream;
+        # the two long runs cross the environment's uniform-chunk boundary
         rng = np.random.default_rng(5)
-        for _ in range(10):
-            inst = random_exact_instance(rng)
-            env = Environment(inst, substream(0, "dyn"))
+        runs = [(random_exact_instance(rng), 60) for _ in range(10)]
+        runs += [(random_exact_instance(rng), 10_000), (random_float_instance(rng), 10_000)]
+        for seed, (inst, n) in enumerate(runs):
+            env = Environment(inst, substream(seed, "dyn"))
+            u = substream(seed, "dyn").random(n)
             state = initial_state(inst)
-            for _ in range(60):
+            last = {}
+            for t in range(n):
                 assert env.delay_state() == state
                 arm = int(rng.integers(0, inst.k))
-                env.pull(arm)
+                rs = env.pull(arm)
+                p = float(expected_payoff(inst, arm, state[arm]))
+                gap = t - last[arm] if arm in last else -1
+                assert (rs.arm, rs.tau, rs.gap) == (arm, state[arm], gap)
+                assert rs.expected == p and rs.realized == int(u[t] < p)
+                last[arm] = t
                 state = advance_state(state, arm, inst)
 
     def test_block_equals_stepwise(self):
@@ -258,13 +269,6 @@ class TestEnvironment:
         for key in c1:
             assert np.array_equal(c1[key], c2[key]), key
         assert e1.delay_state() == e2.delay_state()
-
-    def test_initial_state(self):
-        inst = make_instance([0.9, 0.6], [2, 3], Discount.constant(0.5))
-        env = Environment(inst, substream(0, "init"), initial_state=(2, 0))
-        assert env.delay_state() == (2, 0)
-        rs = env.pull(0)
-        assert rs.tau == 2 and rs.gap == 2
 
     def test_gap_recording(self):
         inst = make_instance([0.9, 0.6], [1, 1], Discount.constant(0.5))

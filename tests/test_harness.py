@@ -272,6 +272,15 @@ class TestCli:
         (["--preset", "fig3-cost", "-T", "50", "--seeds", "1,0,1"], "seed 1 is repeated"),
         (["--instance", "FIG3", "--algos", "greedy,ghost,greedy", "-T", "50"],
          "algorithm 'greedy' is repeated"),
+        (["--instance", "FIG3", "--switch-cost", "nan", "-T", "50"], "switch cost"),
+        (["--instance", "FIG3", "--switch-cost", "inf", "-T", "50"], "switch cost"),
+        (["--instance", "FIG3", "--algos", "ucb", "--delta", "7", "-T", "50"], "delta"),
+        (["--instance", "FIG3", "--algos", "ghost", "--delta", "nan", "-T", "50"], "delta"),
+        (["--preset", "fig3-cost", "--algos", "greedy", "-T", "50"],
+         "--algos cannot be combined with --preset"),
+        (["--preset", "fig3-cost", "--instance", "/nonexistent.json", "-T", "50"],
+         "--instance cannot be combined with --preset"),
+        (["-T", "50"], "either --preset or --instance is required"),
     ])
     def test_bad_experiment_is_one_error_line(self, tmp_path, capsys, args, message):
         fig3 = self.write_fig3(tmp_path)

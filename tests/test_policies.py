@@ -12,7 +12,6 @@ from delaybandit import (
     greedy_arm,
     make_instance,
     orbit,
-    ranking_arm,
     rollout,
     segment_sum,
     substream,
@@ -29,21 +28,14 @@ def section3_example(eps=F(1, 10)):
 
 
 class TestRankingArm:
-    def test_cycles(self):
-        assert ranking_arm(3, 0) == 0
-        assert ranking_arm(3, 3) == 0
-        assert ranking_arm(3, 4) == 1
-        assert all(ranking_arm(1, t) == 0 for t in range(5))
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ranking_arm(0, 1)
-        with pytest.raises(ValueError):
-            ranking_arm(2, -1)
-
     def test_policy_with_order(self):
-        pol = RankingPolicy(2, order=(3, 1, 0, 2))
-        assert [pol(t, None) for t in range(4)] == [3, 1, 3, 1]
+        state = (0, 0, 0, 0)
+        assert RankingPolicy(2, order=(3, 1, 0, 2))(state) == (3, 1)
+        assert RankingPolicy(3)(state) == (0, 1, 2)
+
+    def test_cutoff_validation(self):
+        with pytest.raises(ValueError):
+            RankingPolicy(0)
 
 
 class TestGreedyArm:

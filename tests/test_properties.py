@@ -35,7 +35,7 @@ from delaybandit import (
 from delaybandit.harness import run_algorithm
 from delaybandit.oracle import _certify, _evaluate_policy
 from helpers import (brute_force_max_mean, random_exact_instance, random_float_instance,
-                     rank_arms_by_scan)
+                     rank_arms_by_scan, step_rollout)
 
 SLACK = 64  # pull_cycles runs blocks of at most len(prefix) + SLACK pulls one by one
 
@@ -81,11 +81,11 @@ def test_batching_never_changes_a_trace(ds, block_list, seed):
 
 
 def _assert_greedy_blocks_equal_step_loop(inst, data):
-    head, cycle = orbit(inst, lambda state: (greedy_arm(inst, state),), arms=True)
+    head, cycle = orbit(inst, GreedyPolicy(inst), arms=True)
     T = data.draw(st.integers(0, len(head) + 3 * (len(cycle) + SLACK)))
     seed = data.draw(st.integers(0, 2**16))
     fast = rollout(inst, GreedyPolicy(inst), T, substream(seed, "env"), policy_id=2)
-    loop = rollout(inst, lambda t, s: greedy_arm(inst, s), T, substream(seed, "env"), policy_id=2)
+    loop = step_rollout(inst, lambda s: greedy_arm(inst, s), T, substream(seed, "env"), policy_id=2)
     for key, col in vars(loop).items():
         got = getattr(fast, key)
         assert got.dtype == col.dtype and np.array_equal(got, col), key
