@@ -142,8 +142,10 @@ def _cmd_experiment(args) -> int:
 
 
 def _parse_seeds(text):
-    if not text:
+    if text is None:
         return None
+    if not text:
+        raise ValueError("--seeds needs at least one seed")
     return tuple(int(v) for v in text.split(","))
 
 

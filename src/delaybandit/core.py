@@ -13,6 +13,7 @@ oracle module relies on for exact threshold comparisons.
 from __future__ import annotations
 
 import hashlib
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
@@ -36,7 +37,8 @@ __all__ = [
 
 Number = int | float | Fraction
 
-_UNIFORM_CHUNK = 8192
+# pull_cycles runs a block of at most len(prefix) + _SCALAR_SLACK pulls one by one
+_SCALAR_SLACK = 64
 
 
 def substream(seed: int, *keys) -> np.random.Generator:
@@ -274,12 +276,13 @@ class RewardSample:
 class Environment:
     """Sequential sampler over an instance; owns its RNG stream and pull log.
 
-    Every pull runs through `pull_cycles`; `pull` is a block of one. State is
-    kept as per-arm last-pull times so a pull costs O(1) regardless of k; the
-    capped delay vector is materialized on demand. Every environment starts
-    from the all-zero state. Uniform variates are drawn in buffered blocks, so
-    the realized channel depends only on the stream and the pull sequence,
-    not on how pulls are batched.
+    The log is the block sequence plus the uniforms it consumed: pull t reads
+    uniform t of the stream, and from the all-zero start the arms fix every
+    other column, which `columns` derives on demand. Every pull runs through
+    `pull_cycles`; `pull` is a block of one. Per-arm last-pull times make a
+    pull cost O(1) regardless of k; the capped delay vector is materialized on
+    demand. The realized channel depends only on the stream and the pull
+    sequence, not on how pulls are batched.
     """
 
     def __init__(self, instance: BanditInstance, rng: np.random.Generator,
@@ -295,171 +298,152 @@ class Environment:
         ]
         self.t = 0
         self._last: list = [None] * self.k
-        self._buf = np.empty(0)
-        self._bi = 0
+        self._u = rng.random(max(int(capacity), 16))   # uniform t is pull t's
+        self._cycle_ids: dict = {}     # each distinct prefix, numbered by first use
+        self._blocks = array("q")      # per block: n, cycle id, policy, retain_from
         self._steady_cache: dict = {}
-        cap = max(int(capacity), 16)
-        self._arm = np.zeros(cap, np.int32)
-        self._tau = np.zeros(cap, np.int32)
-        self._gap = np.zeros(cap, np.int64)
-        self._exp = np.zeros(cap, np.float64)
-        self._real = np.zeros(cap, np.int8)
-        self._pol = np.zeros(cap, np.int32)
-        self._ret = np.zeros(cap, bool)
 
     # -- uniform variate stream -------------------------------------------
 
-    def _uniform(self) -> float:
-        if self._bi >= len(self._buf):
-            self._buf = self._rng.random(_UNIFORM_CHUNK)
-            self._bi = 0
-        u = self._buf[self._bi]
-        self._bi += 1
-        return u
+    def _reserve(self, upto: int):
+        have = len(self._u)
+        if upto > have:
+            grown = np.empty(max(upto, 2 * have))
+            grown[:have] = self._u
+            self._rng.random(out=grown[have:])
+            self._u = grown
 
-    def _uniform_block(self, n: int) -> np.ndarray:
-        out = np.empty(n)
-        filled = 0
-        while filled < n:
-            if self._bi >= len(self._buf):
-                self._buf = self._rng.random(_UNIFORM_CHUNK)
-                self._bi = 0
-            take = min(n - filled, len(self._buf) - self._bi)
-            out[filled:filled + take] = self._buf[self._bi:self._bi + take]
-            self._bi += take
-            filled += take
-        return out
+    def _uniform(self) -> float:
+        # the next pull's uniform (reserved by the caller); the clock moves on
+        u = self._u[self.t]
+        self.t += 1
+        return u
 
     # -- state views -------------------------------------------------------
 
     def delay_state(self) -> tuple:
         """Capped delay vector: rounds since each arm's last pull, 0 past its delay."""
-        t = self.t
-        return tuple(0 if last is None or t - last > d else t - last
-                     for last, d in zip(self._last, self._ds))
+        return tuple(self._row(arm, self.t)[1] for arm in range(self.k))
+
+    def _row(self, arm: int, t: int) -> tuple:
+        # gap since the arm's last pull (-1 if none), capped tau, expected payoff
+        last = self._last[arm]
+        gap = -1 if last is None else t - last
+        tau = gap if 0 < gap <= self._ds[arm] else 0
+        return gap, tau, self._ptable[arm][tau]
 
     # -- pulling -----------------------------------------------------------
 
-    def _ensure(self, upto: int):
-        cap = len(self._arm)
-        if upto <= cap:
-            return
-        new = max(upto, 2 * cap)
-        for name in ("_arm", "_tau", "_gap", "_exp", "_real", "_pol", "_ret"):
-            old = getattr(self, name)
-            grown = np.zeros(new, old.dtype)
-            grown[:cap] = old
-            setattr(self, name, grown)
-
     def pull(self, arm: int, policy: int = -1, retained: bool = True) -> RewardSample:
-        """Pull one arm as a block of one through `pull_cycles`; returns the logged row."""
+        """Pull one arm as a block of one through `pull_cycles`; returns its log row."""
         if not 0 <= arm < self.k:
             raise IndexError(f"arm index {arm} out of range")
+        t = self.t
+        gap, tau, p = self._row(arm, t)
         self.pull_cycles((arm,), 1, policy, retain_from=0 if retained else 1)
-        t = self.t - 1
-        return RewardSample(arm, int(self._tau[t]), int(self._gap[t]), float(self._exp[t]),
-                            int(self._real[t]))
+        return RewardSample(arm, tau, gap, p, int(self._u[t] < p))
 
-    def _steady(self, prefix: tuple):
-        # per position: the gap back to the same arm's previous slot in the cycle
-        cached = self._steady_cache.get(prefix)
-        if cached is None:
+    def _steady(self, prefix: tuple) -> np.ndarray:
+        # payoff per position once every gap is the cyclic distance back to the
+        # same arm's previous slot
+        pay = self._steady_cache.get(prefix)
+        if pay is None:
             m = len(prefix)
             last = {a: j - m for j, a in enumerate(prefix)}   # final slots of the cycle before
-            gaps = []
+            pays = []
             for j, a in enumerate(prefix):
-                gaps.append(j - last[a])
+                gap = j - last[a]
                 last[a] = j
-            taus = [g if g <= self._ds[a] else 0 for a, g in zip(prefix, gaps)]
-            cached = (np.array(prefix, np.int32), np.array(taus, np.int32),
-                      np.array(gaps, np.int64),
-                      np.array([self._ptable[a][tau] for a, tau in zip(prefix, taus)]))
-            self._steady_cache[prefix] = cached
-        return cached
+                pays.append(self._ptable[a][gap if gap <= self._ds[a] else 0])
+            pay = self._steady_cache[prefix] = np.array(pays)
+        return pay
 
     def pull_cycles(self, prefix, n_pulls: int, policy: int = -1,
                     retain_from: int = 0) -> tuple[float, int]:
         """Pull n_pulls rounds cycling over `prefix`, in order.
 
-        Pulls with index >= retain_from are flagged retained; returns the
-        realized-reward sum and count over that portion. Any cycle works,
-        repeated arms included. Short blocks (at most len(prefix) + 64 pulls)
-        run pull by pull. A longer block runs its first cycle pull by pull
-        too; after it every position's gap is the cyclic distance back to the
-        same arm's previous position (len(prefix) for an arm that occurs
-        once), so the rest is tiled from that steady cycle. Both paths draw
-        the same uniforms in the same order.
+        The call is logged as one block; pulls with index >= retain_from are
+        flagged retained, and the return is the realized-reward sum and count
+        over them. Payoffs are computed for those pulls only. Any cycle
+        works, repeated arms included. Short blocks (at most len(prefix) +
+        64 pulls) run pull by pull. A longer block runs its first cycle pull
+        by pull too; after it every position's gap is the cyclic distance
+        back to the same arm's previous position (len(prefix) for an arm that
+        occurs once), so the rest reads the steady payoff cycle. Either way
+        pull t reads uniform t of the stream.
         """
         prefix = tuple(prefix)
+        cycle = self._cycle_ids.get(prefix)
+        if cycle is None:
+            if not prefix:
+                raise ValueError("prefix must be nonempty")
+            if not all(0 <= a < self.k for a in prefix):
+                raise IndexError(f"prefix {prefix} has an arm out of range for k={self.k}")
+            cycle = self._cycle_ids[prefix] = len(self._cycle_ids)
         m = len(prefix)
         n = int(n_pulls)
-        if m < 1:
-            raise ValueError("prefix must be nonempty")
         if n <= 0:
             return 0.0, 0
-        self._ensure(self.t + n)
-        head = n if n <= m + 64 else m
         t0 = self.t
+        self._reserve(t0 + n)
+        rf = min(max(int(retain_from), 0), n)
+        self._blocks.extend((n, cycle, policy, rf))
+        head = n if n <= m + _SCALAR_SLACK else m
+        last = self._last
         ret_sum = 0
-        ret_n = 0
         for i in range(head):
             arm = prefix[i % m]
-            t = t0 + i
-            last = self._last[arm]
-            gap = -1 if last is None else t - last
-            tau = gap if 0 < gap <= self._ds[arm] else 0
-            p = self._ptable[arm][tau]
-            r = 1 if self._uniform() < p else 0
-            self._arm[t] = arm
-            self._tau[t] = tau
-            self._gap[t] = gap
-            self._exp[t] = p
-            self._real[t] = r
-            self._pol[t] = policy
-            self._ret[t] = i >= retain_from
-            self._last[arm] = t
-            if i >= retain_from:
-                ret_sum += r
-                ret_n += 1
-        self.t = t0 + n
-        if head == n:
-            return float(ret_sum), ret_n
-        arms_s, taus_s, gaps_s, exps_s = self._steady(prefix)
-        tail = n - m
-        reps = (tail + m - 1) // m
-        exp_a = np.tile(exps_s, reps)[:tail]
-        real_a = (self._uniform_block(tail) < exp_a).astype(np.int8)
-        t1 = t0 + m
-        sl = slice(t1, t0 + n)
-        self._arm[sl] = np.tile(arms_s, reps)[:tail]
-        self._tau[sl] = np.tile(taus_s, reps)[:tail]
-        self._gap[sl] = np.tile(gaps_s, reps)[:tail]
-        self._exp[sl] = exp_a
-        self._real[sl] = real_a
-        self._pol[sl] = policy
-        rf = max(m, min(retain_from, n))
-        self._ret[t1:t0 + rf] = False
-        self._ret[t0 + rf:t0 + n] = True
-        for i in range(n - m, n):          # the last m pulls hold every arm's final pull
-            self._last[prefix[i % m]] = t0 + i
-        retained = real_a[rf - m:]
-        return float(ret_sum + int(retained.sum())), ret_n + int(retained.size)
-
-    def realized(self, start: int, stop: int) -> list:
-        """Realized rewards (0 or 1) of pulls start..stop-1."""
-        if not 0 <= start <= stop <= self.t:
-            raise ValueError(f"pull range [{start}, {stop}) outside the log of {self.t} pulls")
-        return self._real[start:stop].tolist()
+            u = self._uniform()
+            if i >= rf and u < self._row(arm, t0 + i)[2]:
+                ret_sum += 1
+            last[arm] = t0 + i
+        if head < n:
+            lo = max(rf, m)
+            pay = np.resize(np.roll(self._steady(prefix), -lo), n - lo)
+            ret_sum += int(np.count_nonzero(self._u[t0 + lo:t0 + n] < pay))
+            for i in range(n - m, n):      # the last m pulls hold every arm's final pull
+                last[prefix[i % m]] = t0 + i
+            self.t = t0 + n
+        return float(ret_sum), n - rf
 
     def columns(self) -> dict:
-        """Trimmed copies of the pull log columns."""
+        """The seven pull-log columns, derived from the blocks and uniforms in one pass.
+
+        Arms, policy ids and retained flags expand the blocks; gap is t minus
+        the arm's previous position (-1 at its first pull); tau is the gap
+        capped at d (0 past it or at a first pull); expected is a payoff-table
+        gather; realized is u[t] < expected[t].
+        """
         t = self.t
+        n, cycle, policy, rf = np.array(self._blocks, np.int64).reshape(-1, 4).T
+        cycles = list(self._cycle_ids)
+        size = np.array([len(c) for c in cycles], np.int32)
+        flat = np.array([a for c in cycles for a in c], np.int32)
+        block = np.repeat(np.arange(len(n), dtype=np.int32), n)
+        i = np.arange(t, dtype=np.int32)    # pull time, then index within the block
+        i -= (np.cumsum(n) - n).astype(np.int32)[block]
+        retained = i >= rf.astype(np.int32)[block]
+        i %= size[cycle][block]
+        i += (np.cumsum(size) - size).astype(np.int32)[cycle][block]
+        arms = flat[i]
+        del i, block
+        gaps = np.full(t, -1, np.int64)
+        for a in range(self.k):
+            pos = np.flatnonzero(arms == a)
+            gaps[pos[1:]] = np.diff(pos)
+        taus = gaps.astype(np.int32)
+        taus[taus > np.array(self._ds, np.int32)[arms]] = 0
+        np.maximum(taus, 0, out=taus)
+        table = np.zeros((self.k, max(self._ds) + 1))
+        for a, row in enumerate(self._ptable):
+            table[a, :len(row)] = row
+        expected = table[arms, taus]
         return {
-            "arms": self._arm[:t].copy(),
-            "taus": self._tau[:t].copy(),
-            "gaps": self._gap[:t].copy(),
-            "expected": self._exp[:t].copy(),
-            "realized": self._real[:t].copy(),
-            "policy": self._pol[:t].copy(),
-            "retained": self._ret[:t].copy(),
+            "arms": arms,
+            "taus": taus,
+            "gaps": gaps,
+            "expected": expected,
+            "realized": (self._u[:t] < expected).astype(np.int8),
+            "policy": np.repeat(policy.astype(np.int32), n),
+            "retained": retained,
         }

@@ -69,6 +69,8 @@ class StateGraph:
 
 def build_state_graph(instance: BanditInstance, cap: int = 10**6) -> StateGraph:
     """Breadth-first search from the all-zero state; more than `cap` reachable states is an error."""
+    if cap < 1:
+        raise ValueError("cap must be >= 1")
     ds = instance.ds
     payoff = [[expected_payoff(instance, arm, tau) for tau in range(d + 1)] for arm, d in enumerate(ds)]
     start = initial_state(instance)

@@ -195,13 +195,12 @@ def calibrated_sample_round(env: Environment, active_arms, d0: int):
             padding = [pool[j % len(pool)] for j in range(pad_needed)]
         else:
             padding = []
-        # calibration pass (discarded), then the group's estimation pulls, then the padding's
-        start = env.t + d0
-        env.pull_cycles(group + padding, d0 + len(group), retain_from=d0)
+        # calibration pass (discarded), then one kept pull per group arm, then the padding
+        env.pull_cycles(group + padding, d0, retain_from=d0)
+        for arm in group:
+            samples[arm] = env.pull_cycles((arm,), 1)[0]
         if padding:
             env.pull_cycles(padding, len(padding), retain_from=len(padding))
-        for arm, r in zip(group, env.realized(start, start + len(group))):
-            samples[arm] = float(r)
         pulls += 2 * d0
     return samples, pulls
 
@@ -214,8 +213,7 @@ def _serialized_round(env: Environment, active, d0: int):
     for x in active:
         others = [a for a in range(k) if a != x]
         fillers = [others[j % len(others)] for j in range(d0)]
-        env.pull_cycles(fillers + [x], d0 + 1, retain_from=d0)
-        samples[x] = float(env.realized(env.t - 1, env.t)[0])
+        samples[x] = env.pull_cycles(fillers + [x], d0 + 1, retain_from=d0)[0]
         pulls += d0 + 1
     return samples, pulls
 

@@ -11,6 +11,7 @@ from delaybandit import (
     PolicyTrace,
     build_state_graph,
     epsilon_r,
+    expected_payoff,
     ghost_summary,
     make_instance,
 )
@@ -58,6 +59,25 @@ def step_rollout(inst, arm_of_state, T, rng, policy_id=-1):
     for _ in range(T):
         env.pull(arm_of_state(env.delay_state()), policy=policy_id)
     return PolicyTrace.from_env(env)
+
+
+def step_columns(inst, blocks, u):
+    """Reference log: the seven columns of `blocks`, each (prefix, n, policy, retain_from),
+    pulled one at a time from the all-zero start; pull t reads u[t]."""
+    last, rows = {}, []
+    for prefix, n, policy, retain_from in blocks:
+        for i in range(n):
+            t = len(rows)
+            arm = prefix[i % len(prefix)]
+            gap = t - last[arm] if arm in last else -1
+            tau = gap if 0 < gap <= inst.arms[arm].d else 0
+            p = float(expected_payoff(inst, arm, tau))
+            rows.append((arm, tau, gap, p, int(u[t] < p), policy, i >= retain_from))
+            last[arm] = t
+    cols = zip(*rows) if rows else [()] * 7
+    dtypes = {"arms": np.int32, "taus": np.int32, "gaps": np.int64, "expected": np.float64,
+              "realized": np.int8, "policy": np.int32, "retained": bool}
+    return {name: np.array(col, dtype) for (name, dtype), col in zip(dtypes.items(), cols)}
 
 
 def brute_force_max_mean(instance):

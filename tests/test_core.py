@@ -285,6 +285,14 @@ class TestEnvironment:
         ret_sum, ret_n = env.pull_cycles((0,), 10, retain_from=4)
         assert (ret_sum, ret_n) == (6.0, 6)  # zero discount: every pull pays 1
 
+    @pytest.mark.parametrize("prefix", [(), (0, 2), (-1,)])
+    def test_bad_prefix_is_rejected_before_logging(self, prefix):
+        inst = make_instance([0.9, 0.6], [1, 1], Discount.constant(0.5))
+        env = Environment(inst, substream(0, "bad"))
+        with pytest.raises((ValueError, IndexError)):
+            env.pull_cycles(prefix, 3)
+        assert env.t == 0 and len(env.columns()["arms"]) == 0
+
     def test_long_block_with_repeated_arms_equals_stepwise(self):
         # tiled past the first cycle with per-position gaps (2, 1, 3)
         inst = make_instance([0.9, 0.6, 0.3], [2, 3, 1], Discount.geometric(0.7))

@@ -281,6 +281,8 @@ class TestCli:
         (["--preset", "fig3-cost", "--instance", "/nonexistent.json", "-T", "50"],
          "--instance cannot be combined with --preset"),
         (["-T", "50"], "either --preset or --instance is required"),
+        (["--preset", "fig3-cost", "-T", "50", "--seeds", ""], "--seeds needs at least one seed"),
+        (["--instance", "FIG3", "-T", "50", "--seeds", ""], "--seeds needs at least one seed"),
     ])
     def test_bad_experiment_is_one_error_line(self, tmp_path, capsys, args, message):
         fig3 = self.write_fig3(tmp_path)
@@ -298,6 +300,13 @@ class TestCli:
         assert captured.out == ""
         assert captured.err.count("\n") == 1 and captured.err.startswith("error:")
         assert "pull cap" in captured.err
+
+    @pytest.mark.parametrize("cap", ["0", "-1"])
+    def test_oracle_rejects_cap_below_one(self, tmp_path, capsys, cap):
+        assert main(["oracle", "--instance", self.write_fig3(tmp_path), "--cap", cap]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: cap must be >= 1\n"
 
     def test_invalid_instance_fails(self, tmp_path):
         assert main(["ghost", "--instance", str(tmp_path / "missing.json")]) == 2

@@ -1,8 +1,8 @@
-"""Property tests: batching never changes a trace; the greedy rollout's block path, the
-block calibrated rounds and the neighbour separation test in `rank_arms` match their
-one-at-a-time references; the ghost reference is the ghost run; the oracle's optimum
-bounds every ranking and alternation value and matches cycle enumeration; the
-low-switch schedule covers T in O(ln ln T) stages."""
+"""Property tests: batching never changes a trace; the derived pull log equals a per-pull
+loop; the greedy rollout's block path, the block calibrated rounds and the neighbour
+separation test in `rank_arms` match their one-at-a-time references; the ghost reference
+is the ghost run; the oracle's optimum bounds every ranking and alternation value and
+matches cycle enumeration; the low-switch schedule covers T in O(ln ln T) stages."""
 
 import math
 from fractions import Fraction as F
@@ -32,12 +32,11 @@ from delaybandit import (
     stage_schedule,
     substream,
 )
+from delaybandit.core import _SCALAR_SLACK
 from delaybandit.harness import run_algorithm
 from delaybandit.oracle import _certify, _evaluate_policy
 from helpers import (brute_force_max_mean, random_exact_instance, random_float_instance,
-                     rank_arms_by_scan, step_rollout)
-
-SLACK = 64  # pull_cycles runs blocks of at most len(prefix) + SLACK pulls one by one
+                     rank_arms_by_scan, step_columns, step_rollout)
 
 FIG2 = preset_fig2().instance
 fig2_delays = st.lists(st.integers(1, 6), min_size=7, max_size=7)
@@ -55,7 +54,7 @@ def blocks(draw, k):
         lambda arms: st.integers(1, k).map(lambda m: tuple(arms[:m])))
     repeated = st.lists(st.integers(0, k - 1), min_size=2, max_size=2 * k).map(tuple)
     prefix = draw(distinct | repeated)
-    n = draw(st.integers(0, 3 * (len(prefix) + SLACK)))
+    n = draw(st.integers(0, 3 * (len(prefix) + _SCALAR_SLACK)))
     return prefix, n, draw(st.integers(0, n + 1))
 
 
@@ -80,9 +79,49 @@ def test_batching_never_changes_a_trace(ds, block_list, seed):
         assert a[key].dtype == b[key].dtype and np.array_equal(a[key], b[key]), key
 
 
+@st.composite
+def block_mixes(draw, k):
+    """(prefix, n, policy, retain_from) blocks: distinct or repeated arms, single pulls,
+    scalar- and vector-sized runs, sometimes one long enough to pass 8,192 pulls; retain_from
+    at 0, n, n + 1 or in between."""
+    out = []
+    for prefix, n, _ in draw(st.lists(blocks(k), min_size=1, max_size=6)):
+        n = draw(st.sampled_from([n, 1, n + 8192]) if draw(st.booleans()) else st.just(n))
+        rf = draw(st.sampled_from([0, n, n + 1]) | st.integers(0, n + 1))
+        out.append((prefix, n, draw(st.integers(-1, 7)), rf))
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(instance_seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(["fig2", "exact", "float"]),
+       seed=st.integers(0, 2**16), data=st.data())
+def test_derived_columns_equal_per_pull_log(instance_seed, kind, seed, data):
+    rng = np.random.default_rng(instance_seed)
+    if kind == "fig2":
+        inst = fig2_instance([int(v) for v in rng.integers(1, 7, size=7)])
+    elif kind == "exact":
+        inst = random_exact_instance(rng, kmax=5, dmax=4)
+    else:
+        inst = random_float_instance(rng, kmax=5)
+    block_list = data.draw(block_mixes(inst.k))
+    env = Environment(inst, substream(seed, "env"))
+    returns = [env.pull_cycles(*block) for block in block_list]
+    total = sum(n for _, n, _, _ in block_list)
+    want = step_columns(inst, block_list, substream(seed, "env").random(total))
+    got = env.columns()
+    assert list(got) == list(want)
+    for key, col in want.items():
+        assert got[key].dtype == col.dtype and np.array_equal(got[key], col), key
+    start = 0
+    for (_, n, _, rf), ret in zip(block_list, returns):
+        kept = slice(start + min(rf, n), start + n)
+        assert ret == (float(want["realized"][kept].sum()), n - min(rf, n))
+        start += n
+
+
 def _assert_greedy_blocks_equal_step_loop(inst, data):
     head, cycle = orbit(inst, GreedyPolicy(inst), arms=True)
-    T = data.draw(st.integers(0, len(head) + 3 * (len(cycle) + SLACK)))
+    T = data.draw(st.integers(0, len(head) + 3 * (len(cycle) + _SCALAR_SLACK)))
     seed = data.draw(st.integers(0, 2**16))
     fast = rollout(inst, GreedyPolicy(inst), T, substream(seed, "env"), policy_id=2)
     loop = step_rollout(inst, lambda s: greedy_arm(inst, s), T, substream(seed, "env"), policy_id=2)
