@@ -142,7 +142,7 @@ class Arm:
     def __post_init__(self):
         if not 0 <= self.mu <= 1:
             raise ValueError(f"baseline mean must lie in [0, 1], got {self.mu}")
-        if isinstance(self.d, bool) or int(self.d) != self.d or self.d < 1:
+        if isinstance(self.d, bool) or not (self.d >= 1 and self.d % 1 == 0):
             raise ValueError(f"delay parameter must be an integer >= 1, got {self.d}")
         object.__setattr__(self, "d", int(self.d))
 
@@ -343,34 +343,18 @@ class Environment:
         self.pull_cycles((arm,), 1, policy, retain_from=0 if retained else 1)
         return RewardSample(arm, tau, gap, p, int(self._u[t] < p))
 
-    def _steady(self, prefix: tuple) -> np.ndarray:
-        # payoff per position once every gap is the cyclic distance back to the
-        # same arm's previous slot
-        pay = self._steady_cache.get(prefix)
-        if pay is None:
-            m = len(prefix)
-            last = {a: j - m for j, a in enumerate(prefix)}   # final slots of the cycle before
-            pays = []
-            for j, a in enumerate(prefix):
-                gap = j - last[a]
-                last[a] = j
-                pays.append(self._ptable[a][gap if gap <= self._ds[a] else 0])
-            pay = self._steady_cache[prefix] = np.array(pays)
-        return pay
-
     def pull_cycles(self, prefix, n_pulls: int, policy: int = -1,
                     retain_from: int = 0) -> tuple[float, int]:
         """Pull n_pulls rounds cycling over `prefix`, in order.
 
         The call is logged as one block; pulls with index >= retain_from are
         flagged retained, and the return is the realized-reward sum and count
-        over them. Payoffs are computed for those pulls only. Any cycle
-        works, repeated arms included. Short blocks (at most len(prefix) +
-        64 pulls) run pull by pull. A longer block runs its first cycle pull
-        by pull too; after it every position's gap is the cyclic distance
-        back to the same arm's previous position (len(prefix) for an arm that
-        occurs once), so the rest reads the steady payoff cycle. Either way
-        pull t reads uniform t of the stream.
+        over them. Any cycle works, repeated arms included. Short blocks (at
+        most len(prefix) + 64 pulls) run pull by pull. A longer block runs its
+        first cycle pull by pull too; a payoff depends only on the gap since
+        the arm's last pull, so from the second cycle on every position pays
+        what it pays in the second cycle, whose payoffs `_row` computes and
+        the tail tiles. Either way pull t reads uniform t of the stream.
         """
         prefix = tuple(prefix)
         cycle = self._cycle_ids.get(prefix)
@@ -398,8 +382,13 @@ class Environment:
                 ret_sum += 1
             last[arm] = t0 + i
         if head < n:
+            pay = []
+            for i in range(m, 2 * m):      # the second cycle, possibly past the block's end
+                arm = prefix[i - m]
+                pay.append(self._row(arm, t0 + i)[2])
+                last[arm] = t0 + i
             lo = max(rf, m)
-            pay = np.resize(np.roll(self._steady(prefix), -lo), n - lo)
+            pay = np.resize(np.roll(pay, -lo), n - lo)
             ret_sum += int(np.count_nonzero(self._u[t0 + lo:t0 + n] < pay))
             for i in range(n - m, n):      # the last m pulls hold every arm's final pull
                 last[prefix[i % m]] = t0 + i

@@ -64,7 +64,10 @@ def _num_from_json(v, name: str):
     if isinstance(v, bool) or not isinstance(v, (Real, str)):
         raise ValueError(f"instance field {name!r} must hold numbers, got {v!r}")
     if isinstance(v, str):
-        return Fraction(v)
+        try:
+            return Fraction(v)
+        except (ValueError, ZeroDivisionError):
+            raise ValueError(f"instance field {name!r} must hold numbers, got {v!r}") from None
     return v
 
 
@@ -338,9 +341,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     Identical configs produce byte-identical outputs: all randomness flows
     through per-(seed, purpose) substreams and floats are written with repr.
     """
-    outdir = config.outdir
-    if outdir:
-        os.makedirs(outdir, exist_ok=True)
     T = config.horizon
     grid = _downsample_grid(T, config.full_curves)
     instances = {}
@@ -351,6 +351,13 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         instances[seed] = inst
         ghosts[seed] = ghost_summary(inst)
         ghost_cums[seed] = ghost_reference(inst, T)
+    schedule = None
+    if "low" in config.algorithms:
+        schedule = stage_schedule(instances[config.seeds[0]].k, T, config.delta)
+    # everything that can reject the config has run: only now touch the disk
+    outdir = config.outdir
+    if outdir:
+        os.makedirs(outdir, exist_ok=True)
     curves = {}
     run_infos = {}
     files = []
@@ -410,9 +417,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
                 if run_infos[(algo, seed)]
             },
         }
-        if "low" in config.algorithms:
-            k = instances[config.seeds[0]].k
-            meta["schedule"] = stage_schedule(k, T, config.delta).to_dict()
+        if schedule is not None:
+            meta["schedule"] = schedule.to_dict()
         path = os.path.join(outdir, "metadata.json")
         with open(path, "w") as fh:
             json.dump(meta, fh, indent=2, sort_keys=True)

@@ -59,7 +59,7 @@ def stage_schedule(k: int, T: int, delta: float) -> StageSchedule:
     is fixed before any data is seen.
     """
     if k < 1 or T < k:
-        raise ValueError("need T >= k >= 1")
+        raise ValueError(f"need horizon T >= k >= 1 arms, got T={T}, k={k}")
     if not 0 < delta < 1:
         raise ValueError("delta must lie in (0, 1)")
     sizes = []

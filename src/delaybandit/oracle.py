@@ -72,7 +72,9 @@ def build_state_graph(instance: BanditInstance, cap: int = 10**6) -> StateGraph:
     if cap < 1:
         raise ValueError("cap must be >= 1")
     ds = instance.ds
-    payoff = [[expected_payoff(instance, arm, tau) for tau in range(d + 1)] for arm, d in enumerate(ds)]
+    # a reachable state's tau never exceeds the reachable-state count, so cap bounds the table
+    payoff = [[expected_payoff(instance, arm, tau) for tau in range(min(d, cap) + 1)]
+              for arm, d in enumerate(ds)]
     start = initial_state(instance)
     nodes = [start]
     index = {start: 0}

@@ -177,45 +177,37 @@ def calibrated_sample_round(env: Environment, active_arms, d0: int):
     active = list(active_arms)
     if not active:
         raise ValueError("need at least one active arm")
-    k = env.k
     if d0 <= max(env.instance.ds):
         raise ValueError("d0 must exceed every delay parameter")
-    removed = [a for a in range(k) if a not in set(active)]
+    removed = sorted(set(range(env.k)) - set(active))
+    t0 = env.t
     samples: dict = {}
-    pulls = 0
-    groups = [active[i:i + d0] for i in range(0, len(active), d0)]
-    for gi, group in enumerate(groups):
-        pad_needed = d0 - len(group)
-        if pad_needed > 0:
-            pool = list(removed)
-            for g in groups[:gi]:
-                pool.extend(g)
+    for start in range(0, len(active), d0):
+        group = active[start:start + d0]
+        padding = []
+        if len(group) < d0:                # only the last group can fall short
+            pool = removed + active[:start]
             if not pool:
                 return _serialized_round(env, active, d0)
-            padding = [pool[j % len(pool)] for j in range(pad_needed)]
-        else:
-            padding = []
+            padding = [pool[j % len(pool)] for j in range(d0 - len(group))]
         # calibration pass (discarded), then one kept pull per group arm, then the padding
         env.pull_cycles(group + padding, d0, retain_from=d0)
         for arm in group:
             samples[arm] = env.pull_cycles((arm,), 1)[0]
         if padding:
             env.pull_cycles(padding, len(padding), retain_from=len(padding))
-        pulls += 2 * d0
-    return samples, pulls
+    return samples, env.t - t0
 
 
 def _serialized_round(env: Environment, active, d0: int):
     # fallback when no padding pool exists: a designated pull after d0 fillers
+    t0 = env.t
     samples = {}
-    pulls = 0
-    k = env.k
     for x in active:
-        others = [a for a in range(k) if a != x]
+        others = [a for a in range(env.k) if a != x]
         fillers = [others[j % len(others)] for j in range(d0)]
         samples[x] = env.pull_cycles(fillers + [x], d0 + 1, retain_from=d0)[0]
-        pulls += d0 + 1
-    return samples, pulls
+    return samples, env.t - t0
 
 
 def calibrated_sampler(env: Environment, d0: int):

@@ -46,7 +46,8 @@ def run_ucb_rankings(instance: BanditInstance, T: int, seed: int = 0,
 
     Estimation uses only second roll-outs (per-pull mean of the roll-out, a
     [0, 1] value); a truncated final pair still collects reward but never
-    updates the estimate. Ties in the index break toward the lower cutoff.
+    updates the estimate. Every pick is the index's: ties break toward the
+    lower cutoff, so the unplayed cutoffs (index +inf) go first, in order.
     """
     k = instance.k
     if T < 0:
@@ -61,18 +62,12 @@ def run_ucb_rankings(instance: BanditInstance, T: int, seed: int = 0,
     means = [0.0] * (k + 1)
     n = 0
     while env.t < T:
-        m = None
+        best_val = -math.inf
         for c in range(1, k + 1):
-            if counts[c] == 0:
+            val = ucb_index(means[c], counts[c], n)
+            if val > best_val:
+                best_val = val
                 m = c
-                break
-        if m is None:
-            best_val = -math.inf
-            for c in range(1, k + 1):
-                val = ucb_index(means[c], counts[c], n)
-                if val > best_val:
-                    best_val = val
-                    m = c
         target = 2 * m
         pulls = min(target, T - env.t)
         ret_sum, ret_n = env.pull_cycles(order[:m], pulls, policy=m, retain_from=m)

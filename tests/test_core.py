@@ -308,6 +308,24 @@ class TestEnvironment:
         assert list(c1["gaps"][3:6]) == [2, 1, 3]
         assert e1.delay_state() == e2.delay_state()
 
+    @pytest.mark.parametrize("n, retain_from", [(180, 0), (199, 150), (165, 40)])
+    def test_long_block_under_two_cycles_equals_stepwise(self, n, retain_from):
+        # m = 100 > 64 with repeats and m + 64 < n < 2m: the second cycle's payoff loop
+        # runs past the block's end, and the block after it reads every arm's last pull
+        inst = make_instance([0.9, 0.7, 0.5, 0.3, 0.1], [3, 5, 2, 7, 4], Discount.geometric(0.6))
+        prefix = tuple(int(a) for a in np.random.default_rng(8).integers(0, 5, size=100))
+        e1 = Environment(inst, substream(4, "env"))
+        e2 = Environment(inst, substream(4, "env"))
+        got = e1.pull_cycles(prefix, n, policy=2, retain_from=retain_from)
+        after = e1.pull_cycles(range(5), 5)
+        samples = [e2.pull(prefix[t % 100], policy=2, retained=t >= retain_from) for t in range(n)]
+        assert got == (float(sum(s.realized for s in samples[retain_from:])), n - retain_from)
+        assert after == (float(sum(e2.pull(a).realized for a in range(5))), 5)
+        c1, c2 = e1.columns(), e2.columns()
+        for key in c1:
+            assert c1[key].dtype == c2[key].dtype and np.array_equal(c1[key], c2[key]), key
+        assert e1.delay_state() == e2.delay_state()
+
     def test_short_block_with_repeated_arms_equals_stepwise(self):
         inst = make_instance([0.9, 0.6, 0.3], [2, 3, 1], Discount.geometric(0.7))
         e1 = Environment(inst, substream(3, "env"))

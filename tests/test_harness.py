@@ -283,6 +283,9 @@ class TestCli:
         (["-T", "50"], "either --preset or --instance is required"),
         (["--preset", "fig3-cost", "-T", "50", "--seeds", ""], "--seeds needs at least one seed"),
         (["--instance", "FIG3", "-T", "50", "--seeds", ""], "--seeds needs at least one seed"),
+        (["--preset", "fig3-cost", "-T", "1"], "got T=1, k=2"),
+        (["--instance", "FIG3", "--algos", "ucb,low", "-T", "1"], "got T=1, k=2"),
+        (["--instance", "/nonexistent.json", "-T", "50"], "/nonexistent.json"),
     ])
     def test_bad_experiment_is_one_error_line(self, tmp_path, capsys, args, message):
         fig3 = self.write_fig3(tmp_path)
@@ -333,6 +336,12 @@ class TestCli:
         ("d", {"mu": [0.9], "d": [None], "discount": {"kind": "constant", "c": 0.5}}),
         ("d", {"mu": [0.9], "d": 5, "discount": {"kind": "constant", "c": 0.5}}),
         ("c", {"mu": [0.9], "d": [1], "discount": {"kind": "constant", "c": [0.5]}}),
+        ("mu", {"mu": ["1/0"], "d": [1], "discount": {"kind": "constant", "c": 0.5}}),
+        ("d", {"mu": [0.9], "d": ["1/0"], "discount": {"kind": "constant", "c": 0.5}}),
+        ("gamma", {"mu": [0.9], "d": [1], "discount": {"kind": "geometric", "gamma": "1/0"}}),
+        ("c", {"mu": [0.9], "d": [1], "discount": {"kind": "constant", "c": "1/0"}}),
+        ("values", {"mu": [0.9], "d": [1], "discount": {"kind": "table", "values": ["1/0"]}}),
+        ("mu", {"mu": ["abc"], "d": [1], "discount": {"kind": "constant", "c": 0.5}}),
     ])
     def test_non_numeric_field_is_one_error_line(self, tmp_path, capsys, field, doc):
         path = tmp_path / "inst.json"
@@ -349,6 +358,14 @@ class TestCli:
         assert main(["ghost", "--instance", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "1.5" in err
+
+    def test_infinite_delay_rejected(self, tmp_path, capsys):
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps({"mu": [0.9, 0.5], "d": [2, float("inf")],
+                                    "discount": {"kind": "constant", "c": 0.5}}))
+        assert main(["oracle", "--instance", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error:") and "inf" in err
 
     def test_invalid_intervals_fail(self):
         assert main(["pmsp", "--intervals", "1,2"]) == 2

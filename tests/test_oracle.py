@@ -17,6 +17,7 @@ from delaybandit import (
     make_instance,
     max_mean_cycle,
     optimal_average,
+    oracle,
     pmsp_feasible,
     pmsp_threshold,
     pmsp_to_bandit,
@@ -27,6 +28,7 @@ from helpers import (
     brute_force_max_mean,
     make_equal_optima,
     random_exact_instance,
+    random_float_instance,
     verify_maintenance_schedule,
 )
 
@@ -80,6 +82,26 @@ class TestStateGraph:
         assert build_state_graph(inst, cap=7).n_nodes == 7
         with pytest.raises(ValueError):
             build_state_graph(inst, cap=6)
+
+    def test_cap_bounds_the_payoff_table(self, monkeypatch):
+        # one arm, huge delay: two reachable states, and no payoff past tau = cap is computed
+        taus = []
+        payoff = oracle.expected_payoff
+        monkeypatch.setattr(oracle, "expected_payoff",
+                            lambda inst, arm, tau: taus.append(tau) or payoff(inst, arm, tau))
+        inst = make_instance([F(1, 2)], [10**5], Discount.constant(F(1, 2)))
+        g = build_state_graph(inst, cap=10)
+        assert g.nodes == [(0,), (1,)]
+        assert g.succ == [[(1, F(1, 2))], [(1, F(1, 4))]]
+        assert max(taus) <= 10
+
+    def test_capped_table_builds_the_same_graph(self):
+        rng = np.random.default_rng(22)
+        for i in range(60):
+            inst = (random_exact_instance if i % 2 else random_float_instance)(rng, kmax=4, dmax=9)
+            full = build_state_graph(inst)
+            tight = build_state_graph(inst, cap=full.n_nodes)
+            assert tight.nodes == full.nodes and tight.succ == full.succ
 
 
 class TestMaxMeanCycle:

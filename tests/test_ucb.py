@@ -7,6 +7,8 @@ import pytest
 from delaybandit import (
     Discount,
     make_instance,
+    materialize_instance,
+    preset_fig2,
     run_pi_low,
     run_ucb_rankings,
     ucb_index,
@@ -91,3 +93,10 @@ class TestRunUcb:
         b = run_ucb_rankings(inst, 3000, seed=5)
         assert np.array_equal(a.trace.realized, b.trace.realized)
         assert a.selection_counts == b.selection_counts
+
+    def test_warm_up_plays_every_cutoff_once_in_order(self):
+        # unplayed cutoffs all index +inf; the strict tie rule takes the lowest first
+        inst = materialize_instance(preset_fig2().instance, 2)
+        run = run_ucb_rankings(inst, 1000, seed=6)
+        starts = [c * (c - 1) for c in range(1, inst.k + 1)]   # selection c follows 2(1 + ... + c-1) pulls
+        assert [int(run.trace.policy[t]) for t in starts] == list(range(1, inst.k + 1))
