@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 
 from .core import Environment, substream
 from .harness import (
@@ -95,44 +96,31 @@ def _cmd_pmsp(args) -> int:
     return 0
 
 
+PRESETS = {
+    "fig2": preset_fig2,
+    "fig3-cost": lambda: preset_fig3(cost=True),
+    "fig3-free": lambda: preset_fig3(cost=False),
+}
+
+
 def _cmd_experiment(args) -> int:
     if args.preset:
         for flag, value in (("--algos", args.algos), ("--instance", args.instance)):
             if value is not None:
                 raise ValueError(f"{flag} cannot be combined with --preset")
-        base = {
-            "fig2": lambda: preset_fig2(),
-            "fig3-cost": lambda: preset_fig3(cost=True),
-            "fig3-free": lambda: preset_fig3(cost=False),
-        }[args.preset]()
-        instance = base.instance
-        algorithms = base.algorithms
-        horizon = args.horizon if args.horizon is not None else base.horizon
-        delta = args.delta if args.delta is not None else base.delta
-        cost = args.switch_cost if args.switch_cost is not None else base.switch_cost
-        seeds = _parse_seeds(args.seeds) or base.seeds
-        label = base.label
+        base = PRESETS[args.preset]()
+    elif args.instance:
+        base = ExperimentConfig(instance={"file": args.instance}, algorithms=("low", "ucb"),
+                                horizon=10_000, delta=0.1, switch_cost=0.0, seeds=(0,),
+                                label="custom")
     else:
-        if not args.instance:
-            raise ValueError("either --preset or --instance is required")
-        instance = {"file": args.instance}
-        algorithms = tuple((args.algos or "low,ucb").split(","))
-        horizon = args.horizon if args.horizon is not None else 10_000
-        delta = args.delta if args.delta is not None else 0.1
-        cost = args.switch_cost if args.switch_cost is not None else 0.0
-        seeds = _parse_seeds(args.seeds) or (0,)
-        label = "custom"
-    config = ExperimentConfig(
-        instance=instance,
-        algorithms=algorithms,
-        horizon=horizon,
-        delta=delta,
-        switch_cost=cost,
-        seeds=seeds,
-        outdir=args.out,
-        full_curves=args.full_curves,
-        label=label,
-    )
+        raise ValueError("either --preset or --instance is required")
+    if args.seeds == "":
+        raise ValueError("--seeds needs at least one seed")
+    given = dict(algorithms=_split(args.algos), horizon=args.horizon, delta=args.delta,
+                 switch_cost=args.switch_cost, seeds=_split(args.seeds, int))
+    config = replace(base, outdir=args.out, full_curves=args.full_curves,
+                     **{name: value for name, value in given.items() if value is not None})
     result = run_experiment(config)
     for algo in config.algorithms:
         print(f"mean_final_regret[{algo}] = {result.mean_final_regret[algo]!r}")
@@ -141,12 +129,11 @@ def _cmd_experiment(args) -> int:
     return 0
 
 
-def _parse_seeds(text):
+def _split(text, convert=str):
+    # a comma-separated option: None when not given, () when given empty
     if text is None:
         return None
-    if not text:
-        raise ValueError("--seeds needs at least one seed")
-    return tuple(int(v) for v in text.split(","))
+    return tuple(map(convert, text.split(","))) if text else ()
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -190,7 +177,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_pmsp)
 
     p = sub.add_parser("experiment", help="run a preset or custom experiment")
-    p.add_argument("--preset", choices=["fig2", "fig3-cost", "fig3-free"])
+    p.add_argument("--preset", choices=PRESETS)
     p.add_argument("--instance", help="custom instance file (with --algos)")
     p.add_argument("--algos", help="comma-separated algorithms, custom runs only "
                                     "(default low,ucb)")

@@ -291,17 +291,16 @@ class Environment:
         self.k = instance.k
         self._rng = rng
         self._ds = [a.d for a in instance.arms]
-        # payoff lookup per arm over capped tau = 0..d; plain lists for the scalar path
-        self._ptable = [
-            [float(expected_payoff(instance, i, tau)) for tau in range(a.d + 1)]
-            for i, a in enumerate(instance.arms)
-        ]
         self.t = 0
         self._last: list = [None] * self.k
         self._u = rng.random(max(int(capacity), 16))   # uniform t is pull t's
+        # payoff lookup per arm over capped tau = 0..min(d, len(_u)), plain lists for
+        # the scalar path; a gap never exceeds the pulls made, so _reserve extends the
+        # rows as the buffer grows
+        self._ptable: list = [[] for _ in range(self.k)]
+        self._extend_ptable()
         self._cycle_ids: dict = {}     # each distinct prefix, numbered by first use
         self._blocks = array("q")      # per block: n, cycle id, policy, retain_from
-        self._steady_cache: dict = {}
 
     # -- uniform variate stream -------------------------------------------
 
@@ -312,6 +311,13 @@ class Environment:
             grown[:have] = self._u
             self._rng.random(out=grown[have:])
             self._u = grown
+            self._extend_ptable()
+
+    def _extend_ptable(self):
+        for i, row in enumerate(self._ptable):
+            top = min(self._ds[i], len(self._u))
+            row.extend(float(expected_payoff(self.instance, i, tau))
+                       for tau in range(len(row), top + 1))
 
     def _uniform(self) -> float:
         # the next pull's uniform (reserved by the caller); the clock moves on
@@ -423,7 +429,7 @@ class Environment:
         taus = gaps.astype(np.int32)
         taus[taus > np.array(self._ds, np.int32)[arms]] = 0
         np.maximum(taus, 0, out=taus)
-        table = np.zeros((self.k, max(self._ds) + 1))
+        table = np.zeros((self.k, max(map(len, self._ptable))))
         for a, row in enumerate(self._ptable):
             table[a, :len(row)] = row
         expected = table[arms, taus]

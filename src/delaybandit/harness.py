@@ -11,13 +11,13 @@ stay exact through a round trip.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 import math
 import os
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from itertools import repeat
 from numbers import Real
 
 import numpy as np
@@ -150,8 +150,9 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.horizon < 1:
             raise ValueError("horizon must be >= 1")
-        if not self.seeds:
-            raise ValueError("need at least one seed")
+        for kind, values in (("algorithm", self.algorithms), ("seed", self.seeds)):
+            if not values:
+                raise ValueError(f"need at least one {kind}")
         if not math.isfinite(self.switch_cost) or self.switch_cost < 0:
             raise ValueError(f"switch cost must be a finite number >= 0, got {self.switch_cost}")
         if not 0 < self.delta < 1:
@@ -311,17 +312,17 @@ def run_algorithm(name: str, instance: BanditInstance, T: int, delta: float, see
     raise ValueError(f"unknown algorithm {name!r}")
 
 
-def _fmt(x) -> str:
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return repr(float(x))
+def _write_csv(path: str, header, columns):
+    """One row per element of the array columns; any other column repeats its value.
 
-
-def _write_csv(path: str, header, rows):
+    A cell is `str` of a Python value: ints without a decimal point, floats as
+    their shortest round-trip repr.
+    """
+    cells = [map(str, c.tolist()) if isinstance(c, np.ndarray) else repeat(str(c))
+             for c in columns]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.write(",".join(header) + "\n")
+        fh.writelines(",".join(row) + "\n" for row in zip(*cells))
 
 
 @dataclass
@@ -330,7 +331,6 @@ class ExperimentResult:
 
     config: ExperimentConfig
     curves: dict            # (algo, seed) -> RegretCurve
-    final_regret: dict      # (algo, seed) -> float
     mean_final_regret: dict  # algo -> float
     files: list = field(default_factory=list)
 
@@ -371,13 +371,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             run_infos[(algo, seed)] = info
             if outdir:
                 path = os.path.join(outdir, f"{algo}_seed{seed}.csv")
-                rows = [
-                    [int(t), algo, seed, _fmt(ce), _fmt(int(cr)), _fmt(int(cs)), _fmt(rg)]
-                    for t, ce, cr, cs, rg in zip(curve.t, curve.cum_expected,
-                                                 curve.cum_realized, curve.cum_switches,
-                                                 curve.regret)
-                ]
-                _write_csv(path, CSV_HEADER, rows)
+                _write_csv(path, CSV_HEADER, [curve.t, algo, seed, curve.cum_expected,
+                                              curve.cum_realized, curve.cum_switches,
+                                              curve.regret])
                 files.append(path)
     mean_final = {}
     for algo in config.algorithms:
@@ -387,11 +383,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         mean_final[algo] = float(mean[-1])
         if outdir:
             path = os.path.join(outdir, f"{algo}_agg.csv")
-            rows = [
-                [int(t), algo, _fmt(m), _fmt(s), len(config.seeds)]
-                for t, m, s in zip(grid, mean, std)
-            ]
-            _write_csv(path, AGG_HEADER, rows)
+            _write_csv(path, AGG_HEADER, [grid, algo, mean, std, len(config.seeds)])
             files.append(path)
     if outdir:
         meta = {
@@ -424,5 +416,4 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             json.dump(meta, fh, indent=2, sort_keys=True)
             fh.write("\n")
         files.append(path)
-    final = {key: float(curve.regret[-1]) for key, curve in curves.items()}
-    return ExperimentResult(config, curves, final, mean_final, files)
+    return ExperimentResult(config, curves, mean_final, files)

@@ -150,13 +150,20 @@ def _improve_policy(nxt, wts, policy, eta, h, tol) -> bool:
     """Switch, in place, every arm that gains more than tol; False when none does.
 
     Moves toward a larger cycle mean come first; only when there are none
-    does a node switch to an edge of equal mean with a larger bias.
+    does a node switch to an edge of equal mean with a larger bias, and only
+    when there is none of those either are means within tol taken as equal:
+    two float cycles of one mean can differ in the last bit, and exact
+    equality alone would hide the edges between them and stop short.
     """
     reach = eta[nxt]
     switch = reach.max(axis=1) > eta + tol
     if not switch.any():
-        reach = np.where(reach == eta[:, None], wts + h[nxt], -np.inf)
+        means, bias = reach, wts + h[nxt]
+        reach = np.where(means == eta[:, None], bias, -np.inf)
         switch = reach.max(axis=1) > eta + h + tol
+        if tol and not switch.any():
+            reach = np.where(abs(means - eta[:, None]) <= tol, bias, -np.inf)
+            switch = reach.max(axis=1) > eta + h + tol
     policy[switch] = reach.argmax(axis=1)[switch]
     return bool(switch.any())
 

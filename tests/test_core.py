@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction as F
 
 import numpy as np
@@ -17,7 +18,7 @@ from delaybandit import (
     segment_sum,
     substream,
 )
-from helpers import random_exact_instance, random_float_instance
+from helpers import random_exact_instance, random_float_instance, step_columns
 
 
 def fig3_instance():
@@ -337,3 +338,28 @@ class TestEnvironment:
         c1, c2 = e1.columns(), e2.columns()
         for key in c1:
             assert np.array_equal(c1[key], c2[key]), key
+
+    def test_construction_cost_does_not_grow_with_delay(self):
+        # the payoff table covers the taus the buffered pulls can reach, not all of 0..d
+        inst = make_instance([0.9], [10**6], Discount.geometric(0.999))
+        rng = substream(0, "env")
+        tracemalloc.start()
+        try:
+            Environment(inst, rng, capacity=16)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+
+    def test_large_delay_past_the_start_buffer_equals_stepwise(self):
+        # tau reaches 301, past the 16-slot start buffer, so the table grows with it
+        inst = make_instance([0.9, 0.6], [10**6, 10**6], Discount.geometric(0.999))
+        blocks = [((0,), 1, -1, 0), ((1,), 300, -1, 0), ((0, 1), 40, -1, 0)]
+        env = Environment(inst, substream(5, "env"), capacity=16)
+        for prefix, n, policy, retain_from in blocks:
+            env.pull_cycles(prefix, n, policy, retain_from)
+        got = env.columns()
+        want = step_columns(inst, blocks, substream(5, "env").random(env.t))
+        assert got["taus"].max() == 301
+        for key in want:
+            assert got[key].dtype == want[key].dtype and np.array_equal(got[key], want[key]), key

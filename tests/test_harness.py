@@ -1,5 +1,6 @@
 import csv
 import filecmp
+import hashlib
 import json
 import os
 from fractions import Fraction as F
@@ -96,6 +97,8 @@ class TestPresets:
             preset_fig3(switch_cost=-1.0)
         with pytest.raises(ValueError):
             preset_fig3(algorithms=("nope",))
+        with pytest.raises(ValueError, match="at least one algorithm"):
+            preset_fig3(algorithms=())
 
 
 class TestGhostReference:
@@ -286,6 +289,7 @@ class TestCli:
         (["--preset", "fig3-cost", "-T", "1"], "got T=1, k=2"),
         (["--instance", "FIG3", "--algos", "ucb,low", "-T", "1"], "got T=1, k=2"),
         (["--instance", "/nonexistent.json", "-T", "50"], "/nonexistent.json"),
+        (["--instance", "FIG3", "--algos", "", "-T", "50"], "at least one algorithm"),
     ])
     def test_bad_experiment_is_one_error_line(self, tmp_path, capsys, args, message):
         fig3 = self.write_fig3(tmp_path)
@@ -369,3 +373,36 @@ class TestCli:
 
     def test_invalid_intervals_fail(self):
         assert main(["pmsp", "--intervals", "1,2"]) == 2
+
+    # sha256 of every CSV the two runs below write; any change to a cell's text shows here
+    GOLDEN_CSV = {
+        "fig3/low_agg.csv": "5fb58866bef1175c95db79956616c82b8267a930a0c59e6ff1f40ef0800ec6d0",
+        "fig3/low_seed0.csv": "63d00cb72105baea3d0e3e285d592346b44491d14894c78e0e01a3c782861c6b",
+        "fig3/low_seed1.csv": "8e4b92435a18f253af2f0f1fb779b3e3617db78da7029d510e244dd87ecd12ba",
+        "fig3/ucb_agg.csv": "c982343674ed9423a2a84f795ec70bb9b6c3a5a17ce62e1c1d87c9df41449dea",
+        "fig3/ucb_seed0.csv": "05bbea9b1915e0e11c265c4883ef47d5702eee504de3b38f53d156148b2d8025",
+        "fig3/ucb_seed1.csv": "841530f7d6907c015770e8c4d5360621b76135c29ec27964bb4f27e552ed5ff5",
+        "fig2/ghost_agg.csv": "73d6bd6e33ebe89ae675083313e6bd8f6344e4536f70c48bd0e550468c8594cd",
+        "fig2/ghost_seed0.csv": "7fe1fe168490b2ab5b3c679af423518144007dc860634bb88ab6760026d3589c",
+        "fig2/greedy_agg.csv": "e46219bb40dfb893f0a73659018b1768f29d50e5badd3355b9d9383e4b0c7dab",
+        "fig2/greedy_seed0.csv": "a8648a40c533aeb905c09892975fecbcfd7c19fd2e32a0f39c1f9c72b6a8d8fd",
+        "fig2/low_agg.csv": "45e0ee9285293e7341dd4b20dbdd12745cf84ea7efcf0f2be73aaf88a0de6cb0",
+        "fig2/low_seed0.csv": "155483d7327fbfff7a0b5fdc0ac745da039f054ba6dfa33a78f60df4686c4fb1",
+        "fig2/ucb_agg.csv": "1c9ed5d7bf1897f81bf04459a7178d1df824826033d3e2fa99889d564dff32e5",
+        "fig2/ucb_seed0.csv": "72113ff27fc2a91ca563b508aec8a6513c4cce05d4532f4ee5a6ca1efe0791cf",
+    }
+
+    def test_csv_bytes_are_pinned(self, tmp_path, capsys):
+        draw = tmp_path / "fig2-draw1.json"
+        draw.write_text(json.dumps(dump_instance(materialize_instance(preset_fig2().instance, 1))))
+        runs = {
+            "fig3": ["--preset", "fig3-cost", "-T", "300", "--seeds", "0,1", "--full-curves"],
+            "fig2": ["--instance", str(draw), "--algos", "greedy,ghost,low,ucb", "-T", "300"],
+        }
+        got = {}
+        for name, args in runs.items():
+            out = tmp_path / name
+            assert main(["experiment", *args, "--out", str(out)]) == 0
+            for path in sorted(out.glob("*.csv")):
+                got[f"{name}/{path.name}"] = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert got == self.GOLDEN_CSV

@@ -142,6 +142,16 @@ class TestMaxMeanCycle:
             approx = max_mean_cycle(g)
             assert approx.mean == pytest.approx(exact.mean, abs=1e-12)
 
+    def test_float_cycles_of_one_mean_still_compare_biases(self):
+        # two policy cycles of this instance have means one bit apart in floats; the
+        # search stopped there at 0.630 while cutoff 3 alone earns g(3) = 0.696
+        inst = random_float_instance(np.random.default_rng(19281), kmax=5)
+        exact = make_instance([F(m) for m in inst.mus], inst.ds,
+                              Discount.table([F(v) for v in inst.discount.values]))
+        rho, _ = optimal_average(inst)
+        assert rho == pytest.approx(float(optimal_average(exact)[0]), abs=1e-12)
+        assert rho >= max(g_value(inst, m) for m in range(1, inst.k + 1))
+
     def test_dominates_every_ranking_policy(self):
         rng = np.random.default_rng(23)
         for _ in range(20):
