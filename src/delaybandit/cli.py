@@ -48,6 +48,9 @@ def _cmd_ghost(args) -> int:
 def _cmd_rank(args) -> int:
     instance = load_instance(args.instance)
     d0 = args.d0 if args.d0 is not None else max(instance.ds) + 1
+    if d0 >= args.pull_cap >= 1:    # a cap below 1 is rank_arms' own error
+        raise ValueError(f"d0 must be below the pull cap, got d0={d0} and pull cap "
+                         f"{args.pull_cap}: a round pulls at least d0 + 1 times")
     env = Environment(instance, substream(args.seed, "rank"), capacity=4096)
     outcome = rank_arms(calibrated_sampler(env, d0), instance.k, args.delta,
                         pull_cap=args.pull_cap)
@@ -198,7 +201,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -2,8 +2,8 @@
 
 Every round samples each still-active arm once. An arm leaves the active set
 as soon as its empirical mean is separated by more than twice the confidence
-radius from every other active arm's mean, on the correct side; eliminated
-arms grow a binary tree whose in-order traversal is the final permutation.
+radius from every other active arm's mean, on the correct side. The learned
+order is one sort of per-arm elimination keys.
 
 For delay-dependent environments the per-round samples come from a calibrated
 wrapper: arms are grouped into cycles of length d0 > max_i d_i and each cycle
@@ -22,8 +22,6 @@ from .core import Environment
 
 __all__ = [
     "GapProfile",
-    "RankLeaf",
-    "RankNode",
     "RankingOutcome",
     "calibrated_sample_round",
     "calibrated_sampler",
@@ -47,37 +45,13 @@ def epsilon_r(k: int, r: int, delta: float) -> float:
 
 
 @dataclass
-class RankLeaf:
-    """Not-yet-eliminated arms sharing the same slot between eliminated ones."""
-
-    arms: list
-
-
-@dataclass
-class RankNode:
-    """Eliminated arm; bigger/smaller hold the sides it split its leaf into."""
-
-    arm: int
-    round_removed: int
-    bigger: "RankNode | RankLeaf"
-    smaller: "RankNode | RankLeaf"
-
-
-def _in_order(node, leaf_key) -> list:
-    if isinstance(node, RankLeaf):
-        return sorted(node.arms, key=leaf_key)
-    return _in_order(node.bigger, leaf_key) + [node.arm] + _in_order(node.smaller, leaf_key)
-
-
-@dataclass
 class RankingOutcome:
-    """Permutation (best arm first), elimination bookkeeping, and the tree."""
+    """Permutation (best arm first) and elimination bookkeeping."""
 
     permutation: tuple
     rounds: int
     pulls: int
     elimination_round: dict
-    tree: "RankNode | RankLeaf"
     complete: bool
     means: dict = field(default_factory=dict)
 
@@ -89,10 +63,12 @@ def rank_arms(sampler, k: int, delta: float, pull_cap: int = 10**7) -> RankingOu
     sample per active arm. An arm is separated when its neighbours in the
     mean order of the still-active arms lie more than 2 eps away on each
     side; a missing neighbour counts as separated, so the extreme arms are
-    removable too. Sorting ties break on the original arm index; the
-    survivor slots into its leaf.
-    If the cap is exhausted first the partial tree is returned with
-    complete=False and multi-arm leaves ordered by current empirical mean.
+    removable too. Sorting ties break on the original arm index.
+    The permutation is one sort of elimination keys. A key starts empty; an
+    elimination appends 1 to the eliminated arm's key, and 0 (mean above) or
+    2 (otherwise) to every still-active arm that shared it, so arms sort as
+    the eliminations split them, then by final mean and index. A capped run
+    (complete=False) orders its still-active arms by their current means.
     """
     if k < 2:
         raise ValueError("need at least two arms")
@@ -100,9 +76,7 @@ def rank_arms(sampler, k: int, delta: float, pull_cap: int = 10**7) -> RankingOu
         raise ValueError(f"pull cap must be >= 1, got {pull_cap}")
     active = list(range(k))
     sums = [0.0] * k
-    root: RankNode | RankLeaf = RankLeaf(list(range(k)))
-    leaf_of = {i: root for i in range(k)}
-    parent: dict = {}
+    key = [()] * k                        # 0 above, 1 at, 2 below each elimination
     elim_round: dict = {i: None for i in range(k)}
     pulls = 0
     r = 0
@@ -126,28 +100,16 @@ def rank_arms(sampler, k: int, delta: float, pull_cap: int = 10**7) -> RankingOu
             if sep_above and sep_below:
                 active.remove(i)
                 elim_round[i] = r
-                leaf = leaf_of.pop(i)
-                bigger = [j for j in leaf.arms if j != i and means.get(j, -1.0) > mi]
-                smaller = [j for j in leaf.arms if j != i and j in leaf_of and j not in bigger]
-                node = RankNode(i, r, RankLeaf(bigger), RankLeaf(smaller))
-                par = parent.get(id(leaf))
-                if par is None:
-                    root = node
-                else:
-                    pnode, side = par
-                    setattr(pnode, side, node)
-                parent[id(node.bigger)] = (node, "bigger")
-                parent[id(node.smaller)] = (node, "smaller")
-                for j in bigger:
-                    leaf_of[j] = node.bigger
-                for j in smaller:
-                    leaf_of[j] = node.smaller
+                for j in active:
+                    if key[j] == key[i]:
+                        key[j] += (0,) if means[j] > mi else (2,)
+                key[i] += (1,)
             else:
                 prev = i
     complete = len(active) <= 1
-    final_means = {i: sums[i] / r for i in range(k)} if r else {}
-    perm = tuple(_in_order(root, lambda a: (-final_means.get(a, 0.0), a)))
-    return RankingOutcome(perm, r, pulls, elim_round, root, complete, final_means)
+    final_means = {i: sums[i] / r for i in range(k)}
+    perm = tuple(sorted(range(k), key=lambda a: (key[a], -final_means[a], a)))
+    return RankingOutcome(perm, r, pulls, elim_round, complete, final_means)
 
 
 def iid_bernoulli_sampler(mus, rng: np.random.Generator):
@@ -165,14 +127,15 @@ def iid_bernoulli_sampler(mus, rng: np.random.Generator):
 def calibrated_sample_round(env: Environment, active_arms, d0: int):
     """One unbiased baseline sample per active arm from a delay environment.
 
-    Active arms are split into groups of exactly d0 slots; each group cycle is
-    pulled twice and only the second pass of the designated slots is kept, so
-    every kept sample is taken d0 > max_i d_i rounds after the arm's previous
-    pull. Deficient groups are padded with removed arms first (repeats are
-    fine, their samples are dropped), then with actives from earlier groups.
-    If no padding pool exists at all (fewer arms than d0, nothing removed
-    yet), falls back to per-arm serialization: d0 filler pulls of other arms,
-    then the designated pull, which keeps the sample unbiased at a gap > d0.
+    The round is a list of (calibration cycle, kept arms, padding) entries,
+    pulled in one loop: the calibration cycle once, discarded, then one kept
+    pull per kept arm, then the padding, discarded. Active arms are split into
+    groups of exactly d0 slots, so every kept sample is taken d0 > max_i d_i
+    rounds after the arm's previous pull. Deficient groups are padded with
+    removed arms first (repeats are fine, their samples are dropped), then
+    with actives from earlier groups. If no padding pool exists at all (fewer
+    arms than d0, nothing removed yet), each arm is its own entry after d0
+    filler pulls of other arms, which keeps the sample unbiased at a gap > d0.
     """
     active = list(active_arms)
     if not active:
@@ -180,33 +143,25 @@ def calibrated_sample_round(env: Environment, active_arms, d0: int):
     if d0 <= max(env.instance.ds):
         raise ValueError("d0 must exceed every delay parameter")
     removed = sorted(set(range(env.k)) - set(active))
+    entries = []
+    if len(active) < d0 and not removed:
+        for x in active:
+            others = [a for a in range(env.k) if a != x]
+            entries.append(([others[j % len(others)] for j in range(d0)], [x], []))
+    else:
+        for start in range(0, len(active), d0):
+            group = active[start:start + d0]
+            pool = removed + active[:start]   # only the last group can fall short
+            padding = [pool[j % len(pool)] for j in range(d0 - len(group))]
+            entries.append((group + padding, group, padding))
     t0 = env.t
     samples: dict = {}
-    for start in range(0, len(active), d0):
-        group = active[start:start + d0]
-        padding = []
-        if len(group) < d0:                # only the last group can fall short
-            pool = removed + active[:start]
-            if not pool:
-                return _serialized_round(env, active, d0)
-            padding = [pool[j % len(pool)] for j in range(d0 - len(group))]
-        # calibration pass (discarded), then one kept pull per group arm, then the padding
-        env.pull_cycles(group + padding, d0, retain_from=d0)
-        for arm in group:
+    for cycle, kept, padding in entries:
+        env.pull_cycles(cycle, d0, retain_from=d0)
+        for arm in kept:
             samples[arm] = env.pull_cycles((arm,), 1)[0]
         if padding:
             env.pull_cycles(padding, len(padding), retain_from=len(padding))
-    return samples, env.t - t0
-
-
-def _serialized_round(env: Environment, active, d0: int):
-    # fallback when no padding pool exists: a designated pull after d0 fillers
-    t0 = env.t
-    samples = {}
-    for x in active:
-        others = [a for a in range(env.k) if a != x]
-        fillers = [others[j % len(others)] for j in range(d0)]
-        samples[x] = env.pull_cycles(fillers + [x], d0 + 1, retain_from=d0)[0]
     return samples, env.t - t0
 
 

@@ -1,5 +1,6 @@
 """Shared generators and independent oracles for the test suite."""
 
+from dataclasses import dataclass
 from fractions import Fraction as F
 
 import networkx as nx
@@ -15,7 +16,7 @@ from delaybandit import (
     ghost_summary,
     make_instance,
 )
-from delaybandit.ranker import RankingOutcome, RankLeaf, RankNode, _in_order
+from delaybandit.ranker import RankingOutcome
 
 
 def random_exact_instance(rng, kmax=3, dmax=3, denom=20):
@@ -165,11 +166,35 @@ def verify_maintenance_schedule(intervals, slots):
     return True
 
 
+@dataclass
+class _RankLeaf:
+    """Not-yet-eliminated arms sharing the same slot between eliminated ones."""
+
+    arms: list
+
+
+@dataclass
+class _RankNode:
+    """Eliminated arm; bigger/smaller hold the sides it split its leaf into."""
+
+    arm: int
+    bigger: "_RankNode | _RankLeaf"
+    smaller: "_RankNode | _RankLeaf"
+
+
+def _in_order(node, leaf_key) -> list:
+    if isinstance(node, _RankLeaf):
+        return sorted(node.arms, key=leaf_key)
+    return _in_order(node.bigger, leaf_key) + [node.arm] + _in_order(node.smaller, leaf_key)
+
+
 def rank_arms_by_scan(sampler, k, delta, pull_cap=10**7):
-    """Reference elimination: each arm compared against every other active arm's mean."""
+    """Reference elimination: each arm compared against every other active arm's mean;
+    eliminated arms grow a binary tree whose in-order walk, with each leaf sorted by
+    final mean, is the permutation."""
     active = list(range(k))
     sums = [0.0] * k
-    root = RankLeaf(list(range(k)))
+    root = _RankLeaf(list(range(k)))
     leaf_of = {i: root for i in range(k)}
     parent = {}
     elim_round = {i: None for i in range(k)}
@@ -198,7 +223,7 @@ def rank_arms_by_scan(sampler, k, delta, pull_cap=10**7):
             leaf = leaf_of.pop(i)
             bigger = [j for j in leaf.arms if j != i and means.get(j, -1.0) > mi]
             smaller = [j for j in leaf.arms if j != i and j in leaf_of and j not in bigger]
-            node = RankNode(i, r, RankLeaf(bigger), RankLeaf(smaller))
+            node = _RankNode(i, _RankLeaf(bigger), _RankLeaf(smaller))
             par = parent.get(id(leaf))
             if par is None:
                 root = node
@@ -213,4 +238,4 @@ def rank_arms_by_scan(sampler, k, delta, pull_cap=10**7):
                 leaf_of[j] = node.smaller
     final_means = {i: sums[i] / r for i in range(k)} if r else {}
     perm = tuple(_in_order(root, lambda a: (-final_means.get(a, 0.0), a)))
-    return RankingOutcome(perm, r, pulls, elim_round, root, len(active) <= 1, final_means)
+    return RankingOutcome(perm, r, pulls, elim_round, len(active) <= 1, final_means)

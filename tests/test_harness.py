@@ -308,6 +308,49 @@ class TestCli:
         assert captured.err.count("\n") == 1 and captured.err.startswith("error:")
         assert "pull cap" in captured.err
 
+    def write_fig2_draw0(self, tmp_path):
+        # d = 4, 3, 3, 6, 4, 3, 4, so rank's default d0 is 7
+        path = tmp_path / "fig2-draw0.json"
+        path.write_text(json.dumps(dump_instance(materialize_instance(preset_fig2().instance, 0))))
+        return str(path)
+
+    @pytest.mark.parametrize("delays, args", [
+        (None, ["--d0", "100000", "--pull-cap", "100"]),
+        (None, ["--d0", "1000000000000"]),
+        ([10**12, 1], []),
+    ])
+    def test_rank_rejects_d0_not_below_pull_cap(self, tmp_path, capsys, delays, args):
+        # a round pulls at least d0 + 1 times: on fig2 draw 0 the first made 700,007 pulls
+        # under a cap of 100 and the second ran until killed; the third takes the default
+        # d0 = max d + 1 from an instance file, far above the default cap of 10**7
+        path = self.write_fig2_draw0(tmp_path)
+        if delays:
+            path = tmp_path / "huge.json"
+            path.write_text(json.dumps({"mu": [0.9, 0.5], "d": delays,
+                                        "discount": {"kind": "constant", "c": 0.5}}))
+        assert main(["rank", "--instance", str(path), *args]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith("error: d0 must be below the pull cap")
+
+    def test_rank_runs_with_d0_just_under_pull_cap(self, tmp_path, capsys):
+        # one serialized round: each of the 7 arms after 99 fillers, then the cap stops it
+        argv = ["rank", "--instance", self.write_fig2_draw0(tmp_path), "--d0", "99",
+                "--pull-cap", "100"]
+        assert main(argv) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1:4] == ["rounds: 1", "pulls: 700", "complete: False"]
+
+    @pytest.mark.parametrize("command", [["experiment", "--algos", "ghost"], ["learn"]])
+    def test_unallocatable_horizon_is_one_error_line(self, tmp_path, capsys, command):
+        # 10**18 pulls exceed the address space, so the first buffer fails to allocate
+        argv = [*command, "--instance", self.write_fig3(tmp_path), "-T", str(10**18)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and captured.err.startswith("error:")
+
     @pytest.mark.parametrize("cap", ["0", "-1"])
     def test_oracle_rejects_cap_below_one(self, tmp_path, capsys, cap):
         assert main(["oracle", "--instance", self.write_fig3(tmp_path), "--cap", cap]) == 2

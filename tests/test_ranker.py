@@ -17,7 +17,6 @@ from delaybandit import (
     rank_arms,
     substream,
 )
-from delaybandit.ranker import RankLeaf, RankNode
 
 
 class TestEpsilon:
@@ -113,18 +112,6 @@ class TestRankArms:
         assert not out.complete
         assert sorted(out.permutation) == [0, 1]
         assert out.pulls >= 100
-
-    def test_tree_structure(self):
-        out = rank_arms(iid_bernoulli_sampler([1.0, 0.6, 0.0], substream(1, "tree")), 3, 0.1)
-        assert isinstance(out.tree, RankNode)
-        # in-order traversal reproduces the permutation
-
-        def walk(node):
-            if isinstance(node, RankLeaf):
-                return list(node.arms)
-            return walk(node.bigger) + [node.arm] + walk(node.smaller)
-
-        assert tuple(walk(out.tree)) == out.permutation
 
 
 class TestCalibratedSampling:
