@@ -17,7 +17,6 @@ from .core import (
     expected_payoff,
     initial_state,
     make_instance,
-    sample_reward,
     segment_sum,
     substream,
 )
@@ -56,14 +55,11 @@ from .low_switch import (
     stage_schedule,
 )
 from .ranker import (
-    GapProfile,
     RankingOutcome,
     calibrated_sample_round,
     calibrated_sampler,
     epsilon_r,
-    gap_profile,
     iid_bernoulli_sampler,
-    predicted_pull_budget,
     rank_arms,
 )
 from .ucb import UcbRun, run_ucb_rankings, ucb_index

@@ -30,7 +30,6 @@ __all__ = [
     "expected_payoff",
     "initial_state",
     "make_instance",
-    "sample_reward",
     "segment_sum",
     "substream",
 ]
@@ -244,12 +243,6 @@ def advance_state(state, pulled: int, instance: BanditInstance) -> tuple:
         else:
             nxt.append(tau + 1)
     return tuple(nxt)
-
-
-def sample_reward(instance: BanditInstance, arm: int, tau: int, rng: np.random.Generator) -> int:
-    """Bernoulli draw with success probability expected_payoff(instance, arm, tau)."""
-    p = float(expected_payoff(instance, arm, tau))
-    return int(rng.random() < p)
 
 
 def segment_sum(instance: BanditInstance, start: int, stop: int, d: int):

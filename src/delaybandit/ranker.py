@@ -21,14 +21,11 @@ import numpy as np
 from .core import Environment
 
 __all__ = [
-    "GapProfile",
     "RankingOutcome",
     "calibrated_sample_round",
     "calibrated_sampler",
     "epsilon_r",
-    "gap_profile",
     "iid_bernoulli_sampler",
-    "predicted_pull_budget",
     "rank_arms",
 ]
 
@@ -69,6 +66,9 @@ def rank_arms(sampler, k: int, delta: float, pull_cap: int = 10**7) -> RankingOu
     2 (otherwise) to every still-active arm that shared it, so arms sort as
     the eliminations split them, then by final mean and index. A capped run
     (complete=False) orders its still-active arms by their current means.
+    The cap is checked before each round, so a run can end up to one round
+    past it; `pulls` is the true count. An eliminated arm's mean covers the
+    rounds up to its elimination.
     """
     if k < 2:
         raise ValueError("need at least two arms")
@@ -107,7 +107,7 @@ def rank_arms(sampler, k: int, delta: float, pull_cap: int = 10**7) -> RankingOu
             else:
                 prev = i
     complete = len(active) <= 1
-    final_means = {i: sums[i] / r for i in range(k)}
+    final_means = {i: sums[i] / (elim_round[i] or r) for i in range(k)}
     perm = tuple(sorted(range(k), key=lambda a: (key[a], -final_means[a], a)))
     return RankingOutcome(perm, r, pulls, elim_round, complete, final_means)
 
@@ -172,42 +172,3 @@ def calibrated_sampler(env: Environment, d0: int):
         return calibrated_sample_round(env, active, d0)
 
     return sampler
-
-
-@dataclass(frozen=True)
-class GapProfile:
-    """Pairwise baseline gaps and the adjacent-gap vector driving sample cost."""
-
-    mus: tuple
-    adjacent: tuple
-
-    def pairwise(self, i: int, j: int):
-        return self.mus[i] - self.mus[j]
-
-
-def gap_profile(mus) -> GapProfile:
-    """Adjacent gaps: each arm's distance to its closest ordered neighbor."""
-    mus = tuple(mus)
-    k = len(mus)
-    if k < 2:
-        raise ValueError("need at least two arms")
-    for a, b in zip(mus, mus[1:]):
-        if not a > b:
-            raise ValueError("baselines must be strictly decreasing")
-    adj = []
-    for i in range(k):
-        if i == 0:
-            adj.append(mus[0] - mus[1])
-        elif i == k - 1:
-            adj.append(mus[k - 2] - mus[k - 1])
-        else:
-            adj.append(min(mus[i - 1] - mus[i], mus[i] - mus[i + 1]))
-    return GapProfile(mus, tuple(adj))
-
-
-def predicted_pull_budget(profile: GapProfile, delta: float) -> float:
-    """Order-of-magnitude pull estimate: sum_i (1/gap_i^2) ln(1/(delta gap_i)).
-
-    Diagnostic only; acceptance checks use it for scaling, never control flow.
-    """
-    return float(sum((1.0 / g**2) * math.log(1.0 / (delta * g)) for g in profile.adjacent))

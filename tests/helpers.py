@@ -236,6 +236,6 @@ def rank_arms_by_scan(sampler, k, delta, pull_cap=10**7):
                 leaf_of[j] = node.bigger
             for j in smaller:
                 leaf_of[j] = node.smaller
-    final_means = {i: sums[i] / r for i in range(k)} if r else {}
+    final_means = {i: sums[i] / (elim_round[i] or r) for i in range(k)} if r else {}
     perm = tuple(_in_order(root, lambda a: (-final_means.get(a, 0.0), a)))
     return RankingOutcome(perm, r, pulls, elim_round, len(active) <= 1, final_means)

@@ -1,4 +1,3 @@
-import math
 import tracemalloc
 from fractions import Fraction as F
 
@@ -14,7 +13,6 @@ from delaybandit import (
     expected_payoff,
     initial_state,
     make_instance,
-    sample_reward,
     segment_sum,
     substream,
 )
@@ -168,21 +166,6 @@ class TestAdvanceState:
             advance_state((0, 0), 0, inst)
         with pytest.raises(ValueError):
             advance_state((5,), 0, inst)
-
-
-class TestSampleReward:
-    def test_degenerate_means(self):
-        rng = substream(0, "samples")
-        inst = make_instance([1, 0], [1, 1], Discount.constant(1), relaxed=True)
-        assert all(sample_reward(inst, 0, 0, rng) == 1 for _ in range(50))
-        assert all(sample_reward(inst, 1, 0, rng) == 0 for _ in range(50))
-
-    def test_monte_carlo_mean(self):
-        rng = substream(1, "samples")
-        inst = make_instance([0.7], [1], Discount.constant(0.5))
-        n = 10**5
-        total = sum(sample_reward(inst, 0, 0, rng) for _ in range(n))
-        assert abs(total / n - 0.7) < 3 * math.sqrt(0.21 / n)
 
 
 class TestSegmentSum:

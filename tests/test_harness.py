@@ -449,3 +449,26 @@ class TestCli:
             for path in sorted(out.glob("*.csv")):
                 got[f"{name}/{path.name}"] = hashlib.sha256(path.read_bytes()).hexdigest()
         assert got == self.GOLDEN_CSV
+
+    # (fig2 draw, argv) -> (exit code, sha256 of stdout); draws 0 and 1 share rank's
+    # output because every kept sample is taken past every delay (d0 = 7 on both)
+    GOLDEN_STDOUT = {
+        (0, ("rank",)): (0, "e3cca16d2a43220da59f50687be0223ff7efa878eba0ff6e0357c7fc2c239c2a"),
+        (0, ("rank", "--d0", "9")):
+            (0, "f31fabaa56706c5cd678295b2dba0025acd03db1d8f6bc835671b750dd218644"),
+        (0, ("rank", "--pull-cap", "5000")):
+            (1, "5a2de3633f8c0f538229084336108dc03d0726bc9aec60b86ac3b118c6ce3e18"),
+        (1, ("rank",)): (0, "e3cca16d2a43220da59f50687be0223ff7efa878eba0ff6e0357c7fc2c239c2a"),
+        (0, ("learn", "-T", "5000")):
+            (0, "7634b8b82d26606a4cb0c08caba01956b55f7b02007aaad3c3e57b7c8c119a28"),
+    }
+
+    def test_rank_and_learn_stdout_is_pinned(self, tmp_path, capsys):
+        got = {}
+        for seed, args in self.GOLDEN_STDOUT:
+            draw = tmp_path / f"fig2-draw{seed}.json"
+            draw.write_text(
+                json.dumps(dump_instance(materialize_instance(preset_fig2().instance, seed))))
+            code = main([*args, "--instance", str(draw)])
+            got[seed, args] = (code, hashlib.sha256(capsys.readouterr().out.encode()).hexdigest())
+        assert got == self.GOLDEN_STDOUT

@@ -1,5 +1,4 @@
 import math
-from fractions import Fraction as F
 
 import numpy as np
 import pytest
@@ -10,10 +9,8 @@ from delaybandit import (
     calibrated_sample_round,
     calibrated_sampler,
     epsilon_r,
-    gap_profile,
     iid_bernoulli_sampler,
     make_instance,
-    predicted_pull_budget,
     rank_arms,
     substream,
 )
@@ -106,6 +103,23 @@ class TestRankArms:
                 assert not below or max(below) < means[a] - 2 * eps
                 active.discard(a)
 
+    def test_eliminated_arm_mean_covers_its_own_rounds(self):
+        # arm 2 leaves at round 96 of 352 with 8 successes; its mean is 8/96, not 8/352
+        log = []
+        base = iid_bernoulli_sampler([0.9, 0.6, 0.1], substream(1, "m"))
+
+        def sampler(active):
+            samples, used = base(active)
+            log.append(samples)
+            return samples, used
+
+        out = rank_arms(sampler, 3, 0.1)
+        assert (out.permutation, out.rounds, out.elimination_round[2]) == ((0, 1, 2), 352, 96)
+        assert out.means[2] == 8 / 96
+        for arm in range(3):
+            kept = [samples[arm] for samples in log if arm in samples]
+            assert out.means[arm] == sum(kept) / len(kept)
+
     def test_pull_cap_incomplete(self):
         out = rank_arms(iid_bernoulli_sampler([0.51, 0.49], substream(0, "cap")), 2, 0.1,
                         pull_cap=100)
@@ -181,29 +195,3 @@ class TestCalibratedSampling:
             out = rank_arms(calibrated_sampler(env, 3), 3, 0.1)
             correct += out.permutation == (0, 1, 2)
         assert correct >= 8
-
-
-class TestGapProfile:
-    def test_interior_minimum(self):
-        prof = gap_profile([F(1), F(2, 3), F(1, 2)])
-        assert prof.adjacent == (F(1, 3), F(1, 6), F(1, 6))
-
-    def test_two_arms(self):
-        prof = gap_profile([0.9, 0.4])
-        assert prof.adjacent == (0.5, 0.5)
-        assert prof.pairwise(0, 1) == 0.5
-
-    def test_rejects_nonmonotone(self):
-        with pytest.raises(ValueError):
-            gap_profile([0.5, 0.5])
-        with pytest.raises(ValueError):
-            gap_profile([0.9])
-
-    def test_budget_reference_value(self):
-        est = predicted_pull_budget(gap_profile([0.9, 0.4]), 0.1)
-        assert est == pytest.approx(8 * math.log(20), abs=1e-9)
-
-    def test_budget_gap_scaling(self):
-        small = predicted_pull_budget(gap_profile([0.9, 0.4]), 0.1)
-        half = predicted_pull_budget(gap_profile([0.9, 0.65]), 0.1)
-        assert 4.0 < half / small < 6.0
