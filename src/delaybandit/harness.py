@@ -15,7 +15,7 @@ import hashlib
 import json
 import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import repeat
 from numbers import Real
@@ -234,7 +234,7 @@ def regret_vs_ghost(trace: PolicyTrace, instance: BanditInstance, switch_cost: f
 # -- presets -----------------------------------------------------------------
 
 
-def preset_fig2(**overrides) -> ExperimentConfig:
+def preset_fig2() -> ExperimentConfig:
     """Seven arms with spread baselines, near-total geometric discount, random delays.
 
     Delays are redrawn per seed from {1..6} (same draw for every algorithm of
@@ -247,7 +247,7 @@ def preset_fig2(**overrides) -> ExperimentConfig:
         "d": {"draw": [1, 6]},
         "discount": {"kind": "geometric", "gamma": "999/1000"},
     }
-    cfg = ExperimentConfig(
+    return ExperimentConfig(
         instance=spec,
         algorithms=("low", "ucb"),
         horizon=200_000,
@@ -256,10 +256,9 @@ def preset_fig2(**overrides) -> ExperimentConfig:
         seeds=tuple(range(5)),
         label="fig2",
     )
-    return replace(cfg, **overrides) if overrides else cfg
 
 
-def preset_fig3(cost: bool = True, **overrides) -> ExperimentConfig:
+def preset_fig3(cost: bool = True) -> ExperimentConfig:
     """Two arms tuned so both ranking policies are exactly optimal.
 
     mu_2 solves (1 - f(1)) mu_1 = (1 - f(2)) (mu_1 + mu_2) / 2 with f = (0.3,
@@ -273,7 +272,7 @@ def preset_fig3(cost: bool = True, **overrides) -> ExperimentConfig:
         "d": [2, 2],
         "discount": {"kind": "table", "values": ["3/10", "1/4"]},
     }
-    cfg = ExperimentConfig(
+    return ExperimentConfig(
         instance=spec,
         algorithms=("low", "ucb"),
         horizon=200_000,
@@ -282,7 +281,6 @@ def preset_fig3(cost: bool = True, **overrides) -> ExperimentConfig:
         seeds=tuple(range(10)),
         label="fig3-cost" if cost else "fig3-free",
     )
-    return replace(cfg, **overrides) if overrides else cfg
 
 
 # -- execution ---------------------------------------------------------------
@@ -291,7 +289,7 @@ def preset_fig3(cost: bool = True, **overrides) -> ExperimentConfig:
 def run_algorithm(name: str, instance: BanditInstance, T: int, delta: float, seed: int):
     """Run one cell; returns (trace, info dict for metadata)."""
     if name == "low":
-        run = run_pi_low(instance, T, delta, seed=seed, rng=substream(seed, "env"))
+        run = run_pi_low(instance, T, delta, rng=substream(seed, "env"))
         info = {
             "switches": run.total_switches,
             "survivors": list(run.survivors),
@@ -300,7 +298,7 @@ def run_algorithm(name: str, instance: BanditInstance, T: int, delta: float, see
         }
         return run.trace, info
     if name == "ucb":
-        run = run_ucb_rankings(instance, T, seed=seed, rng=substream(seed, "env"))
+        run = run_ucb_rankings(instance, T, rng=substream(seed, "env"))
         info = {"switches": run.total_switches, "selections": run.selections}
         return run.trace, info
     if name == "greedy":
@@ -338,43 +336,40 @@ class ExperimentResult:
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Run every (algorithm, seed) cell, write per-run and aggregate CSVs.
 
+    One pass over the seeds: a seed's ghost reference lives while that seed's
+    cells run, and each cell's trace lives until it is cut down to its curve,
+    so memory holds one cell's full-length arrays, not one set per seed.
     Identical configs produce byte-identical outputs: all randomness flows
     through per-(seed, purpose) substreams and floats are written with repr.
     """
     T = config.horizon
     grid = _downsample_grid(T, config.full_curves)
-    instances = {}
-    ghosts = {}
-    ghost_cums = {}
-    for seed in config.seeds:
-        inst = materialize_instance(config.instance, seed)
-        instances[seed] = inst
-        ghosts[seed] = ghost_summary(inst)
-        ghost_cums[seed] = ghost_reference(inst, T)
+    instances = {seed: materialize_instance(config.instance, seed) for seed in config.seeds}
     schedule = None
     if "low" in config.algorithms:
         schedule = stage_schedule(instances[config.seeds[0]].k, T, config.delta)
-    # everything that can reject the config has run: only now touch the disk
     outdir = config.outdir
-    if outdir:
+    files = []
+
+    def output(name: str) -> str:
+        # the directory appears with its first file: a run that fails before leaves none
         os.makedirs(outdir, exist_ok=True)
+        files.append(os.path.join(outdir, name))
+        return files[-1]
+
     curves = {}
     run_infos = {}
-    files = []
-    for algo in config.algorithms:
-        for seed in config.seeds:
-            inst = instances[seed]
-            trace, info = run_algorithm(algo, inst, T, config.delta, seed)
-            curve = regret_vs_ghost(trace, inst, config.switch_cost, ts=grid,
-                                    ghost_cum=ghost_cums[seed])
+    for seed, inst in instances.items():
+        ghost_cum = ghost_reference(inst, T)
+        for algo in config.algorithms:
+            trace, run_infos[(algo, seed)] = run_algorithm(algo, inst, T, config.delta, seed)
+            curve = regret_vs_ghost(trace, inst, config.switch_cost, ts=grid, ghost_cum=ghost_cum)
+            del trace   # only the curve outlives its cell
             curves[(algo, seed)] = curve
-            run_infos[(algo, seed)] = info
             if outdir:
-                path = os.path.join(outdir, f"{algo}_seed{seed}.csv")
-                _write_csv(path, CSV_HEADER, [curve.t, algo, seed, curve.cum_expected,
-                                              curve.cum_realized, curve.cum_switches,
-                                              curve.regret])
-                files.append(path)
+                _write_csv(output(f"{algo}_seed{seed}.csv"), CSV_HEADER,
+                           [curve.t, algo, seed, curve.cum_expected, curve.cum_realized,
+                            curve.cum_switches, curve.regret])
     mean_final = {}
     for algo in config.algorithms:
         stack = np.stack([curves[(algo, seed)].regret for seed in config.seeds])
@@ -382,9 +377,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         std = stack.std(axis=0)
         mean_final[algo] = float(mean[-1])
         if outdir:
-            path = os.path.join(outdir, f"{algo}_agg.csv")
-            _write_csv(path, AGG_HEADER, [grid, algo, mean, std, len(config.seeds)])
-            files.append(path)
+            _write_csv(output(f"{algo}_agg.csv"), AGG_HEADER,
+                       [grid, algo, mean, std, len(config.seeds)])
     if outdir:
         meta = {
             "label": config.label,
@@ -396,11 +390,11 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             "versions": {"delaybandit": __version__, "numpy": np.__version__},
             "per_seed": {
                 str(seed): {
-                    "instance": dump_instance(instances[seed]),
-                    "hash": instance_hash(instances[seed]),
-                    "ghost": ghosts[seed].to_dict(),
+                    "instance": dump_instance(inst),
+                    "hash": instance_hash(inst),
+                    "ghost": ghost_summary(inst).to_dict(),
                 }
-                for seed in config.seeds
+                for seed, inst in instances.items()
             },
             "runs": {
                 f"{algo}/seed{seed}": run_infos[(algo, seed)]
@@ -411,9 +405,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         }
         if schedule is not None:
             meta["schedule"] = schedule.to_dict()
-        path = os.path.join(outdir, "metadata.json")
-        with open(path, "w") as fh:
+        with open(output("metadata.json"), "w") as fh:
             json.dump(meta, fh, indent=2, sort_keys=True)
             fh.write("\n")
-        files.append(path)
     return ExperimentResult(config, curves, mean_final, files)

@@ -123,7 +123,6 @@ class LowSwitchRun:
     stages: list
     survivors: tuple
     tail_pulls: int
-    arm_order: tuple
 
     @property
     def total_switches(self) -> int:
@@ -131,20 +130,16 @@ class LowSwitchRun:
 
 
 def run_pi_low(instance: BanditInstance, T: int, delta: float, seed: int = 0,
-               arm_order=None, rng=None) -> LowSwitchRun:
+               rng=None) -> LowSwitchRun:
     """Run the low-switch learner for exactly T pulls on a fresh environment.
 
-    arm_order lets the caller plug in a learned ranking; by default the
-    instance's own (true) order is used. Budget accounting counts every pull
+    Cutoff m plays arms 0..m-1. Budget accounting counts every pull
     including calibration; the in-progress stage is truncated when T is hit,
     and any budget left after the last scheduled stage replays the final
     empirical best (the exploitation tail, excluded from estimates).
     """
     k = instance.k
     sched = stage_schedule(k, T, delta)
-    order = tuple(arm_order) if arm_order is not None else tuple(range(k))
-    if sorted(order) != list(range(k)):
-        raise ValueError("arm_order must be a permutation of all arms")
     if rng is None:
         rng = substream(seed, "pi_low")
     env = Environment(instance, rng, capacity=T)
@@ -166,7 +161,7 @@ def run_pi_low(instance: BanditInstance, T: int, delta: float, seed: int = 0,
             if n == 0:
                 truncated = True
                 break
-            ret_sum, ret_n = env.pull_cycles(order[:m], n, policy=m, retain_from=m)
+            ret_sum, ret_n = env.pull_cycles(range(m), n, policy=m, retain_from=m)
             sums[m] = ret_sum
             counts[m] = ret_n
             pulls_done[m] = n
@@ -189,6 +184,6 @@ def run_pi_low(instance: BanditInstance, T: int, delta: float, seed: int = 0,
         # budget left after the final scheduled stage: exploit the last best
         best = records[-1].best if records and records[-1].best is not None else 1
         tail = T - env.t
-        env.pull_cycles(order[:best], tail, policy=best, retain_from=tail)
+        env.pull_cycles(range(best), tail, policy=best, retain_from=tail)
     trace = PolicyTrace.from_env(env)
-    return LowSwitchRun(trace, sched, records, tuple(active), tail, order)
+    return LowSwitchRun(trace, sched, records, tuple(active), tail)

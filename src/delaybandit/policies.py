@@ -35,20 +35,16 @@ __all__ = [
 
 @dataclass(frozen=True)
 class RankingPolicy:
-    """Block rule of the cutoff-m ranking policy: the first m arms of `order`.
-
-    The block ignores the state; `order` is the identity by default.
-    """
+    """Block rule of the cutoff-m ranking policy: arms 0..m-1, whatever the state."""
 
     m: int
-    order: tuple | None = None
 
     def __post_init__(self):
         if self.m < 1:
             raise ValueError("cutoff must be >= 1")
 
     def __call__(self, state) -> tuple:
-        return tuple(range(self.m)) if self.order is None else tuple(self.order[:self.m])
+        return tuple(range(self.m))
 
 
 def greedy_arm(instance: BanditInstance, state) -> int:

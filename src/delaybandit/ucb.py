@@ -33,16 +33,14 @@ class UcbRun:
     selections: int
     selection_counts: dict
     means: dict
-    arm_order: tuple
 
     @property
     def total_switches(self) -> int:
         return self.trace.total_switches
 
 
-def run_ucb_rankings(instance: BanditInstance, T: int, seed: int = 0,
-                     arm_order=None, rng=None) -> UcbRun:
-    """Run UCB1 over the cutoff policies for exactly T pulls.
+def run_ucb_rankings(instance: BanditInstance, T: int, seed: int = 0, rng=None) -> UcbRun:
+    """Run UCB1 over the cutoff policies for exactly T pulls; cutoff m plays arms 0..m-1.
 
     Estimation uses only second roll-outs (per-pull mean of the roll-out, a
     [0, 1] value); a truncated final pair still collects reward but never
@@ -52,12 +50,10 @@ def run_ucb_rankings(instance: BanditInstance, T: int, seed: int = 0,
     k = instance.k
     if T < 0:
         raise ValueError("horizon must be >= 0")
-    order = tuple(arm_order) if arm_order is not None else tuple(range(k))
-    if sorted(order) != list(range(k)):
-        raise ValueError("arm_order must be a permutation of all arms")
     if rng is None:
         rng = substream(seed, "ucb")
     env = Environment(instance, rng, capacity=max(T, 1))
+    arms = tuple(range(k))   # a slice per selection costs less than tuple(range(m))
     counts = [0] * (k + 1)   # 1-based cutoffs
     means = [0.0] * (k + 1)
     n = 0
@@ -70,7 +66,7 @@ def run_ucb_rankings(instance: BanditInstance, T: int, seed: int = 0,
                 m = c
         target = 2 * m
         pulls = min(target, T - env.t)
-        ret_sum, ret_n = env.pull_cycles(order[:m], pulls, policy=m, retain_from=m)
+        ret_sum, ret_n = env.pull_cycles(arms[:m], pulls, policy=m, retain_from=m)
         n += 1
         if pulls == target:
             value = ret_sum / m
@@ -82,5 +78,4 @@ def run_ucb_rankings(instance: BanditInstance, T: int, seed: int = 0,
         n,
         {m: counts[m] for m in range(1, k + 1)},
         {m: means[m] for m in range(1, k + 1)},
-        order,
     )

@@ -3,6 +3,8 @@ import filecmp
 import hashlib
 import json
 import os
+import tracemalloc
+from dataclasses import replace
 from fractions import Fraction as F
 
 import numpy as np
@@ -91,14 +93,15 @@ class TestPresets:
         assert len(preset_fig3().seeds) == 10
 
     def test_config_validation(self):
+        cfg = preset_fig3()
         with pytest.raises(ValueError):
-            preset_fig3(seeds=())
+            replace(cfg, seeds=())
         with pytest.raises(ValueError):
-            preset_fig3(switch_cost=-1.0)
+            replace(cfg, switch_cost=-1.0)
         with pytest.raises(ValueError):
-            preset_fig3(algorithms=("nope",))
+            replace(cfg, algorithms=("nope",))
         with pytest.raises(ValueError, match="at least one algorithm"):
-            preset_fig3(algorithms=())
+            replace(cfg, algorithms=())
 
 
 class TestGhostReference:
@@ -155,8 +158,8 @@ class TestRegret:
 
 class TestRunExperiment:
     def make_config(self, tmp_path, name="a"):
-        return preset_fig3(cost=True, horizon=2000, seeds=(0, 1, 2),
-                           outdir=str(tmp_path / name))
+        return replace(preset_fig3(cost=True), horizon=2000, seeds=(0, 1, 2),
+                       outdir=str(tmp_path / name))
 
     def test_file_inventory(self, tmp_path):
         res = run_experiment(self.make_config(tmp_path))
@@ -215,11 +218,26 @@ class TestRunExperiment:
         assert "low/seed0" in meta["runs"]
 
     def test_full_curves_flag(self, tmp_path):
-        cfg = preset_fig3(cost=True, horizon=2500, seeds=(0,),
-                          outdir=str(tmp_path / "full"), full_curves=True)
+        cfg = replace(preset_fig3(cost=True), horizon=2500, seeds=(0,),
+                      outdir=str(tmp_path / "full"), full_curves=True)
         run_experiment(cfg)
         with open(os.path.join(cfg.outdir, "low_seed0.csv")) as fh:
             assert len(list(csv.reader(fh))) == 2501
+
+    def test_memory_does_not_grow_with_seed_count(self):
+        # one cell's full-length arrays and one seed's reference are alive at a time
+        cfg = replace(preset_fig3(), algorithms=("ghost", "greedy"), horizon=50_000)
+
+        def peak(seeds):
+            tracemalloc.start()
+            try:
+                run_experiment(replace(cfg, seeds=seeds))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak((0,))   # warm-up: first-call caches are not part of a run's cost
+        assert peak(tuple(range(8))) - peak((0,)) < 2 * 2**20
 
 
 class TestCli:
@@ -351,6 +369,16 @@ class TestCli:
         assert captured.out == ""
         assert captured.err.count("\n") == 1 and captured.err.startswith("error:")
 
+    def test_failed_first_cell_leaves_no_out_dir(self, tmp_path, capsys):
+        out_dir = tmp_path / "exp"
+        argv = ["experiment", "--instance", self.write_fig3(tmp_path), "--algos", "ghost",
+                "-T", str(10**18), "--out", str(out_dir)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and captured.err.startswith("error:")
+        assert not out_dir.exists()
+
     @pytest.mark.parametrize("cap", ["0", "-1"])
     def test_oracle_rejects_cap_below_one(self, tmp_path, capsys, cap):
         assert main(["oracle", "--instance", self.write_fig3(tmp_path), "--cap", cap]) == 2
@@ -435,6 +463,12 @@ class TestCli:
         "fig2/ucb_seed0.csv": "72113ff27fc2a91ca563b508aec8a6513c4cce05d4532f4ee5a6ca1efe0791cf",
     }
 
+    # sha256 of each run's metadata.json without its "versions" key, re-dumped with sorted keys
+    GOLDEN_METADATA = {
+        "fig3": "76fea431f20504bcc6889161d3520e1922aee8d5f08d7ed1cb7c282b8900195e",
+        "fig2": "36feeea400c38d56d9e910fc6257787bb1b83529e73655bf5bd2b108e8723ec1",
+    }
+
     def test_csv_bytes_are_pinned(self, tmp_path, capsys):
         draw = tmp_path / "fig2-draw1.json"
         draw.write_text(json.dumps(dump_instance(materialize_instance(preset_fig2().instance, 1))))
@@ -443,12 +477,17 @@ class TestCli:
             "fig2": ["--instance", str(draw), "--algos", "greedy,ghost,low,ucb", "-T", "300"],
         }
         got = {}
+        metadata = {}
         for name, args in runs.items():
             out = tmp_path / name
             assert main(["experiment", *args, "--out", str(out)]) == 0
             for path in sorted(out.glob("*.csv")):
                 got[f"{name}/{path.name}"] = hashlib.sha256(path.read_bytes()).hexdigest()
+            meta = json.loads((out / "metadata.json").read_text())
+            del meta["versions"]
+            metadata[name] = hashlib.sha256(json.dumps(meta, sort_keys=True).encode()).hexdigest()
         assert got == self.GOLDEN_CSV
+        assert metadata == self.GOLDEN_METADATA
 
     # (fig2 draw, argv) -> (exit code, sha256 of stdout); draws 0 and 1 share rank's
     # output because every kept sample is taken past every delay (d0 = 7 on both)

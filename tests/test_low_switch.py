@@ -150,12 +150,3 @@ class TestRunPiLow:
         if run.tail_pulls:
             tail = run.trace.retained[-run.tail_pulls:]
             assert not tail.any()
-
-    def test_arm_order_permutation(self):
-        inst = fig3_instance()
-        run = run_pi_low(inst, 1000, 0.1, seed=0, arm_order=(1, 0))
-        # cutoff-1 policy now plays arm 1 only
-        ones = run.trace.arms[run.trace.policy == 1]
-        assert (ones == 1).all()
-        with pytest.raises(ValueError):
-            run_pi_low(inst, 1000, 0.1, arm_order=(0, 0))

@@ -30,7 +30,6 @@ def section3_example(eps=F(1, 10)):
 class TestRankingArm:
     def test_policy_with_order(self):
         state = (0, 0, 0, 0)
-        assert RankingPolicy(2, order=(3, 1, 0, 2))(state) == (3, 1)
         assert RankingPolicy(3)(state) == (0, 1, 2)
 
     def test_cutoff_validation(self):

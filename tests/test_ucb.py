@@ -56,7 +56,7 @@ class TestRunUcb:
             m = int(pol[t])
             block = min(2 * m, len(pol) - t)
             assert (pol[t:t + block] == m).all()
-            expect_arms = np.array([run.arm_order[i % m] for i in range(block)])
+            expect_arms = np.array([i % m for i in range(block)])
             assert np.array_equal(run.trace.arms[t:t + block], expect_arms)
             t += block
 
