@@ -12,12 +12,10 @@ from .core import (
     BanditInstance,
     Discount,
     Environment,
-    RewardSample,
     advance_state,
     expected_payoff,
     initial_state,
     make_instance,
-    segment_sum,
     substream,
 )
 from .policies import (

@@ -85,15 +85,14 @@ def _cmd_pmsp(args) -> int:
     pmsp = PmspInstance(intervals)
     verdict = pmsp_feasible(pmsp, cap=args.cap)
     threshold = pmsp_threshold(pmsp)
+    rho = optimal_average(pmsp_to_bandit(pmsp))[0] if args.check_reduction else None
     print(f"feasible: {verdict.feasible}")
     print(f"period: {verdict.period}")
     if verdict.feasible:
         print("offsets: " + " ".join(map(str, verdict.offsets)))
         print("schedule: " + " ".join(map(str, verdict.slots)))
     print(f"threshold: {threshold} ({float(threshold)!r})")
-    if args.check_reduction:
-        instance = pmsp_to_bandit(pmsp)
-        rho, _ = optimal_average(instance)
+    if rho is not None:
         print(f"reduced_optimal_average: {float(rho)!r}")
         print(f"meets_threshold: {rho >= threshold}")
     return 0

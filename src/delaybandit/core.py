@@ -25,12 +25,10 @@ __all__ = [
     "BanditInstance",
     "Discount",
     "Environment",
-    "RewardSample",
     "advance_state",
     "expected_payoff",
     "initial_state",
     "make_instance",
-    "segment_sum",
     "substream",
 ]
 
@@ -46,7 +44,7 @@ def substream(seed: int, *keys) -> np.random.Generator:
     Results depend only on the values passed, never on call order, so parallel
     replicates stay reproducible.
     """
-    entropy = [int(seed) & 0xFFFFFFFFFFFFFFFF]
+    entropy = [_check_seed(seed)]
     for key in keys:
         if isinstance(key, str):
             digest = hashlib.blake2b(key.encode("utf-8"), digest_size=8).digest()
@@ -54,6 +52,14 @@ def substream(seed: int, *keys) -> np.random.Generator:
         else:
             entropy.append(int(key) & 0xFFFFFFFFFFFFFFFF)
     return np.random.default_rng(np.random.SeedSequence(entropy))
+
+
+def _check_seed(seed) -> int:
+    """The seed as an int; a seed outside [0, 2**64) would alias another, so it raises."""
+    seed = int(seed)
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
+    return seed
 
 
 class Discount:
@@ -245,37 +251,15 @@ def advance_state(state, pulled: int, instance: BanditInstance) -> tuple:
     return tuple(nxt)
 
 
-def segment_sum(instance: BanditInstance, start: int, stop: int, d: int):
-    """Sum of expected payoffs at common delay d over arms start..stop-1."""
-    if not 0 <= start <= stop <= instance.k:
-        raise ValueError(f"invalid arm range [{start}, {stop}) for k={instance.k}")
-    total = 0
-    for j in range(start, stop):
-        total = total + expected_payoff(instance, j, d)
-    return total
-
-
-@dataclass(frozen=True)
-class RewardSample:
-    """One pull: capped tau, raw gap since previous pull (-1 if first), both channels."""
-
-    arm: int
-    tau: int
-    gap: int
-    expected: float
-    realized: int
-
-
 class Environment:
     """Sequential sampler over an instance; owns its RNG stream and pull log.
 
     The log is the block sequence plus the uniforms it consumed: pull t reads
     uniform t of the stream, and from the all-zero start the arms fix every
     other column, which `columns` derives on demand. Every pull runs through
-    `pull_cycles`; `pull` is a block of one. Per-arm last-pull times make a
-    pull cost O(1) regardless of k; the capped delay vector is materialized on
-    demand. The realized channel depends only on the stream and the pull
-    sequence, not on how pulls are batched.
+    `pull_cycles`. Per-arm last-pull times make a pull cost O(1) regardless of
+    k. The realized channel depends only on the stream and the pull sequence,
+    not on how pulls are batched.
     """
 
     def __init__(self, instance: BanditInstance, rng: np.random.Generator,
@@ -321,26 +305,23 @@ class Environment:
     # -- state views -------------------------------------------------------
 
     def delay_state(self) -> tuple:
-        """Capped delay vector: rounds since each arm's last pull, 0 past its delay."""
-        return tuple(self._row(arm, self.t)[1] for arm in range(self.k))
+        """Capped delay vector: rounds since each arm's last pull, 0 past its delay. Nothing
+        in the lab calls it; it stays only because perfbench/tracer.py patches it (ROADMAP
+        item 1)."""
+        return tuple(self._row(arm, self.t)[0] for arm in range(self.k))
 
     def _row(self, arm: int, t: int) -> tuple:
-        # gap since the arm's last pull (-1 if none), capped tau, expected payoff
+        # capped tau at time t since the arm's last pull (0 if none), and its expected payoff
         last = self._last[arm]
-        gap = -1 if last is None else t - last
-        tau = gap if 0 < gap <= self._ds[arm] else 0
-        return gap, tau, self._ptable[arm][tau]
+        tau = t - last if last is not None and t - last <= self._ds[arm] else 0
+        return tau, self._ptable[arm][tau]
 
     # -- pulling -----------------------------------------------------------
 
-    def pull(self, arm: int, policy: int = -1, retained: bool = True) -> RewardSample:
-        """Pull one arm as a block of one through `pull_cycles`; returns its log row."""
-        if not 0 <= arm < self.k:
-            raise IndexError(f"arm index {arm} out of range")
-        t = self.t
-        gap, tau, p = self._row(arm, t)
-        self.pull_cycles((arm,), 1, policy, retain_from=0 if retained else 1)
-        return RewardSample(arm, tau, gap, p, int(self._u[t] < p))
+    def pull(self, arm: int, policy: int = -1, retained: bool = True) -> tuple[float, int]:
+        """A block of one through `pull_cycles`. Nothing in the lab calls it; it stays
+        only because perfbench/tracer.py patches it (ROADMAP item 1)."""
+        return self.pull_cycles((arm,), 1, policy, retain_from=0 if retained else 1)
 
     def pull_cycles(self, prefix, n_pulls: int, policy: int = -1,
                     retain_from: int = 0) -> tuple[float, int]:
@@ -377,14 +358,14 @@ class Environment:
         for i in range(head):
             arm = prefix[i % m]
             u = self._uniform()
-            if i >= rf and u < self._row(arm, t0 + i)[2]:
+            if i >= rf and u < self._row(arm, t0 + i)[1]:
                 ret_sum += 1
             last[arm] = t0 + i
         if head < n:
             pay = []
             for i in range(m, 2 * m):      # the second cycle, possibly past the block's end
                 arm = prefix[i - m]
-                pay.append(self._row(arm, t0 + i)[2])
+                pay.append(self._row(arm, t0 + i)[1])
                 last[arm] = t0 + i
             lo = max(rf, m)
             pay = np.resize(np.roll(pay, -lo), n - lo)

@@ -23,7 +23,7 @@ from numbers import Real
 import numpy as np
 
 from . import __version__
-from .core import BanditInstance, Discount, make_instance, substream
+from .core import BanditInstance, Discount, _check_seed, make_instance, substream
 from .low_switch import run_pi_low, stage_schedule
 from .policies import GreedyPolicy, PolicyTrace, RankingPolicy, ghost_summary, orbit, rollout
 from .ucb import run_ucb_rankings
@@ -160,6 +160,8 @@ class ExperimentConfig:
         for algo in self.algorithms:
             if algo not in ALGORITHMS:
                 raise ValueError(f"unknown algorithm {algo!r}")
+        for seed in self.seeds:
+            _check_seed(seed)
         for kind, values in (("algorithm", self.algorithms), ("seed", self.seeds)):
             for i, value in enumerate(values):
                 if value in values[:i]:

@@ -25,7 +25,7 @@ from fractions import Fraction
 import numpy as np
 
 from .core import Arm, BanditInstance, Discount, expected_payoff, initial_state
-from .policies import g_value, orbit
+from .policies import _cycle_mean, g_value, orbit
 
 __all__ = [
     "OptimalCycle",
@@ -218,16 +218,11 @@ def max_mean_cycle(graph: StateGraph) -> OptimalCycle:
     cyc_nodes = list(seen)[seen[u]:]
     cyc_arms = [policy[x] for x in cyc_nodes]
     weights = [graph.succ[x][policy[x]][1] for x in cyc_nodes]
-    if graph.exact:
-        mean_exact = Fraction(sum(weights), len(weights))
-        if mean_exact != eta[graph.start]:
-            raise RuntimeError("witness cycle mean disagrees with the certified optimum")
-        mean = float(mean_exact)
-    else:
-        mean_exact = None
-        mean = float(sum(float(x) for x in weights) / len(weights))
+    mean = _cycle_mean(weights if graph.exact else [float(w) for w in weights])
+    if graph.exact and mean != eta[graph.start]:
+        raise RuntimeError("witness cycle mean disagrees with the certified optimum")
     states = [graph.nodes[x] for x in cyc_nodes]
-    return OptimalCycle(mean, mean_exact, states, cyc_arms, n)
+    return OptimalCycle(float(mean), mean if graph.exact else None, states, cyc_arms, n)
 
 
 def optimal_average(instance: BanditInstance, cap: int = 10**6):
@@ -236,13 +231,6 @@ def optimal_average(instance: BanditInstance, cap: int = 10**6):
     cycle = max_mean_cycle(graph)
     rho = cycle.mean_exact if cycle.mean_exact is not None else cycle.mean
     return rho, cycle
-
-
-def _cycle_mean(cycle):
-    total = sum(cycle)
-    if isinstance(total, (int, Fraction)):
-        return Fraction(total, len(cycle))
-    return total / len(cycle)
 
 
 def steady_state_average(instance: BanditInstance, pattern):

@@ -17,8 +17,7 @@ from numbers import Rational
 
 import numpy as np
 
-from .core import (BanditInstance, Environment, advance_state, expected_payoff, initial_state,
-                   segment_sum)
+from .core import BanditInstance, Environment, advance_state, expected_payoff, initial_state
 
 __all__ = [
     "GhostSummary",
@@ -78,10 +77,15 @@ def g_value(instance: BanditInstance, m: int):
     """
     if not 1 <= m <= instance.k:
         raise ValueError(f"cutoff {m} out of range for k={instance.k}")
-    total = segment_sum(instance, 0, m, m)
+    return _cycle_mean([expected_payoff(instance, j, m) for j in range(m)])
+
+
+def _cycle_mean(values):
+    # mean of a cycle's payoffs: a Fraction when the sum is exact, else a float
+    total = sum(values)
     if isinstance(total, Rational):
-        return Fraction(total) / m
-    return total / m
+        return Fraction(total, len(values))
+    return total / len(values)
 
 
 def orbit(instance: BanditInstance, block, *, arms: bool = False) -> tuple[list, list]:

@@ -8,12 +8,13 @@ import numpy as np
 
 from delaybandit import (
     Discount,
-    Environment,
     PolicyTrace,
+    advance_state,
     build_state_graph,
     epsilon_r,
     expected_payoff,
     ghost_summary,
+    initial_state,
     make_instance,
 )
 from delaybandit.ranker import RankingOutcome
@@ -55,11 +56,13 @@ def random_float_instance(rng, kmax=4, dmax=3):
 
 
 def step_rollout(inst, arm_of_state, T, rng, policy_id=-1):
-    """Reference rollout: T single pulls, each arm read off the current delay state."""
-    env = Environment(inst, rng, capacity=max(T, 1))
+    """Reference rollout: T pulls, each arm read off the delay state that `advance_state`
+    tracks, logged by `step_columns`; pull t reads uniform t of rng."""
+    state, arms = initial_state(inst), []
     for _ in range(T):
-        env.pull(arm_of_state(env.delay_state()), policy=policy_id)
-    return PolicyTrace.from_env(env)
+        arms.append(arm_of_state(state))
+        state = advance_state(state, arms[-1], inst)
+    return PolicyTrace(**step_columns(inst, [(tuple(arms), T, policy_id, 0)], rng.random(T)))
 
 
 def step_columns(inst, blocks, u):
@@ -79,6 +82,23 @@ def step_columns(inst, blocks, u):
     dtypes = {"arms": np.int32, "taus": np.int32, "gaps": np.int64, "expected": np.float64,
               "realized": np.int8, "policy": np.int32, "retained": bool}
     return {name: np.array(col, dtype) for (name, dtype), col in zip(dtypes.items(), cols)}
+
+
+def delay_vector(inst, arms, t):
+    """Capped delay vector at time t off a log's arms column: rounds since each arm's last
+    pull before t, 0 if it has none within its delay."""
+    state = []
+    for a, arm in enumerate(inst.arms):
+        recent = [int(x) for x in arms[max(t - arm.d, 0):t]][::-1]
+        state.append(recent.index(a) + 1 if a in recent else 0)
+    return tuple(state)
+
+
+def assert_same_columns(got, want):
+    """Equal pull logs: the same columns, each with the same dtype and values."""
+    assert list(got) == list(want)
+    for key, col in want.items():
+        assert got[key].dtype == col.dtype and np.array_equal(got[key], col), key
 
 
 def brute_force_max_mean(instance):

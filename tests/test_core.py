@@ -13,14 +13,10 @@ from delaybandit import (
     expected_payoff,
     initial_state,
     make_instance,
-    segment_sum,
     substream,
 )
-from helpers import random_exact_instance, random_float_instance, step_columns
-
-
-def fig3_instance():
-    return make_instance([F(1), F(13, 15)], [2, 2], Discount.table([F(3, 10), F(1, 4)]))
+from helpers import (assert_same_columns, delay_vector, random_exact_instance,
+                     random_float_instance, step_columns)
 
 
 class TestDiscount:
@@ -168,39 +164,6 @@ class TestAdvanceState:
             advance_state((5,), 0, inst)
 
 
-class TestSegmentSum:
-    def test_single_arm(self):
-        inst = fig3_instance()
-        assert segment_sum(inst, 0, 1, 1) == expected_payoff(inst, 0, 1)
-
-    def test_fig3_past_delay(self):
-        inst = fig3_instance()
-        assert segment_sum(inst, 0, 2, 3) == F(1) + F(13, 15)
-
-    def test_full_discount_zeroes_everything(self):
-        inst = make_instance([1, F(1, 2)], [2, 2], Discount.constant(1))
-        assert segment_sum(inst, 0, 2, 1) == 0
-        assert segment_sum(inst, 0, 2, 2) == 0
-
-    def test_additivity(self):
-        rng = np.random.default_rng(4)
-        for _ in range(20):
-            inst = random_exact_instance(rng)
-            k = inst.k
-            d = int(rng.integers(0, 5))
-            j = int(rng.integers(0, k))
-            assert segment_sum(inst, 0, k, d) == (
-                segment_sum(inst, 0, j, d) + segment_sum(inst, j, k, d)
-            )
-
-    def test_bad_range(self):
-        inst = fig3_instance()
-        with pytest.raises(ValueError):
-            segment_sum(inst, 1, 0, 1)
-        with pytest.raises(ValueError):
-            segment_sum(inst, 0, 3, 1)
-
-
 class TestSubstream:
     def test_deterministic(self):
         a = substream(7, "env").random(4)
@@ -214,54 +177,57 @@ class TestSubstream:
         assert not np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_64_bits_is_rejected(self, seed):
+        with pytest.raises(ValueError, match="seed must lie in"):
+            substream(seed, "env")
+
 
 class TestEnvironment:
     def test_state_matches_pure_dynamics(self):
-        # every pull against the delay-vector model: tau from advance_state, gap from the
-        # last-pull times, expected from the payoff law, realized from the raw stream;
-        # the two long runs cross the environment's uniform-chunk boundary
+        # every pull against the delay-vector model: tau and the delay vector from
+        # advance_state, gap, expected and realized from the per-pull reference log; the
+        # two long runs cross the environment's uniform-chunk boundary
         rng = np.random.default_rng(5)
         runs = [(random_exact_instance(rng), 60) for _ in range(10)]
         runs += [(random_exact_instance(rng), 10_000), (random_float_instance(rng), 10_000)]
         for seed, (inst, n) in enumerate(runs):
             env = Environment(inst, substream(seed, "dyn"))
             u = substream(seed, "dyn").random(n)
-            state = initial_state(inst)
-            last = {}
+            states, arms = [initial_state(inst)], []
             for t in range(n):
-                assert env.delay_state() == state
-                arm = int(rng.integers(0, inst.k))
-                rs = env.pull(arm)
-                p = float(expected_payoff(inst, arm, state[arm]))
-                gap = t - last[arm] if arm in last else -1
-                assert (rs.arm, rs.tau, rs.gap) == (arm, state[arm], gap)
-                assert rs.expected == p and rs.realized == int(u[t] < p)
-                last[arm] = t
-                state = advance_state(state, arm, inst)
+                arms.append(int(rng.integers(0, inst.k)))
+                p = float(expected_payoff(inst, arms[t], states[t][arms[t]]))
+                assert env.pull_cycles((arms[t],), 1) == (float(u[t] < p), 1)
+                states.append(advance_state(states[t], arms[t], inst))
+            got = env.columns()
+            assert_same_columns(got, step_columns(inst, [((a,), 1, -1, 0) for a in arms], u))
+            assert got["taus"].tolist() == [s[a] for s, a in zip(states, arms)]
+            for t, state in enumerate(states):
+                assert delay_vector(inst, got["arms"], t) == state
 
     def test_block_equals_stepwise(self):
-        # same stream, same pull sequence: the two paths must agree bit for bit
+        # same stream, same pull sequence: the block and the per-pull log agree bit for bit
         inst = make_instance([0.9, 0.6, 0.3], [2, 3, 1], Discount.geometric(0.7))
-        e1 = Environment(inst, substream(3, "env"))
-        e2 = Environment(inst, substream(3, "env"))
+        env = Environment(inst, substream(3, "env"))
         prefix = (0, 1, 2)
-        n = 443  # force the vectorized path on e1
-        e1.pull_cycles(prefix, n, policy=3, retain_from=3)
-        for t in range(n):
-            e2.pull(prefix[t % 3], policy=3, retained=t >= 3)
-        c1, c2 = e1.columns(), e2.columns()
-        for key in c1:
-            assert np.array_equal(c1[key], c2[key]), key
-        assert e1.delay_state() == e2.delay_state()
+        n = 443  # force the vectorized path
+        env.pull_cycles(prefix, n, policy=3, retain_from=3)
+        got = env.columns()
+        want = step_columns(inst, [(prefix, n, 3, 3)], substream(3, "env").random(n))
+        assert_same_columns(got, want)
+        assert delay_vector(inst, got["arms"], n) == delay_vector(inst, want["arms"], n)
 
     def test_gap_recording(self):
         inst = make_instance([0.9, 0.6], [1, 1], Discount.constant(0.5))
         env = Environment(inst, substream(0, "gaps"))
-        assert env.pull(0).gap == -1
-        assert env.pull(1).gap == -1
-        rs = env.pull(0)
-        assert rs.gap == 2 and rs.tau == 0  # wrapped past d = 1
-        assert float(rs.expected) == 0.9
+        for arm in (0, 1, 0):
+            env.pull_cycles((arm,), 1)
+        got = env.columns()
+        blocks = [((arm,), 1, -1, 0) for arm in (0, 1, 0)]
+        assert_same_columns(got, step_columns(inst, blocks, substream(0, "gaps").random(3)))
+        assert got["gaps"].tolist() == [-1, -1, 2]
+        assert got["taus"][2] == 0 and got["expected"][2] == 0.9  # wrapped past d = 1
 
     def test_retained_accounting(self):
         inst = make_instance([1.0], [1], Discount.constant(0.0))
@@ -280,17 +246,15 @@ class TestEnvironment:
     def test_long_block_with_repeated_arms_equals_stepwise(self):
         # tiled past the first cycle with per-position gaps (2, 1, 3)
         inst = make_instance([0.9, 0.6, 0.3], [2, 3, 1], Discount.geometric(0.7))
-        e1 = Environment(inst, substream(3, "env"))
-        e2 = Environment(inst, substream(3, "env"))
+        env = Environment(inst, substream(3, "env"))
         prefix = (0, 0, 1)
-        got = e1.pull_cycles(prefix, 200, retain_from=70)
-        samples = [e2.pull(prefix[t % 3], retained=t >= 70) for t in range(200)]
-        assert got == (float(sum(s.realized for s in samples[70:])), 130)
-        c1, c2 = e1.columns(), e2.columns()
-        for key in c1:
-            assert c1[key].dtype == c2[key].dtype and np.array_equal(c1[key], c2[key]), key
-        assert list(c1["gaps"][3:6]) == [2, 1, 3]
-        assert e1.delay_state() == e2.delay_state()
+        got = env.pull_cycles(prefix, 200, retain_from=70)
+        want = step_columns(inst, [(prefix, 200, -1, 70)], substream(3, "env").random(200))
+        assert got == (float(want["realized"][70:].sum()), 130)
+        cols = env.columns()
+        assert_same_columns(cols, want)
+        assert list(cols["gaps"][3:6]) == [2, 1, 3]
+        assert delay_vector(inst, cols["arms"], 200) == delay_vector(inst, want["arms"], 200)
 
     @pytest.mark.parametrize("n, retain_from", [(180, 0), (199, 150), (165, 40)])
     def test_long_block_under_two_cycles_equals_stepwise(self, n, retain_from):
@@ -298,29 +262,24 @@ class TestEnvironment:
         # runs past the block's end, and the block after it reads every arm's last pull
         inst = make_instance([0.9, 0.7, 0.5, 0.3, 0.1], [3, 5, 2, 7, 4], Discount.geometric(0.6))
         prefix = tuple(int(a) for a in np.random.default_rng(8).integers(0, 5, size=100))
-        e1 = Environment(inst, substream(4, "env"))
-        e2 = Environment(inst, substream(4, "env"))
-        got = e1.pull_cycles(prefix, n, policy=2, retain_from=retain_from)
-        after = e1.pull_cycles(range(5), 5)
-        samples = [e2.pull(prefix[t % 100], policy=2, retained=t >= retain_from) for t in range(n)]
-        assert got == (float(sum(s.realized for s in samples[retain_from:])), n - retain_from)
-        assert after == (float(sum(e2.pull(a).realized for a in range(5))), 5)
-        c1, c2 = e1.columns(), e2.columns()
-        for key in c1:
-            assert c1[key].dtype == c2[key].dtype and np.array_equal(c1[key], c2[key]), key
-        assert e1.delay_state() == e2.delay_state()
+        env = Environment(inst, substream(4, "env"))
+        got = env.pull_cycles(prefix, n, policy=2, retain_from=retain_from)
+        after = env.pull_cycles(range(5), 5)
+        want = step_columns(inst, [(prefix, n, 2, retain_from), (range(5), 5, -1, 0)],
+                            substream(4, "env").random(n + 5))
+        assert got == (float(want["realized"][retain_from:n].sum()), n - retain_from)
+        assert after == (float(want["realized"][n:].sum()), 5)
+        cols = env.columns()
+        assert_same_columns(cols, want)
+        assert delay_vector(inst, cols["arms"], n + 5) == delay_vector(inst, want["arms"], n + 5)
 
     def test_short_block_with_repeated_arms_equals_stepwise(self):
         inst = make_instance([0.9, 0.6, 0.3], [2, 3, 1], Discount.geometric(0.7))
-        e1 = Environment(inst, substream(3, "env"))
-        e2 = Environment(inst, substream(3, "env"))
+        env = Environment(inst, substream(3, "env"))
         prefix = (0, 0, 1)
-        e1.pull_cycles(prefix, 60, retain_from=5)
-        for t in range(60):
-            e2.pull(prefix[t % 3], retained=t >= 5)
-        c1, c2 = e1.columns(), e2.columns()
-        for key in c1:
-            assert np.array_equal(c1[key], c2[key]), key
+        env.pull_cycles(prefix, 60, retain_from=5)
+        want = step_columns(inst, [(prefix, 60, -1, 5)], substream(3, "env").random(60))
+        assert_same_columns(env.columns(), want)
 
     def test_construction_cost_does_not_grow_with_delay(self):
         # the payoff table covers the taus the buffered pulls can reach, not all of 0..d
@@ -342,7 +301,5 @@ class TestEnvironment:
         for prefix, n, policy, retain_from in blocks:
             env.pull_cycles(prefix, n, policy, retain_from)
         got = env.columns()
-        want = step_columns(inst, blocks, substream(5, "env").random(env.t))
         assert got["taus"].max() == 301
-        for key in want:
-            assert got[key].dtype == want[key].dtype and np.array_equal(got[key], want[key]), key
+        assert_same_columns(got, step_columns(inst, blocks, substream(5, "env").random(env.t)))

@@ -308,6 +308,8 @@ class TestCli:
         (["--instance", "FIG3", "--algos", "ucb,low", "-T", "1"], "got T=1, k=2"),
         (["--instance", "/nonexistent.json", "-T", "50"], "/nonexistent.json"),
         (["--instance", "FIG3", "--algos", "", "-T", "50"], "at least one algorithm"),
+        (["--instance", "FIG3", "-T", "100", "--seeds", f"0,{2**64}"],
+         f"seed must lie in [0, 2**64), got {2**64}"),
     ])
     def test_bad_experiment_is_one_error_line(self, tmp_path, capsys, args, message):
         fig3 = self.write_fig3(tmp_path)
@@ -325,6 +327,15 @@ class TestCli:
         assert captured.out == ""
         assert captured.err.count("\n") == 1 and captured.err.startswith("error:")
         assert "pull cap" in captured.err
+
+    @pytest.mark.parametrize("command, seed", [(["rank"], -1), (["learn", "-T", "100"], 2**64)])
+    def test_seed_outside_64_bits_is_one_error_line(self, tmp_path, capsys, command, seed):
+        # masked to 64 bits, -1 would run as 2**64 - 1 and 2**64 as 0
+        argv = [*command, "--instance", self.write_fig3(tmp_path), "--seed", str(seed)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: seed must lie in [0, 2**64), got {seed}\n"
 
     def write_fig2_draw0(self, tmp_path):
         # d = 4, 3, 3, 6, 4, 3, 4, so rank's default d0 is 7
@@ -444,6 +455,13 @@ class TestCli:
 
     def test_invalid_intervals_fail(self):
         assert main(["pmsp", "--intervals", "1,2"]) == 2
+
+    def test_rejected_reduction_prints_no_results(self, capsys):
+        assert main(["pmsp", "--intervals", "1", "--check-reduction"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith("error: reduction needs every interval >= 2")
 
     # sha256 of every CSV the two runs below write; any change to a cell's text shows here
     GOLDEN_CSV = {

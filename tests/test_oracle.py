@@ -21,7 +21,6 @@ from delaybandit import (
     pmsp_feasible,
     pmsp_threshold,
     pmsp_to_bandit,
-    segment_sum,
     steady_state_average,
 )
 from helpers import (
@@ -197,9 +196,8 @@ class TestAlternation:
             m = int(rng.integers(1, inst.k))
             n = int(rng.integers(m + 1, inst.k + 1))
             closed = (
-                segment_sum(inst, 0, m, n)
-                + segment_sum(inst, 0, m, m)
-                + segment_sum(inst, m, n, m + n)
+                sum(expected_payoff(inst, j, n) + expected_payoff(inst, j, m) for j in range(m))
+                + sum(expected_payoff(inst, j, m + n) for j in range(m, n))
             ) / F(m + n)
             assert alternation_value(inst, m, n) == closed
 

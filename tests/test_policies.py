@@ -7,13 +7,13 @@ from delaybandit import (
     Discount,
     GreedyPolicy,
     RankingPolicy,
+    expected_payoff,
     g_value,
     ghost_summary,
     greedy_arm,
     make_instance,
     orbit,
     rollout,
-    segment_sum,
     substream,
 )
 from helpers import random_exact_instance
@@ -163,7 +163,8 @@ class TestRollout:
             r = gs.r_star
             c = 6
             trace = rollout(inst, RankingPolicy(r), c * r, substream(1, "r"))
-            expect = segment_sum(inst, 0, r, 0) + (c - 1) * r * g_value(inst, r)
+            first = sum(expected_payoff(inst, j, 0) for j in range(r))
+            expect = first + (c - 1) * r * g_value(inst, r)
             assert trace.cum_expected[-1] == pytest.approx(float(expect), abs=1e-9)
 
     def test_switch_series(self):

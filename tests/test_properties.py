@@ -35,8 +35,8 @@ from delaybandit import (
 from delaybandit.core import _SCALAR_SLACK
 from delaybandit.harness import run_algorithm
 from delaybandit.oracle import _certify, _evaluate_policy
-from helpers import (brute_force_max_mean, random_exact_instance, random_float_instance,
-                     rank_arms_by_scan, step_columns, step_rollout)
+from helpers import (assert_same_columns, brute_force_max_mean, random_exact_instance,
+                     random_float_instance, rank_arms_by_scan, step_columns, step_rollout)
 
 FIG2 = preset_fig2().instance
 fig2_delays = st.lists(st.integers(1, 6), min_size=7, max_size=7)
@@ -63,20 +63,16 @@ def blocks(draw, k):
        seed=st.integers(0, 2**16))
 def test_batching_never_changes_a_trace(ds, block_list, seed):
     inst = fig2_instance(ds)
-    batched = Environment(inst, substream(seed, "env"))
-    stepped = Environment(inst, substream(seed, "env"))
-    for policy, (prefix, n, retain_from) in enumerate(block_list):
-        got = batched.pull_cycles(prefix, n, policy=policy, retain_from=retain_from)
-        total, count = 0, 0
-        for i in range(n):
-            retained = i >= retain_from
-            sample = stepped.pull(prefix[i % len(prefix)], policy=policy, retained=retained)
-            total += sample.realized if retained else 0
-            count += retained
-        assert got == (float(total), count)
-    a, b = batched.columns(), stepped.columns()
-    for key in a:
-        assert a[key].dtype == b[key].dtype and np.array_equal(a[key], b[key]), key
+    env = Environment(inst, substream(seed, "env"))
+    block_list = [(prefix, n, policy, rf) for policy, (prefix, n, rf) in enumerate(block_list)]
+    returns = [env.pull_cycles(*block) for block in block_list]
+    want = step_columns(inst, block_list, substream(seed, "env").random(env.t))
+    start = 0
+    for (_, n, _, rf), got in zip(block_list, returns):
+        kept = slice(start + min(rf, n), start + n)
+        assert got == (float(want["realized"][kept].sum()), n - min(rf, n))
+        start += n
+    assert_same_columns(env.columns(), want)
 
 
 @st.composite
@@ -108,10 +104,7 @@ def test_derived_columns_equal_per_pull_log(instance_seed, kind, seed, data):
     returns = [env.pull_cycles(*block) for block in block_list]
     total = sum(n for _, n, _, _ in block_list)
     want = step_columns(inst, block_list, substream(seed, "env").random(total))
-    got = env.columns()
-    assert list(got) == list(want)
-    for key, col in want.items():
-        assert got[key].dtype == col.dtype and np.array_equal(got[key], col), key
+    assert_same_columns(env.columns(), want)
     start = 0
     for (_, n, _, rf), ret in zip(block_list, returns):
         kept = slice(start + min(rf, n), start + n)
@@ -125,9 +118,7 @@ def _assert_greedy_blocks_equal_step_loop(inst, data):
     seed = data.draw(st.integers(0, 2**16))
     fast = rollout(inst, GreedyPolicy(inst), T, substream(seed, "env"), policy_id=2)
     loop = step_rollout(inst, lambda s: greedy_arm(inst, s), T, substream(seed, "env"), policy_id=2)
-    for key, col in vars(loop).items():
-        got = getattr(fast, key)
-        assert got.dtype == col.dtype and np.array_equal(got, col), key
+    assert_same_columns(vars(fast), vars(loop))
 
 
 @settings(max_examples=40, deadline=None)
@@ -144,31 +135,23 @@ def test_greedy_blocks_equal_step_loop(instance_seed, exact, data):
     _assert_greedy_blocks_equal_step_loop(inst, data)
 
 
-def _calibrated_round_by_pulls(env, active, d0):
-    """Per-pull reference for `calibrated_sample_round`."""
-    k = env.k
+def _calibrated_round_by_pulls(k, active, d0):
+    """Per-pull reference for `calibrated_sample_round`: the round's pulls as (arm, kept),
+    with one kept pull per active arm."""
     removed = [a for a in range(k) if a not in active]
-    samples, pulls = {}, 0
+    pulls = []
     groups = [active[i:i + d0] for i in range(0, len(active), d0)]
     for gi, group in enumerate(groups):
         pool = removed + [a for g in groups[:gi] for a in g]
         if len(group) < d0 and not pool:
             for x in active:
                 others = [a for a in range(k) if a != x]
-                for j in range(d0):
-                    env.pull(others[j % len(others)], retained=False)
-                samples[x] = float(env.pull(x).realized)
-                pulls += d0 + 1
-            return samples, pulls
+                pulls += [(others[j % len(others)], False) for j in range(d0)] + [(x, True)]
+            return pulls
         cycle = group + [pool[j % len(pool)] for j in range(d0 - len(group))]
-        for arm in cycle:
-            env.pull(arm, retained=False)
-        for slot, arm in enumerate(cycle):
-            sample = env.pull(arm, retained=slot < len(group))
-            if slot < len(group):
-                samples[arm] = float(sample.realized)
-        pulls += 2 * d0
-    return samples, pulls
+        pulls += [(arm, False) for arm in cycle]
+        pulls += [(arm, slot < len(group)) for slot, arm in enumerate(cycle)]
+    return pulls
 
 
 @settings(max_examples=80, deadline=None)
@@ -180,17 +163,21 @@ def test_block_calibrated_rounds_equal_per_pull_rounds(instance_seed, data):
     assume(inst.k >= 2)
     d0 = max(inst.ds) + data.draw(st.integers(1, 4))
     seed = data.draw(st.integers(0, 2**16))
-    blocked = Environment(inst, substream(seed, "rank"))
-    stepped = Environment(inst, substream(seed, "rank"))
+    env = Environment(inst, substream(seed, "rank"))
     arm_sets = st.permutations(range(inst.k)).flatmap(
         lambda arms: st.integers(1, inst.k).map(lambda m: list(arms[:m])))
+    pulls = []
     for active in data.draw(st.lists(arm_sets, min_size=1, max_size=4)):
-        got = calibrated_sample_round(blocked, active, d0)
-        assert got == _calibrated_round_by_pulls(stepped, active, d0)
+        got = calibrated_sample_round(env, active, d0)
+        t0 = len(pulls)
+        pulls += _calibrated_round_by_pulls(inst.k, active, d0)
+        want = step_columns(inst, [((arm,), 1, -1, 0 if kept else 1) for arm, kept in pulls],
+                            substream(seed, "rank").random(len(pulls)))
+        samples = {arm: float(want["realized"][t])
+                   for t, (arm, kept) in enumerate(pulls[t0:], t0) if kept}
+        assert got == (samples, len(pulls) - t0)
         assert list(got[0]) == active
-    a, b = blocked.columns(), stepped.columns()
-    for key in a:
-        assert a[key].dtype == b[key].dtype and np.array_equal(a[key], b[key]), key
+    assert_same_columns(env.columns(), want)
 
 
 def _bernoulli_stream(mus, seed):
