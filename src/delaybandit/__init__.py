@@ -8,7 +8,6 @@ baseline, and an experiment harness with CSV output.
 __version__ = "0.1.0"
 
 from .core import (
-    Arm,
     BanditInstance,
     Discount,
     Environment,

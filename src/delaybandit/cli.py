@@ -51,7 +51,7 @@ def _cmd_rank(args) -> int:
     if d0 >= args.pull_cap >= 1:    # a cap below 1 is rank_arms' own error
         raise ValueError(f"d0 must be below the pull cap, got d0={d0} and pull cap "
                          f"{args.pull_cap}: a round pulls at least d0 + 1 times")
-    env = Environment(instance, substream(args.seed, "rank"), capacity=4096)
+    env = Environment(instance, substream(args.seed, "rank"))
     outcome = rank_arms(calibrated_sampler(env, d0), instance.k, args.delta,
                         pull_cap=args.pull_cap)
     print(f"permutation: {' '.join(map(str, outcome.permutation))}")

@@ -15,13 +15,11 @@ from __future__ import annotations
 import hashlib
 from array import array
 from dataclasses import dataclass
-from fractions import Fraction
 from numbers import Rational
 
 import numpy as np
 
 __all__ = [
-    "Arm",
     "BanditInstance",
     "Discount",
     "Environment",
@@ -31,8 +29,6 @@ __all__ = [
     "make_instance",
     "substream",
 ]
-
-Number = int | float | Fraction
 
 # pull_cycles runs a block of at most len(prefix) + _SCALAR_SLACK pulls one by one
 _SCALAR_SLACK = 64
@@ -62,151 +58,122 @@ def _check_seed(seed) -> int:
     return seed
 
 
+# each discount kind and the name of its parameter in `params()` and instance files
+_DISCOUNT_PARAMS = {"geometric": "gamma", "constant": "c", "table": "values"}
+
+
+def _param_name(kind) -> str:
+    if not isinstance(kind, str) or kind not in _DISCOUNT_PARAMS:
+        raise ValueError(f"unknown discount kind {kind!r}")
+    return _DISCOUNT_PARAMS[kind]
+
+
+def _is_count(x) -> bool:
+    # an integer >= 1, possibly as a float or Fraction, but not a bool
+    return not isinstance(x, bool) and x >= 1 and x % 1 == 0
+
+
+@dataclass(frozen=True)
 class Discount:
     """Nonincreasing discount factor f(tau) in [0, 1], queried at integer tau >= 1.
 
     Kinds: geometric(gamma) evaluates gamma**tau lazily; constant(c) is flat;
     table(values) stores f(1), ..., f(n) and extends with f(tau) = f(n) beyond.
+    `param` holds gamma, c or the tuple of values.
     """
 
-    __slots__ = ("kind", "gamma", "c", "values")
+    kind: str
+    param: object
 
-    def __init__(self, kind, *, gamma=None, c=None, values=None):
-        self.kind = kind
-        self.gamma = gamma
-        self.c = c
-        self.values = tuple(values) if values is not None else None
-        if kind == "geometric":
-            if gamma is None or not 0 < gamma < 1:
-                raise ValueError("geometric discount needs gamma in (0, 1)")
-        elif kind == "constant":
-            if c is None or not 0 <= c <= 1:
-                raise ValueError("constant discount needs c in [0, 1]")
-        elif kind == "table":
-            if not self.values:
+    def __post_init__(self):
+        _param_name(self.kind)
+        p = self.param
+        if self.kind == "geometric" and not 0 < p < 1:
+            raise ValueError("geometric discount needs gamma in (0, 1)")
+        if self.kind == "constant" and not 0 <= p <= 1:
+            raise ValueError("constant discount needs c in [0, 1]")
+        if self.kind == "table":
+            p = tuple(p)
+            object.__setattr__(self, "param", p)
+            if not p:
                 raise ValueError("table discount needs at least one value")
-            for v in self.values:
-                if not 0 <= v <= 1:
-                    raise ValueError("table discount values must lie in [0, 1]")
-            for a, b in zip(self.values, self.values[1:]):
-                if b > a:
-                    raise ValueError("table discount values must be nonincreasing")
-        else:
-            raise ValueError(f"unknown discount kind {kind!r}")
+            if not all(0 <= v <= 1 for v in p):
+                raise ValueError("table discount values must lie in [0, 1]")
+            if any(b > a for a, b in zip(p, p[1:])):
+                raise ValueError("table discount values must be nonincreasing")
 
     @classmethod
     def geometric(cls, gamma):
-        return cls("geometric", gamma=gamma)
+        return cls("geometric", gamma)
 
     @classmethod
     def constant(cls, c):
-        return cls("constant", c=c)
+        return cls("constant", c)
 
     @classmethod
     def table(cls, values):
-        return cls("table", values=values)
+        return cls("table", values)
 
     def __call__(self, tau: int):
         if tau < 1:
             raise ValueError("discount is defined for tau >= 1")
         if self.kind == "geometric":
-            return self.gamma**tau
+            return self.param**tau
         if self.kind == "constant":
-            return self.c
-        return self.values[min(tau, len(self.values)) - 1]
+            return self.param
+        return self.param[min(tau, len(self.param)) - 1]
 
     @property
     def is_exact(self) -> bool:
-        if self.kind == "geometric":
-            return isinstance(self.gamma, Rational)
-        if self.kind == "constant":
-            return isinstance(self.c, Rational)
-        return all(isinstance(v, Rational) for v in self.values)
+        values = self.param if self.kind == "table" else (self.param,)
+        return all(isinstance(v, Rational) for v in values)
 
     def params(self) -> dict:
-        if self.kind == "geometric":
-            return {"kind": "geometric", "gamma": self.gamma}
-        if self.kind == "constant":
-            return {"kind": "constant", "c": self.c}
-        return {"kind": "table", "values": list(self.values)}
-
-    def __eq__(self, other):
-        return isinstance(other, Discount) and self.params() == other.params()
-
-    def __repr__(self):
-        return f"Discount({self.params()!r})"
-
-
-@dataclass(frozen=True)
-class Arm:
-    """Baseline mean and delay parameter of one arm."""
-
-    mu: Number
-    d: int
-
-    def __post_init__(self):
-        if not 0 <= self.mu <= 1:
-            raise ValueError(f"baseline mean must lie in [0, 1], got {self.mu}")
-        if isinstance(self.d, bool) or not (self.d >= 1 and self.d % 1 == 0):
-            raise ValueError(f"delay parameter must be an integer >= 1, got {self.d}")
-        object.__setattr__(self, "d", int(self.d))
+        param = list(self.param) if self.kind == "table" else self.param
+        return {"kind": self.kind, _param_name(self.kind): param}
 
 
 class BanditInstance:
-    """Ordered arm list plus the shared discount function.
+    """Baseline means `mus`, delay parameters `ds` and the shared discount.
 
-    The ordinary constructor enforces strictly decreasing baselines. Pass
-    relaxed=True to skip that check (ties, zero baselines); the scheduling
-    reduction needs it, nothing else should.
+    The constructor enforces strictly decreasing baselines. Pass relaxed=True
+    to skip that check (ties, zero baselines); the scheduling reduction needs
+    it, nothing else should.
     """
 
-    __slots__ = ("arms", "discount", "relaxed")
+    __slots__ = ("mus", "ds", "discount")
 
-    def __init__(self, arms, discount: Discount, *, relaxed: bool = False):
-        arms = tuple(arms)
-        if not arms:
+    def __init__(self, mus, ds, discount: Discount, *, relaxed: bool = False):
+        mus, ds = tuple(mus), tuple(ds)
+        if len(mus) != len(ds):
+            raise ValueError("mu and d sequences must have equal length")
+        if not mus:
             raise ValueError("instance needs at least one arm")
-        for arm in arms:
-            if not isinstance(arm, Arm):
-                raise TypeError("arms must be Arm values")
-        if not relaxed:
-            for a, b in zip(arms, arms[1:]):
-                if not a.mu > b.mu:
-                    raise ValueError(
-                        "baselines must be strictly decreasing; "
-                        "use relaxed=True only for the scheduling reduction"
-                    )
-        self.arms = arms
+        for mu, d in zip(mus, ds):
+            if not 0 <= mu <= 1:
+                raise ValueError(f"baseline mean must lie in [0, 1], got {mu}")
+            if not _is_count(d):
+                raise ValueError(f"delay parameter must be an integer >= 1, got {d}")
+        if not relaxed and not all(a > b for a, b in zip(mus, mus[1:])):
+            raise ValueError("baselines must be strictly decreasing; "
+                             "use relaxed=True only for the scheduling reduction")
+        self.mus = mus
+        self.ds = tuple(int(d) for d in ds)
         self.discount = discount
-        self.relaxed = relaxed
 
     @property
     def k(self) -> int:
-        return len(self.arms)
-
-    @property
-    def mus(self) -> tuple:
-        return tuple(a.mu for a in self.arms)
-
-    @property
-    def ds(self) -> tuple:
-        return tuple(a.d for a in self.arms)
+        return len(self.mus)
 
     @property
     def is_exact(self) -> bool:
-        return self.discount.is_exact and all(isinstance(a.mu, Rational) for a in self.arms)
+        return self.discount.is_exact and all(isinstance(mu, Rational) for mu in self.mus)
 
     def __repr__(self):
         return f"BanditInstance(mus={self.mus!r}, ds={self.ds!r}, discount={self.discount!r})"
 
 
-def make_instance(mus, ds, discount: Discount, *, relaxed: bool = False) -> BanditInstance:
-    """Build an instance from parallel mu/d sequences."""
-    mus = list(mus)
-    ds = list(ds)
-    if len(mus) != len(ds):
-        raise ValueError("mu and d sequences must have equal length")
-    return BanditInstance([Arm(m, d) for m, d in zip(mus, ds)], discount, relaxed=relaxed)
+make_instance = BanditInstance
 
 
 def expected_payoff(instance: BanditInstance, arm: int, tau: int):
@@ -218,10 +185,9 @@ def expected_payoff(instance: BanditInstance, arm: int, tau: int):
         raise IndexError(f"arm index {arm} out of range for k={instance.k}")
     if tau < 0:
         raise ValueError("tau must be >= 0")
-    a = instance.arms[arm]
-    if 0 < tau <= a.d:
-        return (1 - instance.discount(tau)) * a.mu
-    return a.mu
+    if 0 < tau <= instance.ds[arm]:
+        return (1 - instance.discount(tau)) * instance.mus[arm]
+    return instance.mus[arm]
 
 
 def initial_state(instance: BanditInstance) -> tuple:
@@ -238,17 +204,17 @@ def advance_state(state, pulled: int, instance: BanditInstance) -> tuple:
         raise ValueError("state length does not match instance")
     if not 0 <= pulled < instance.k:
         raise IndexError(f"arm index {pulled} out of range")
-    nxt = []
-    for j, (tau, arm) in enumerate(zip(state, instance.arms)):
-        if not 0 <= tau <= arm.d:
+    for j, (tau, d) in enumerate(zip(state, instance.ds)):
+        if not 0 <= tau <= d:
             raise ValueError(f"state component {j} out of range: {tau}")
-        if j == pulled:
-            nxt.append(1)
-        elif tau == 0 or tau >= arm.d:
-            nxt.append(0)
-        else:
-            nxt.append(tau + 1)
-    return tuple(nxt)
+    aged = _aged(state, instance.ds)
+    return aged[:pulled] + (1,) + aged[pulled + 1:]
+
+
+def _aged(state, ds) -> tuple:
+    """The delay vector one round on, before any pull: each running delay grows by one and
+    wraps to 0 past d; idle arms at 0 stay 0."""
+    return tuple(0 if tau == 0 or tau >= d else tau + 1 for tau, d in zip(state, ds))
 
 
 class Environment:
@@ -267,7 +233,7 @@ class Environment:
         self.instance = instance
         self.k = instance.k
         self._rng = rng
-        self._ds = [a.d for a in instance.arms]
+        self._ds = instance.ds
         self.t = 0
         self._last: list = [None] * self.k
         self._u = rng.random(max(int(capacity), 16))   # uniform t is pull t's

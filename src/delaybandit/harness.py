@@ -23,7 +23,7 @@ from numbers import Real
 import numpy as np
 
 from . import __version__
-from .core import BanditInstance, Discount, _check_seed, make_instance, substream
+from .core import BanditInstance, Discount, _check_seed, _param_name, make_instance, substream
 from .low_switch import run_pi_low, stage_schedule
 from .policies import GreedyPolicy, PolicyTrace, RankingPolicy, ghost_summary, orbit, rollout
 from .ucb import run_ucb_rankings
@@ -99,13 +99,9 @@ def _field(doc, name: str):
 
 def _discount_from_doc(doc: dict) -> Discount:
     kind = _field(doc, "kind")
-    if kind == "geometric":
-        return Discount.geometric(_num_from_json(_field(doc, "gamma"), "gamma"))
-    if kind == "constant":
-        return Discount.constant(_num_from_json(_field(doc, "c"), "c"))
-    if kind == "table":
-        return Discount.table(_nums_from_json(doc, "values"))
-    raise ValueError(f"unknown discount kind {kind!r}")
+    name = _param_name(kind)
+    param = _nums_from_json(doc, name) if kind == "table" else _num_from_json(_field(doc, name), name)
+    return Discount(kind, param)
 
 
 def load_instance(source) -> BanditInstance:

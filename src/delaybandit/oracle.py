@@ -24,7 +24,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import Arm, BanditInstance, Discount, expected_payoff, initial_state
+from .core import BanditInstance, Discount, _aged, _is_count, expected_payoff, initial_state
 from .policies import _cycle_mean, g_value, orbit
 
 __all__ = [
@@ -71,17 +71,16 @@ def build_state_graph(instance: BanditInstance, cap: int = 10**6) -> StateGraph:
     """Breadth-first search from the all-zero state; more than `cap` reachable states is an error."""
     if cap < 1:
         raise ValueError("cap must be >= 1")
-    ds = instance.ds
     # a reachable state's tau never exceeds the reachable-state count, so cap bounds the table
     payoff = [[expected_payoff(instance, arm, tau) for tau in range(min(d, cap) + 1)]
-              for arm, d in enumerate(ds)]
+              for arm, d in enumerate(instance.ds)]
     start = initial_state(instance)
     nodes = [start]
     index = {start: 0}
     succ = []
     for state in nodes:  # nodes grows behind the loop: a breadth-first queue
         # advance_state for every arm at once: age all taus, then reset the pulled one
-        aged = tuple(0 if tau == 0 or tau >= d else tau + 1 for tau, d in zip(state, ds))
+        aged = _aged(state, instance.ds)
         row = []
         for arm in range(instance.k):
             nxt = aged[:arm] + (1,) + aged[arm + 1:]
@@ -274,11 +273,12 @@ class PmspInstance:
     intervals: tuple
 
     def __post_init__(self):
-        ivs = tuple(int(v) for v in self.intervals)
+        ivs = tuple(self.intervals)
         if not ivs:
             raise ValueError("need at least one service interval")
-        if any(v < 1 for v in ivs):
+        if not all(map(_is_count, ivs)):
             raise ValueError("service intervals must be positive integers")
+        ivs = tuple(map(int, ivs))
         if sum(Fraction(1, v) for v in ivs) > 1:
             raise ValueError("sum of 1/l_i must be at most 1")
         object.__setattr__(self, "intervals", ivs)
@@ -301,8 +301,8 @@ def pmsp_to_bandit(pmsp: PmspInstance) -> BanditInstance:
     """
     if any(v < 2 for v in pmsp.intervals):
         raise ValueError("reduction needs every interval >= 2 (d = l - 1 must be >= 1)")
-    arms = [Arm(1, v - 1) for v in pmsp.intervals] + [Arm(0, 1)]
-    return BanditInstance(arms, Discount.constant(1), relaxed=True)
+    ds = [v - 1 for v in pmsp.intervals] + [1]
+    return BanditInstance([1] * pmsp.n + [0], ds, Discount.constant(1), relaxed=True)
 
 
 @dataclass(frozen=True)

@@ -139,9 +139,8 @@ def ghost_summary(instance: BanditInstance) -> GhostSummary:
             r_star = m
     r_zero = 1
     for i in range(2, k + 1):
-        mu_i = instance.arms[i - 1].mu
         best_replay = max(expected_payoff(instance, j - 1, i - j) for j in range(1, i))
-        if mu_i > best_replay:
+        if instance.mus[i - 1] > best_replay:
             r_zero = i
         else:
             break

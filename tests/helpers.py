@@ -74,7 +74,7 @@ def step_columns(inst, blocks, u):
             t = len(rows)
             arm = prefix[i % len(prefix)]
             gap = t - last[arm] if arm in last else -1
-            tau = gap if 0 < gap <= inst.arms[arm].d else 0
+            tau = gap if 0 < gap <= inst.ds[arm] else 0
             p = float(expected_payoff(inst, arm, tau))
             rows.append((arm, tau, gap, p, int(u[t] < p), policy, i >= retain_from))
             last[arm] = t
@@ -88,8 +88,8 @@ def delay_vector(inst, arms, t):
     """Capped delay vector at time t off a log's arms column: rounds since each arm's last
     pull before t, 0 if it has none within its delay."""
     state = []
-    for a, arm in enumerate(inst.arms):
-        recent = [int(x) for x in arms[max(t - arm.d, 0):t]][::-1]
+    for a, d in enumerate(inst.ds):
+        recent = [int(x) for x in arms[max(t - d, 0):t]][::-1]
         state.append(recent.index(a) + 1 if a in recent else 0)
     return tuple(state)
 

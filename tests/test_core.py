@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from delaybandit import (
-    Arm,
     BanditInstance,
     Discount,
     Environment,
@@ -66,15 +65,15 @@ class TestInstanceValidation:
 
     def test_arm_bounds(self):
         with pytest.raises(ValueError):
-            Arm(1.5, 1)
+            make_instance([1.5], [1], Discount.constant(0.5))
         with pytest.raises(ValueError):
-            Arm(0.5, 0)
+            make_instance([0.5], [0], Discount.constant(0.5))
         with pytest.raises(ValueError):
-            Arm(0.5, 1.5)
+            make_instance([0.5], [1.5], Discount.constant(0.5))
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            BanditInstance([], Discount.constant(0.5))
+            BanditInstance([], [], Discount.constant(0.5))
 
 
 class TestExpectedPayoff:
@@ -105,17 +104,17 @@ class TestExpectedPayoff:
         rng = np.random.default_rng(1)
         for _ in range(25):
             inst = random_exact_instance(rng)
-            for i, arm in enumerate(inst.arms):
-                assert expected_payoff(inst, i, 0) == arm.mu
-                assert expected_payoff(inst, i, arm.d + 1) == arm.mu
-                assert expected_payoff(inst, i, arm.d + 5) == arm.mu
+            for i, (mu, d) in enumerate(zip(inst.mus, inst.ds)):
+                assert expected_payoff(inst, i, 0) == mu
+                assert expected_payoff(inst, i, d + 1) == mu
+                assert expected_payoff(inst, i, d + 5) == mu
 
     def test_nondecreasing_in_tau(self):
         rng = np.random.default_rng(2)
         for _ in range(25):
             inst = random_exact_instance(rng)
-            for i, arm in enumerate(inst.arms):
-                vals = [expected_payoff(inst, i, tau) for tau in range(1, arm.d + 2)]
+            for i, d in enumerate(inst.ds):
+                vals = [expected_payoff(inst, i, tau) for tau in range(1, d + 2)]
                 assert all(a <= b for a, b in zip(vals, vals[1:]))
 
 
@@ -139,15 +138,15 @@ class TestAdvanceState:
             inst = random_exact_instance(rng)
             pattern = [int(rng.integers(0, inst.k)) for _ in range(int(rng.integers(1, 4)))]
             bound = 1
-            for arm in inst.arms:
-                bound *= arm.d + 1
+            for d in inst.ds:
+                bound *= d + 1
             state = initial_state(inst)
             seen = {state}
             for rounds in range(bound + 1):
                 for a in pattern:
                     state = advance_state(state, a, inst)
-                    for tau, arm in zip(state, inst.arms):
-                        assert 0 <= tau <= arm.d
+                    for tau, d in zip(state, inst.ds):
+                        assert 0 <= tau <= d
                 if state in seen:
                     break
                 seen.add(state)

@@ -146,7 +146,7 @@ class TestMaxMeanCycle:
         # search stopped there at 0.630 while cutoff 3 alone earns g(3) = 0.696
         inst = random_float_instance(np.random.default_rng(19281), kmax=5)
         exact = make_instance([F(m) for m in inst.mus], inst.ds,
-                              Discount.table([F(v) for v in inst.discount.values]))
+                              Discount.table([F(v) for v in inst.discount.param]))
         rho, _ = optimal_average(inst)
         assert rho == pytest.approx(float(optimal_average(exact)[0]), abs=1e-12)
         assert rho >= max(g_value(inst, m) for m in range(1, inst.k + 1))
@@ -222,6 +222,13 @@ class TestPmsp:
         with pytest.raises(ValueError):
             PmspInstance(())
         PmspInstance((2, 2))  # sum exactly 1 is allowed
+
+    def test_non_integer_interval_rejected(self):
+        # truncating (2.5, 4) to (2, 4) would answer for a different, feasible instance
+        for intervals in [(2.5, 4), (4, 4, 2.5), (True,)]:
+            with pytest.raises(ValueError, match="positive integers"):
+                PmspInstance(intervals)
+        assert PmspInstance((2, 4.0)).intervals == (2, 4)
 
     def test_reduction_mapping(self):
         inst = pmsp_to_bandit(PmspInstance((2, 4, 4)))

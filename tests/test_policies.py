@@ -131,7 +131,7 @@ class TestGhostSummary:
             lam = F(int(rng.integers(1, 10)), 10)
             scaled = make_instance([lam * m for m in inst.mus], inst.ds, inst.discount)
             assert ghost_summary(scaled).r_star == ghost_summary(inst).r_star
-            state = tuple(int(rng.integers(0, a.d + 1)) for a in inst.arms)
+            state = tuple(int(rng.integers(0, d + 1)) for d in inst.ds)
             assert greedy_arm(scaled, state) == greedy_arm(inst, state)
 
 

@@ -112,19 +112,38 @@ def test_derived_columns_equal_per_pull_log(instance_seed, kind, seed, data):
         start += n
 
 
-def _assert_greedy_blocks_equal_step_loop(inst, data):
+def _greedy_horizon(inst):
+    """A horizon long enough for the greedy rollout's tiled second block."""
     head, cycle = orbit(inst, GreedyPolicy(inst), arms=True)
-    T = data.draw(st.integers(0, len(head) + 3 * (len(cycle) + _SCALAR_SLACK)))
-    seed = data.draw(st.integers(0, 2**16))
+    return len(head) + 3 * (len(cycle) + _SCALAR_SLACK)
+
+
+def _greedy_rollout_equals_step_loop(inst, T, seed):
     fast = rollout(inst, GreedyPolicy(inst), T, substream(seed, "env"), policy_id=2)
     loop = step_rollout(inst, lambda s: greedy_arm(inst, s), T, substream(seed, "env"), policy_id=2)
     assert_same_columns(vars(fast), vars(loop))
+    return fast
+
+
+def _assert_greedy_blocks_equal_step_loop(inst, data):
+    T = data.draw(st.integers(0, _greedy_horizon(inst)))
+    _greedy_rollout_equals_step_loop(inst, T, data.draw(st.integers(0, 2**16)))
 
 
 @settings(max_examples=40, deadline=None)
 @given(ds=fig2_delays, data=st.data())
 def test_greedy_blocks_equal_step_loop_on_fig2_draws(ds, data):
     _assert_greedy_blocks_equal_step_loop(fig2_instance(ds), data)
+
+
+def test_greedy_blocks_equal_step_loop_inside_delay_windows():
+    # on the derandomized fig2 draws greedy never replays an arm within its delay; at d = 6
+    # for every arm it does, so discounted payoffs reach the comparison
+    inst = fig2_instance((6,) * 7)
+    T = _greedy_horizon(inst)
+    assert T == 294
+    taus = _greedy_rollout_equals_step_loop(inst, T, 0).taus
+    assert np.count_nonzero(taus) > 0 and taus.max() == 6
 
 
 @settings(max_examples=60, deadline=None)
