@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import BanditInstance, Environment, substream
+from .core import BanditInstance, Environment, _is_count, substream
 from .policies import PolicyTrace
 
 __all__ = [
@@ -54,28 +54,28 @@ class StageSchedule:
 def stage_schedule(k: int, T: int, delta: float) -> StageSchedule:
     """Sizes T_s = ceil(T^(1 - 2^-s)); stop at the first S with sum(k + T_s) >= T.
 
-    The stage count uses k as the active-set size (its upper bound), so the
-    whole schedule, including the radii C_s = sqrt(k/(2 T_s) ln(2kS/delta)),
-    is fixed before any data is seen.
+    T_s is the least integer x with x^(2^s) >= T^(2^s - 1): s nested integer
+    ceiling square roots of T^(2^s - 1), exact at every horizon. The stage
+    count uses k as the active-set size (its upper bound), so the whole
+    schedule, including the radii C_s = sqrt(k/(2 T_s) ln(2kS/delta)), is
+    fixed before any data is seen.
     """
     if k < 1 or T < k:
         raise ValueError(f"need horizon T >= k >= 1 arms, got T={T}, k={k}")
+    if not _is_count(T):
+        raise ValueError(f"horizon T must be an integer, got {T}")
+    T = int(T)
     if not 0 < delta < 1:
         raise ValueError("delta must lie in (0, 1)")
     sizes = []
     total = 0
-    s = 1
-    while True:
-        v = float(T) ** (1.0 - 0.5**s)
-        iv = round(v)
-        # snap near-integer powers so exact roots do not ceil one too high
-        ts = iv if abs(v - iv) < 1e-9 * max(1.0, abs(iv)) else math.ceil(v)
-        ts = max(1, int(ts))
+    while total < T:
+        s = len(sizes) + 1
+        ts = T ** (2**s - 1)
+        for _ in range(s):
+            ts = math.isqrt(ts - 1) + 1  # ceil(sqrt(ts))
         sizes.append(ts)
         total += k + ts
-        if total >= T:
-            break
-        s += 1
     S = len(sizes)
     radii = tuple(math.sqrt(k / (2.0 * ts) * math.log(2.0 * k * S / delta)) for ts in sizes)
     return StageSchedule(T, k, delta, tuple(sizes), radii)
@@ -145,44 +145,32 @@ def run_pi_low(instance: BanditInstance, T: int, delta: float, seed: int = 0,
     env = Environment(instance, rng, capacity=T)
     active = list(range(1, k + 1))
     records: list[StageRecord] = []
-    for s in range(1, sched.num_stages + 1):
+    for s, (ts, cs) in enumerate(zip(sched.sizes, sched.radii), 1):
         if env.t >= T:
             break
-        ts = sched.sizes[s - 1]
-        stage_active = list(active)
-        plays = {m: plays_per_policy(ts, m, len(stage_active)) for m in stage_active}
-        sums: dict = {}
-        counts: dict = {}
-        pulls_done: dict = {}
-        truncated = False
-        for m in stage_active:
-            target = plays[m] * m
-            n = min(target, T - env.t)
+        plays = {m: plays_per_policy(ts, m, len(active)) for m in active}
+        pulls: dict = {}
+        estimates: dict = {}
+        for m in active:
+            n = min(plays[m] * m, T - env.t)
             if n == 0:
-                truncated = True
                 break
             ret_sum, ret_n = env.pull_cycles(range(m), n, policy=m, retain_from=m)
-            sums[m] = ret_sum
-            counts[m] = ret_n
-            pulls_done[m] = n
-            if n < target:
-                truncated = True
-                break
-        estimates = {m: sums[m] / counts[m] for m in stage_active if counts.get(m, 0) > 0}
-        if truncated:
-            records.append(StageRecord(s, tuple(stage_active), plays, pulls_done,
-                                       estimates, None, (), True))
-            break
-        best = min(estimates, key=lambda m: (-estimates[m], m))
-        cs = sched.radii[s - 1]
-        eliminated = tuple(m for m in stage_active if estimates[m] < estimates[best] - 2 * cs)
-        active = [m for m in stage_active if m not in eliminated]
-        records.append(StageRecord(s, tuple(stage_active), plays, pulls_done,
-                                   estimates, best, eliminated, False))
+            pulls[m] = n
+            if ret_n > 0:
+                estimates[m] = ret_sum / ret_n
+        truncated = any(pulls.get(m, 0) < plays[m] * m for m in active)
+        best, eliminated = None, ()
+        if not truncated:
+            best = min(estimates, key=lambda m: (-estimates[m], m))
+            eliminated = tuple(m for m in active if estimates[m] < estimates[best] - 2 * cs)
+        records.append(StageRecord(s, tuple(active), plays, pulls, estimates, best,
+                                   eliminated, truncated))
+        active = [m for m in active if m not in eliminated]
     tail = 0
     if env.t < T:
-        # budget left after the final scheduled stage: exploit the last best
-        best = records[-1].best if records and records[-1].best is not None else 1
+        # budget left after the final scheduled stage, which finished: exploit its best
+        best = records[-1].best
         tail = T - env.t
         env.pull_cycles(range(best), tail, policy=best, retain_from=tail)
     trace = PolicyTrace.from_env(env)

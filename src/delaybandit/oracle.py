@@ -57,7 +57,6 @@ class StateGraph:
     """
 
     nodes: list
-    index: dict
     succ: list
     start: int
     exact: bool
@@ -92,20 +91,19 @@ def build_state_graph(instance: BanditInstance, cap: int = 10**6) -> StateGraph:
                 nodes.append(nxt)
             row.append((v, payoff[arm][state[arm]]))
         succ.append(row)
-    return StateGraph(nodes, index, succ, 0, instance.is_exact)
+    return StateGraph(nodes, succ, 0, instance.is_exact)
 
 
 @dataclass
 class OptimalCycle:
     """Witness cycle achieving the optimal long-run average.
 
-    mean is always the arithmetic mean of the cycle's edge weights; mean_exact
-    carries the same value as a Fraction when the graph was exact.
+    mean is the arithmetic mean of the cycle's edge weights by `_cycle_mean`'s
+    rule: a Fraction when the graph was exact, else a float.
     reachable_states counts the states of the graph that was searched.
     """
 
-    mean: float
-    mean_exact: Fraction | None
+    mean: float | Fraction
     states: list
     arms: list
     reachable_states: int
@@ -135,7 +133,7 @@ def _evaluate_policy(nxt, wts, policy, h_prev):
             cycle = path[i:]
             root = min(cycle)
             r = cycle.index(root)
-            eta[root] = sum(gain[x] for x in cycle) / len(cycle)
+            eta[root] = _cycle_mean([gain[x] for x in cycle])
             h[root] = h_prev[root]
             path = path[:i] + cycle[r + 1:] + cycle[:r]
         for x in reversed(path):  # each node after its successor
@@ -221,15 +219,14 @@ def max_mean_cycle(graph: StateGraph) -> OptimalCycle:
     if graph.exact and mean != eta[graph.start]:
         raise RuntimeError("witness cycle mean disagrees with the certified optimum")
     states = [graph.nodes[x] for x in cyc_nodes]
-    return OptimalCycle(float(mean), mean if graph.exact else None, states, cyc_arms, n)
+    return OptimalCycle(mean, states, cyc_arms, n)
 
 
 def optimal_average(instance: BanditInstance, cap: int = 10**6):
     """Optimal long-run average reward and a witness periodic schedule."""
     graph = build_state_graph(instance, cap=cap)
     cycle = max_mean_cycle(graph)
-    rho = cycle.mean_exact if cycle.mean_exact is not None else cycle.mean
-    return rho, cycle
+    return cycle.mean, cycle
 
 
 def steady_state_average(instance: BanditInstance, pattern):
@@ -278,10 +275,9 @@ class PmspInstance:
             raise ValueError("need at least one service interval")
         if not all(map(_is_count, ivs)):
             raise ValueError("service intervals must be positive integers")
-        ivs = tuple(map(int, ivs))
-        if sum(Fraction(1, v) for v in ivs) > 1:
+        object.__setattr__(self, "intervals", tuple(map(int, ivs)))
+        if pmsp_threshold(self) > 1:
             raise ValueError("sum of 1/l_i must be at most 1")
-        object.__setattr__(self, "intervals", ivs)
 
     @property
     def n(self) -> int:
@@ -329,28 +325,28 @@ def pmsp_feasible(pmsp: PmspInstance, cap: int = 10**4) -> PmspSchedule:
     if period > cap:
         raise ValueError(f"lcm of intervals ({period}) exceeds cap ({cap})")
     order = sorted(range(len(ivs)), key=lambda i: ivs[i])
+    # depth-first over machines by interval, offsets ascending; chosen[j] is
+    # the offset of machine order[j], and a dead end moves the previous
+    # machine on to its next offset
     chosen: list = []
-
-    def search(pos: int) -> bool:
-        if pos == len(order):
-            return True
+    o = 0
+    while len(chosen) < len(order):
+        pos = len(chosen)
         li = ivs[order[pos]]
-        for o in range(li):
-            ok = True
+        while o < li:
             for j in range(pos):
-                lj = ivs[order[j]]
-                if (o - chosen[j]) % math.gcd(li, lj) == 0:
-                    ok = False
+                if (o - chosen[j]) % math.gcd(li, ivs[order[j]]) == 0:
                     break
-            if ok:
-                chosen.append(o)
-                if search(pos + 1):
-                    return True
-                chosen.pop()
-        return False
-
-    if not search(0):
-        return PmspSchedule(False, period)
+            else:
+                break
+            o += 1
+        if o < li:
+            chosen.append(o)
+            o = 0
+        elif chosen:
+            o = chosen.pop() + 1
+        else:
+            return PmspSchedule(False, period)
     offsets = [0] * len(ivs)
     for pos, machine in enumerate(order):
         offsets[machine] = chosen[pos]

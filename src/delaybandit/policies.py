@@ -179,16 +179,11 @@ class PolicyTrace:
         return np.cumsum(self.realized.astype(np.int64))
 
     @cached_property
-    def switch_flags(self) -> np.ndarray:
-        """True where the executing policy id changes (first pull never counts)."""
-        flags = np.zeros(len(self), bool)
-        if len(self) > 1:
-            flags[1:] = self.policy[1:] != self.policy[:-1]
-        return flags
-
-    @cached_property
     def cum_switches(self) -> np.ndarray:
-        return np.cumsum(self.switch_flags.astype(np.int64))
+        """Policy-id changes up to each pull (the first pull never counts)."""
+        flags = np.zeros(len(self), np.int64)
+        flags[1:] = self.policy[1:] != self.policy[:-1]
+        return np.cumsum(flags)
 
     @property
     def total_switches(self) -> int:

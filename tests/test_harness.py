@@ -518,6 +518,9 @@ class TestCli:
         (1, ("rank",)): (0, "e3cca16d2a43220da59f50687be0223ff7efa878eba0ff6e0357c7fc2c239c2a"),
         (0, ("learn", "-T", "5000")):
             (0, "7634b8b82d26606a4cb0c08caba01956b55f7b02007aaad3c3e57b7c8c119a28"),
+        # T_5 = 9,492 at this horizon needs the stage sizes in exact integers
+        (0, ("learn", "-T", "12753")):
+            (0, "176ce148f3ccf5489090f206d8cb8e849d978210bd0e8d64b81642e69c2e1eb8"),
     }
 
     def test_rank_and_learn_stdout_is_pinned(self, tmp_path, capsys):

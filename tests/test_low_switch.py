@@ -42,9 +42,20 @@ class TestStageSchedule:
             assert total >= T
             assert sum(k + ts for ts in s.sizes[:-1]) < T
 
+    def test_sizes_are_exact_ceilings(self):
+        # T_s = ceil(T^(1 - 2^-s)) at horizons where a float power of T is one too low
+        assert stage_schedule(7, 12_753, 0.1).sizes == (113, 1201, 3913, 7064, 9492)
+        assert stage_schedule(7, 900_000_001, 0.1).sizes[0] == 30_001
+        assert stage_schedule(3, 10**4, 0.1) == stage_schedule(3, 1e4, 0.1)
+
     def test_degenerate_params(self):
         with pytest.raises(ValueError):
             stage_schedule(3, 2, 0.1)
+        with pytest.raises(ValueError):
+            stage_schedule(3, 2.5, 0.1)
+        for T in (1000.5, F(20001, 2)):
+            with pytest.raises(ValueError, match="integer"):
+                stage_schedule(3, T, 0.1)
         with pytest.raises(ValueError):
             stage_schedule(0, 5, 0.1)
         with pytest.raises(ValueError):
@@ -142,11 +153,14 @@ class TestRunPiLow:
         assert np.array_equal(tr.gaps[mask], tr.policy[mask])
 
     def test_exploitation_tail(self):
-        # tiny horizon relative to k: scheduled stages may underspend, the
-        # leftover replays the last empirical best and is never retained
-        inst = make_instance([F(9, 10), F(5, 10), F(1, 10)], [1, 1, 1], Discount.constant(F(1, 2)))
-        run = run_pi_low(inst, 2000, 0.1, seed=2)
-        assert len(run.trace) == 2000
-        if run.tail_pulls:
-            tail = run.trace.retained[-run.tail_pulls:]
-            assert not tail.any()
+        # the four scheduled stages finish two pulls short of T = 9,061: the
+        # leftover replays the last stage's best cutoff and is never retained
+        inst = make_instance([1, 0], [1, 1], Discount.constant(0), relaxed=True)
+        run = run_pi_low(inst, 9061, 0.1, seed=0)
+        assert len(run.trace) == 9061
+        assert run.tail_pulls == 2
+        assert [rec.truncated for rec in run.stages] == [False] * 4
+        assert run.stages[0].eliminated == (2,) and run.stages[-1].best == 1
+        tail = slice(-run.tail_pulls, None)
+        assert (run.trace.policy[tail] == 1).all() and (run.trace.arms[tail] == 0).all()
+        assert not run.trace.retained[tail].any()

@@ -1,3 +1,5 @@
+import inspect
+import sys
 from fractions import Fraction as F
 
 import numpy as np
@@ -70,8 +72,9 @@ class TestStateGraph:
             g = build_state_graph(inst)
             assert set(g.nodes) == closure and g.n_nodes == len(closure)
             assert g.nodes[g.start] == initial_state(inst)
+            index = {state: u for u, state in enumerate(g.nodes)}
+            assert len(index) == g.n_nodes  # no state appears twice
             for u, state in enumerate(g.nodes):
-                assert g.index[state] == u
                 for arm, (v, w) in enumerate(g.succ[u]):
                     assert g.nodes[v] == advance_state(state, arm, inst)
                     assert w == expected_payoff(inst, arm, state[arm])
@@ -125,9 +128,10 @@ class TestMaxMeanCycle:
             assert rho == brute_force_max_mean(inst)
             # witness sanity: mean is the arithmetic mean of its own edges
             graph = build_state_graph(inst)
+            index = {state: u for u, state in enumerate(graph.nodes)}
             total = 0
             for state, arm in zip(cycle.states, cycle.arms):
-                total += graph.succ[graph.index[state]][arm][1]
+                total += graph.succ[index[state]][arm][1]
             assert F(total, len(cycle)) == rho
             assert len(cycle) <= graph.n_nodes
 
@@ -262,6 +266,16 @@ class TestPmsp:
     def test_cap(self):
         with pytest.raises(ValueError):
             pmsp_feasible(PmspInstance((101, 103)), cap=100)
+
+    def test_many_machines_need_no_recursion(self):
+        # the offset search is a loop: 120 machines fit under a stack of 60 frames
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack()) + 60)
+        try:
+            verdict = pmsp_feasible(PmspInstance((120,) * 120))
+        finally:
+            sys.setrecursionlimit(limit)
+        assert verdict.feasible and verdict.offsets == tuple(range(120))
 
     def test_threshold(self):
         assert pmsp_threshold(PmspInstance((2, 4, 4))) == 1
