@@ -73,6 +73,16 @@ def _is_count(x) -> bool:
     return not isinstance(x, bool) and x >= 1 and x % 1 == 0
 
 
+def _check_horizon(T) -> int:
+    """The horizon as an int, 0 allowed; a negative or fractional one would be coerced, so it
+    raises."""
+    if T < 0:
+        raise ValueError("horizon must be >= 0")
+    if T and not _is_count(T):
+        raise ValueError(f"horizon T must be an integer, got {T}")
+    return int(T)
+
+
 @dataclass(frozen=True)
 class Discount:
     """Nonincreasing discount factor f(tau) in [0, 1], queried at integer tau >= 1.
@@ -222,10 +232,12 @@ class Environment:
 
     The log is the block sequence plus the uniforms it consumed: pull t reads
     uniform t of the stream, and from the all-zero start the arms fix every
-    other column, which `columns` derives on demand. Every pull runs through
-    `pull_cycles`. Per-arm last-pull times make a pull cost O(1) regardless of
-    k. The realized channel depends only on the stream and the pull sequence,
-    not on how pulls are batched.
+    other column, which `columns` derives on demand. Every block is logged by
+    `log_blocks`: `pull_cycles` logs its block there and then reads the block's
+    reward, and a caller that decided its blocks already (UCB) logs them all in
+    one call. Per-arm last-pull times make a pull cost O(1) regardless of k.
+    The realized channel depends only on the stream and the pull sequence, not
+    on how pulls are batched.
     """
 
     def __init__(self, instance: BanditInstance, rng: np.random.Generator,
@@ -274,11 +286,11 @@ class Environment:
         """Capped delay vector: rounds since each arm's last pull, 0 past its delay. Nothing
         in the lab calls it; it stays only because perfbench/tracer.py patches it (ROADMAP
         item 1)."""
-        return tuple(self._row(arm, self.t)[0] for arm in range(self.k))
+        return tuple(self._row(arm, self.t, self._last[arm])[0] for arm in range(self.k))
 
-    def _row(self, arm: int, t: int) -> tuple:
-        # capped tau at time t since the arm's last pull (0 if none), and its expected payoff
-        last = self._last[arm]
+    def _row(self, arm: int, t: int, last) -> tuple:
+        # capped tau at time t since the arm's last pull at `last` (None if none), and its
+        # expected payoff
         tau = t - last if last is not None and t - last <= self._ds[arm] else 0
         return tau, self._ptable[arm][tau]
 
@@ -289,57 +301,109 @@ class Environment:
         only because perfbench/tracer.py patches it (ROADMAP item 1)."""
         return self.pull_cycles((arm,), 1, policy, retain_from=0 if retained else 1)
 
+    def log_blocks(self, blocks) -> None:
+        """Log decided blocks, each (prefix, n, policy, retain_from) with a tuple prefix, in
+        order and exactly as `pull_cycles` logs its own block, but compute no reward:
+        `columns` derives the realized channel from the uniforms.
+
+        Per block: a new prefix is checked and numbered, the buffer is reserved, the block
+        is appended (none for n <= 0 pulls; retain_from clipped to [0, n]), and the clock
+        and each pulled arm's last-pull time move to the block's end; a block shorter than
+        its prefix sets only the arms it pulls. A bad prefix raises before its block is
+        logged, as it would in `pull_cycles`.
+        """
+        ids, log, last = self._cycle_ids, self._blocks, self._last
+        for prefix, n, policy, retain_from in blocks:
+            cycle = ids.get(prefix)
+            if cycle is None:
+                if not prefix:
+                    raise ValueError("prefix must be nonempty")
+                if not all(0 <= a < self.k for a in prefix):
+                    raise IndexError(f"prefix {prefix} has an arm out of range for k={self.k}")
+                cycle = ids[prefix] = len(ids)
+            n = int(n)
+            if n <= 0:
+                continue
+            t = self.t
+            self._reserve(t + n)
+            rf = int(retain_from)
+            log.extend((n, cycle, policy, 0 if rf < 0 else n if rf > n else rf))
+            m = len(prefix)
+            if n < m:
+                prefix = prefix[:n]
+            elif n % m:     # the last m pulls hold every arm's final pull: the prefix rotated
+                prefix = prefix[n % m:] + prefix[:n % m]
+            for i, arm in enumerate(prefix, t + n - len(prefix)):
+                last[arm] = i
+            self.t = t + n
+
     def pull_cycles(self, prefix, n_pulls: int, policy: int = -1,
                     retain_from: int = 0) -> tuple[float, int]:
         """Pull n_pulls rounds cycling over `prefix`, in order.
 
-        The call is logged as one block; pulls with index >= retain_from are
-        flagged retained, and the return is the realized-reward sum and count
-        over them. Any cycle works, repeated arms included. Short blocks (at
-        most len(prefix) + 64 pulls) run pull by pull. A longer block runs its
-        first cycle pull by pull too; a payoff depends only on the gap since
-        the arm's last pull, so from the second cycle on every position pays
-        what it pays in the second cycle, whose payoffs `_row` computes and
-        the tail tiles. Either way pull t reads uniform t of the stream.
+        The call is logged as one block by `log_blocks`; pulls with index >= retain_from
+        are flagged retained, and the return is the realized-reward sum and count over
+        them. Any cycle works, repeated arms included. Short blocks (at most
+        len(prefix) + 64 pulls) run pull by pull. A longer block runs its first cycle pull
+        by pull too; a payoff depends only on the gap since the arm's last pull, so from
+        the second cycle on every position pays what it pays in the second cycle, whose
+        payoffs `_row` computes and the tail tiles. Either way pull t reads uniform t of
+        the stream.
         """
         prefix = tuple(prefix)
-        cycle = self._cycle_ids.get(prefix)
-        if cycle is None:
-            if not prefix:
-                raise ValueError("prefix must be nonempty")
-            if not all(0 <= a < self.k for a in prefix):
-                raise IndexError(f"prefix {prefix} has an arm out of range for k={self.k}")
-            cycle = self._cycle_ids[prefix] = len(self._cycle_ids)
-        m = len(prefix)
-        n = int(n_pulls)
-        if n <= 0:
+        t0, last = self.t, self._last[:]    # the block's gaps count from the pulls before it
+        self.log_blocks(((prefix, n_pulls, policy, retain_from),))
+        n = self.t - t0
+        rf = self._blocks[-1] if n else 0
+        if rf == n:     # nothing retained, so no reward to read
             return 0.0, 0
-        t0 = self.t
-        self._reserve(t0 + n)
-        rf = min(max(int(retain_from), 0), n)
-        self._blocks.extend((n, cycle, policy, rf))
+        m = len(prefix)
         head = n if n <= m + _SCALAR_SLACK else m
-        last = self._last
+        self.t = t0     # the reward pass replays the logged block; `_uniform` moves the clock on
         ret_sum = 0
         for i in range(head):
             arm = prefix[i % m]
             u = self._uniform()
-            if i >= rf and u < self._row(arm, t0 + i)[1]:
+            if i >= rf and u < self._row(arm, t0 + i, last[arm])[1]:
                 ret_sum += 1
             last[arm] = t0 + i
         if head < n:
             pay = []
             for i in range(m, 2 * m):      # the second cycle, possibly past the block's end
                 arm = prefix[i - m]
-                pay.append(self._row(arm, t0 + i)[1])
+                pay.append(self._row(arm, t0 + i, last[arm])[1])
                 last[arm] = t0 + i
             lo = max(rf, m)
             pay = np.resize(np.roll(pay, -lo), n - lo)
             ret_sum += int(np.count_nonzero(self._u[t0 + lo:t0 + n] < pay))
-            for i in range(n - m, n):      # the last m pulls hold every arm's final pull
-                last[prefix[i % m]] = t0 + i
             self.t = t0 + n
         return float(ret_sum), n - rf
+
+    def steady_hits(self, prefixes, n: int) -> list:
+        """Retained hits of each prefix's pulled pair of cycles, by start time, without pulling.
+
+        One row per prefix, of length n: entry t counts the pulls of the second of two
+        cycles over the prefix started at t (pulls t + m to t + 2m - 1, m = len(prefix))
+        whose uniform falls below its payoff, which is the retained reward sum of
+        `pull_cycles(prefix, 2 * m, retain_from=m)` at t. Entries whose pair would end past
+        pull n - 1 hold 0. Valid for a cycle of distinct arms: every gap in the second cycle
+        is then m, whatever came before t, so arm prefix[j] pays what `_row` gives at gap m,
+        and the count is fixed by the uniforms.
+        """
+        self._reserve(n)
+        # a row per prefix, not one 2-D table: in fig2 runs the single table left glibc's
+        # heap about 1 MB larger at peak than separate rows did
+        hits = [np.zeros(n, np.min_scalar_type(len(prefix))) for prefix in prefixes]
+        hit = np.empty(n, bool)     # one comparison row, reused
+        for row, prefix in zip(hits, prefixes):
+            m = len(prefix)
+            size = n - 2 * m + 1
+            if size <= 0:
+                continue
+            for j, arm in enumerate(prefix):
+                np.less(self._u[m + j:m + j + size], self._row(arm, m, 0)[1], out=hit[:size])
+                row[:size] += hit[:size]
+        return hits
 
     def columns(self) -> dict:
         """The seven pull-log columns, derived from the blocks and uniforms in one pass.

@@ -23,7 +23,8 @@ from numbers import Real
 import numpy as np
 
 from . import __version__
-from .core import BanditInstance, Discount, _check_seed, _param_name, make_instance, substream
+from .core import (BanditInstance, Discount, _check_horizon, _check_seed, _param_name,
+                   make_instance, substream)
 from .low_switch import run_pi_low, stage_schedule
 from .policies import GreedyPolicy, PolicyTrace, RankingPolicy, ghost_summary, orbit, rollout
 from .ucb import run_ucb_rankings
@@ -146,6 +147,7 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.horizon < 1:
             raise ValueError("horizon must be >= 1")
+        object.__setattr__(self, "horizon", _check_horizon(self.horizon))
         for kind, values in (("algorithm", self.algorithms), ("seed", self.seeds)):
             if not values:
                 raise ValueError(f"need at least one {kind}")
@@ -186,8 +188,7 @@ def ghost_reference(instance: BanditInstance, T: int) -> np.ndarray:
     Deterministic: the policy's orbit (a first cycle from the all-zero state
     at the raw baselines, then the steady cycle) tiled to T pulls.
     """
-    if T < 0:
-        raise ValueError("horizon must be >= 0")
+    T = _check_horizon(T)
     r = ghost_summary(instance).r_star
     first, steady = (np.array(part, float) for part in orbit(instance, RankingPolicy(r)))
     return np.cumsum(np.concatenate([first, np.tile(steady, T // len(steady) + 1)])[:T])

@@ -17,7 +17,8 @@ from numbers import Rational
 
 import numpy as np
 
-from .core import BanditInstance, Environment, advance_state, expected_payoff, initial_state
+from .core import (BanditInstance, Environment, _check_horizon, advance_state, expected_payoff,
+                   initial_state)
 
 __all__ = [
     "GhostSummary",
@@ -200,8 +201,7 @@ def rollout(instance: BanditInstance, policy, horizon: int, rng: np.random.Gener
     trace records both channels at every pull and equals pulling the same arms
     one at a time, bit for bit.
     """
-    if horizon < 0:
-        raise ValueError("horizon must be >= 0")
+    horizon = _check_horizon(horizon)
     head, cycle = orbit(instance, policy, arms=True)
     env = Environment(instance, rng, capacity=max(horizon, 1))
     env.pull_cycles(head, min(len(head), horizon), policy=policy_id)

@@ -8,9 +8,10 @@ the classic mean + sqrt(2 ln n / n_m) with n counting selections.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 
-from .core import BanditInstance, Environment, substream
+from .core import BanditInstance, Environment, _check_horizon, substream
 from .policies import PolicyTrace
 
 __all__ = ["UcbRun", "run_ucb_rankings", "ucb_index"]
@@ -46,36 +47,51 @@ def run_ucb_rankings(instance: BanditInstance, T: int, seed: int = 0, rng=None) 
     [0, 1] value); a truncated final pair still collects reward but never
     updates the estimate. Every pick is the index's: ties break toward the
     lower cutoff, so the unplayed cutoffs (index +inf) go first, in order.
+
+    The second roll-out's gaps all equal m, so its hits depend only on its
+    start time: `Environment.steady_hits` counts them for every start up front,
+    a pick reads its count from that table, and the picks are logged at the end
+    in one `log_blocks` call, as if each pair had been pulled.
     """
     k = instance.k
-    if T < 0:
-        raise ValueError("horizon must be >= 0")
+    T = _check_horizon(T)
     if rng is None:
         rng = substream(seed, "ucb")
     env = Environment(instance, rng, capacity=max(T, 1))
-    arms = tuple(range(k))   # a slice per selection costs less than tuple(range(m))
-    counts = [0] * (k + 1)   # 1-based cutoffs
+    prefixes = [tuple(range(m)) for m in range(k + 1)]   # 1-based cutoffs
+    hits = [None, *map(memoryview, env.steady_hits(prefixes[1:], T))]
+    counts = [0] * (k + 1)
     means = [0.0] * (k + 1)
-    n = 0
-    while env.t < T:
+    picks = array("q")     # (cutoff, pulls) per selection
+    n = t = 0
+    while t < T:
+        # ucb_index(means[c], counts[c], n) for every cutoff, with the log hoisted
+        two_ln = 2.0 * math.log(n) if n else 0.0
         best_val = -math.inf
         for c in range(1, k + 1):
-            val = ucb_index(means[c], counts[c], n)
+            if not counts[c]:
+                m = c       # index +inf: no later cutoff beats it under the strict >
+                break
+            val = means[c] + math.sqrt(two_ln / counts[c])
             if val > best_val:
                 best_val = val
                 m = c
-        target = 2 * m
-        pulls = min(target, T - env.t)
-        ret_sum, ret_n = env.pull_cycles(arms[:m], pulls, policy=m, retain_from=m)
         n += 1
-        if pulls == target:
-            value = ret_sum / m
-            means[m] = (means[m] * counts[m] + value) / (counts[m] + 1)
+        pulls = 2 * m
+        if t + pulls <= T:
+            means[m] = (means[m] * counts[m] + hits[m][t] / m) / (counts[m] + 1)
             counts[m] += 1
+        else:
+            pulls = T - t
+        picks.extend((m, pulls))
+        t += pulls
+    del hits    # free the rows before the log's columns are built
+    pairs = iter(picks)
+    env.log_blocks((prefixes[m], pulls, m, m) for m, pulls in zip(pairs, pairs))
     trace = PolicyTrace.from_env(env)
     return UcbRun(
         trace,
         n,
-        {m: counts[m] for m in range(1, k + 1)},
-        {m: means[m] for m in range(1, k + 1)},
+        dict(enumerate(counts[1:], 1)),
+        dict(enumerate(means[1:], 1)),
     )

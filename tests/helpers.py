@@ -1,5 +1,6 @@
 """Shared generators and independent oracles for the test suite."""
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction as F
 
@@ -8,6 +9,7 @@ import numpy as np
 
 from delaybandit import (
     Discount,
+    Environment,
     PolicyTrace,
     advance_state,
     build_state_graph,
@@ -16,6 +18,8 @@ from delaybandit import (
     ghost_summary,
     initial_state,
     make_instance,
+    substream,
+    ucb_index,
 )
 from delaybandit.ranker import RankingOutcome
 
@@ -82,6 +86,29 @@ def step_columns(inst, blocks, u):
     dtypes = {"arms": np.int32, "taus": np.int32, "gaps": np.int64, "expected": np.float64,
               "realized": np.int8, "policy": np.int32, "retained": bool}
     return {name: np.array(col, dtype) for (name, dtype), col in zip(dtypes.items(), cols)}
+
+
+def ucb_reference(inst, T, seed):
+    """Reference UCB1 over the cutoffs: each pick scored by `ucb_index` per cutoff and
+    pulled as one `pull_cycles` pair, its estimate read off that call's retained reward.
+    Returns (selections, selection counts, means, the seven log columns)."""
+    k = inst.k
+    env = Environment(inst, substream(seed, "ucb"), capacity=max(T, 1))
+    counts, means = [0] * (k + 1), [0.0] * (k + 1)
+    n = 0
+    while env.t < T:
+        best = -math.inf
+        for c in range(1, k + 1):
+            val = ucb_index(means[c], counts[c], n)
+            if val > best:
+                best, m = val, c
+        pulls = min(2 * m, T - env.t)
+        ret_sum, _ = env.pull_cycles(tuple(range(m)), pulls, policy=m, retain_from=m)
+        n += 1
+        if pulls == 2 * m:
+            means[m] = (means[m] * counts[m] + ret_sum / m) / (counts[m] + 1)
+            counts[m] += 1
+    return n, dict(enumerate(counts[1:], 1)), dict(enumerate(means[1:], 1)), env.columns()
 
 
 def delay_vector(inst, arms, t):

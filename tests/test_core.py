@@ -217,6 +217,48 @@ class TestEnvironment:
         assert_same_columns(got, want)
         assert delay_vector(inst, got["arms"], n) == delay_vector(inst, want["arms"], n)
 
+    def test_logged_blocks_equal_pulled_blocks(self):
+        # repeated prefixes, a repeated arm, an empty block, a vector-sized block, a clipped
+        # retain_from and a last block shorter than its prefix
+        inst = make_instance([0.9, 0.6, 0.3, 0.2], [2, 3, 1, 4], Discount.geometric(0.7))
+        blocks = [((0, 1), 4, 2, 2), ((2,), 1, 1, 0), ((0, 1), 3, 2, 9), ((3, 3, 1), 0, 3, 0),
+                  ((3, 3, 1), 200, 3, 5), ((0, 1, 2, 3), 8, 4, 4), ((0, 1), 4, 2, 2),
+                  ((0, 1, 2, 3), 3, 4, 4)]
+        pulled, logged = (Environment(inst, substream(2, "log"), capacity=16) for _ in range(2))
+        for block in blocks:
+            pulled.pull_cycles(*block)
+        logged.log_blocks(blocks)
+        assert_same_columns(logged.columns(), pulled.columns())
+        assert logged.t == pulled.t == 223
+        assert logged._last == pulled._last == [220, 221, 222, 215]
+        assert logged.pull_cycles((3, 2, 1, 0), 5) == pulled.pull_cycles((3, 2, 1, 0), 5)
+
+    @pytest.mark.parametrize("prefix", [(), (0, 2), (-1,)])
+    def test_bulk_logging_stops_at_a_bad_prefix_as_pulling_does(self, prefix):
+        # the block before the bad one is logged, the bad one is not
+        inst = make_instance([0.9, 0.6], [1, 1], Discount.constant(0.5))
+        env = Environment(inst, substream(0, "bad"))
+        with pytest.raises((ValueError, IndexError)):
+            env.log_blocks([((0,), 2, -1, 0), (prefix, 3, -1, 0)])
+        assert env.t == 2 and env.columns()["arms"].tolist() == [0, 0] and env._last == [1, None]
+
+    def test_steady_hits_equal_pulled_pairs(self):
+        # a pair of distinct-arm cycles retains the hits counted for its start time,
+        # whatever was pulled before it
+        inst = make_instance([0.9, 0.6, 0.3], [2, 3, 1], Discount.table([0.5, 0.25]))
+        prefixes = [(0,), (0, 1), (0, 1, 2), (2, 0, 1)]
+        n = 60
+        hits = Environment(inst, substream(4, "hits"), capacity=n).steady_hits(prefixes, n)
+        assert [(row.shape, row.dtype) for row in hits] == [((n,), np.uint8)] * 4
+        rng = np.random.default_rng(1)
+        for row, prefix in zip(hits, prefixes):
+            m = len(prefix)
+            for t in range(n - 2 * m + 1):
+                env = Environment(inst, substream(4, "hits"), capacity=n)
+                env.log_blocks([((int(a),), 1, -1, 0) for a in rng.integers(0, 3, size=t)])
+                assert env.pull_cycles(prefix, 2 * m, retain_from=m) == (float(row[t]), m)
+            assert not row[n - 2 * m + 1:].any()
+
     def test_gap_recording(self):
         inst = make_instance([0.9, 0.6], [1, 1], Discount.constant(0.5))
         env = Environment(inst, substream(0, "gaps"))

@@ -103,6 +103,11 @@ class TestPresets:
         with pytest.raises(ValueError, match="at least one algorithm"):
             replace(cfg, algorithms=())
 
+    def test_non_integer_horizon_is_rejected(self):
+        with pytest.raises(ValueError, match="horizon T must be an integer, got 1000.5"):
+            replace(preset_fig3(), horizon=1000.5)
+        assert replace(preset_fig3(), horizon=1000.0).horizon == 1000
+
 
 class TestGhostReference:
     def test_fig3_series(self):
@@ -506,6 +511,26 @@ class TestCli:
             metadata[name] = hashlib.sha256(json.dumps(meta, sort_keys=True).encode()).hexdigest()
         assert got == self.GOLDEN_CSV
         assert metadata == self.GOLDEN_METADATA
+
+    # sha256 of each file `experiment --preset fig2 --seeds 1` writes at the preset's horizon
+    # (T = 2e5, 14,520 UCB selections); metadata.json without its "versions" key
+    GOLDEN_PRESET = {
+        "low_agg.csv": "a79db63d19a11e96599c2666ce57560f394a19d38988a85d7e5a0644cb98cc23",
+        "low_seed1.csv": "e2dfcd8c690f78a143ae2aa167982f2fc766a5d542341df090d3a2c284790303",
+        "ucb_agg.csv": "13b9aad3951eb0600c977abf3648185c0eb4fcf3cb73480596745941e6663a4b",
+        "ucb_seed1.csv": "6ff3f0993ba7a9c9dabea7a6cd2d819d172c324c8d3874afcf1041689d75a054",
+        "metadata.json": "df9d88679dab1e842a35b4eaa0638e8290acbad1c71aabe1865b2fd3eaf36cff",
+    }
+
+    def test_preset_horizon_bytes_are_pinned(self, tmp_path, capsys):
+        out = tmp_path / "fig2"
+        assert main(["experiment", "--preset", "fig2", "--seeds", "1", "--out", str(out)]) == 0
+        got = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+               for path in sorted(out.glob("*.csv"))}
+        meta = json.loads((out / "metadata.json").read_text())
+        del meta["versions"]
+        got["metadata.json"] = hashlib.sha256(json.dumps(meta, sort_keys=True).encode()).hexdigest()
+        assert got == self.GOLDEN_PRESET
 
     # (fig2 draw, argv) -> (exit code, sha256 of stdout); draws 0 and 1 share rank's
     # output because every kept sample is taken past every delay (d0 = 7 on both)

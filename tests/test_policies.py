@@ -140,6 +140,10 @@ class TestRollout:
         trace = rollout(fig3_instance(), RankingPolicy(1), 0, substream(0, "r"))
         assert len(trace) == 0
 
+    def test_non_integer_horizon_is_rejected(self):
+        with pytest.raises(ValueError, match="horizon T must be an integer, got 11.5"):
+            rollout(fig3_instance(), RankingPolicy(1), 11.5, substream(0, "r"))
+
     def test_deterministic(self):
         inst = fig3_instance()
         t1 = rollout(inst, RankingPolicy(2), 500, substream(5, "r"))

@@ -75,6 +75,24 @@ def test_batching_never_changes_a_trace(ds, block_list, seed):
     assert_same_columns(env.columns(), want)
 
 
+@settings(max_examples=100, deadline=None)
+@given(ds=fig2_delays, pool=st.lists(blocks(7), min_size=1, max_size=3),
+       picks=st.lists(st.tuples(st.integers(0, 2), st.integers(0, 20)), min_size=1, max_size=8),
+       seed=st.integers(0, 2**16))
+def test_logging_blocks_equals_pulling_them(ds, pool, picks, seed):
+    # a few prefixes, each reused at sizes that cut it short or run past it; the same log,
+    # clock and last pulls, so a further pull reads the same gaps
+    inst = fig2_instance(ds)
+    pulled, logged = (Environment(inst, substream(seed, "env")) for _ in range(2))
+    block_list = [(pool[i % len(pool)][0], n, i, pool[i % len(pool)][2]) for i, n in picks]
+    for block in block_list:
+        pulled.pull_cycles(*block)
+    logged.log_blocks(block_list)
+    assert_same_columns(logged.columns(), pulled.columns())
+    assert (logged.t, logged._last) == (pulled.t, pulled._last)
+    assert logged.pull_cycles(tuple(range(7)), 7) == pulled.pull_cycles(tuple(range(7)), 7)
+
+
 @st.composite
 def block_mixes(draw, k):
     """(prefix, n, policy, retain_from) blocks: distinct or repeated arms, single pulls,

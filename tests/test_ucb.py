@@ -3,6 +3,8 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from delaybandit import (
     Discount,
@@ -13,6 +15,8 @@ from delaybandit import (
     run_ucb_rankings,
     ucb_index,
 )
+from helpers import (assert_same_columns, random_exact_instance, random_float_instance,
+                     ucb_reference)
 
 
 def fig3_instance():
@@ -100,3 +104,41 @@ class TestRunUcb:
         run = run_ucb_rankings(inst, 1000, seed=6)
         starts = [c * (c - 1) for c in range(1, inst.k + 1)]   # selection c follows 2(1 + ... + c-1) pulls
         assert [int(run.trace.policy[t]) for t in starts] == list(range(1, inst.k + 1))
+
+
+def assert_run_equals_reference(inst, T, seed):
+    # selections, counts, means and all seven log columns, bit for bit
+    run = run_ucb_rankings(inst, T, seed=seed)
+    n, counts, means, cols = ucb_reference(inst, T, seed)
+    assert (run.selections, run.selection_counts, run.means) == (n, counts, means)
+    assert_same_columns({name: getattr(run.trace, name) for name in cols}, cols)
+
+
+class TestMatchesPerSelectionReference:
+    @pytest.mark.parametrize("draw", [0, 1, 2, 3, 4, "fig3"])
+    def test_preset_instances(self, draw):
+        fig2 = preset_fig2().instance
+        inst = fig3_instance() if draw == "fig3" else materialize_instance(fig2, draw)
+        k = inst.k
+        for T in (0, 1, 2 * k - 1, 2 * k, 401, 1001, 20000):
+            assert_run_equals_reference(inst, T, seed=7)
+
+    def test_single_arm(self):
+        inst = make_instance([F(3, 4)], [1], Discount.constant(F(1, 2)))
+        for T in (0, 1, 2, 3, 401):
+            assert_run_equals_reference(inst, T, seed=0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(instance_seed=st.integers(0, 2**32 - 1), exact=st.booleans(),
+       T=st.integers(0, 500), seed=st.integers(0, 2**32 - 1))
+def test_run_equals_per_selection_reference(instance_seed, exact, T, seed):
+    rng = np.random.default_rng(instance_seed)
+    draw = random_exact_instance if exact else random_float_instance
+    assert_run_equals_reference(draw(rng, kmax=6, dmax=8), T, seed)
+
+
+def test_non_integer_horizon_is_rejected():
+    with pytest.raises(ValueError, match="horizon T must be an integer, got 11.5"):
+        run_ucb_rankings(fig3_instance(), 11.5)
+    assert len(run_ucb_rankings(fig3_instance(), 0).trace) == 0
