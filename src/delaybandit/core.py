@@ -234,8 +234,9 @@ class Environment:
     uniform t of the stream, and from the all-zero start the arms fix every
     other column, which `columns` derives on demand. Every block is logged by
     `log_blocks`: `pull_cycles` logs its block there and then reads the block's
-    reward, and a caller that decided its blocks already (UCB) logs them all in
-    one call. Per-arm last-pull times make a pull cost O(1) regardless of k.
+    reward, and a caller that decided its blocks already logs them all in one
+    call (UCB its run, the ranker a chunk of equal rounds as one round's blocks
+    repeated). Per-arm last-pull times make a pull cost O(1) regardless of k.
     The realized channel depends only on the stream and the pull sequence, not
     on how pulls are batched.
     """
@@ -301,7 +302,7 @@ class Environment:
         only because perfbench/tracer.py patches it (ROADMAP item 1)."""
         return self.pull_cycles((arm,), 1, policy, retain_from=0 if retained else 1)
 
-    def log_blocks(self, blocks) -> None:
+    def log_blocks(self, blocks, repeat: int = 1) -> None:
         """Log decided blocks, each (prefix, n, policy, retain_from) with a tuple prefix, in
         order and exactly as `pull_cycles` logs its own block, but compute no reward:
         `columns` derives the realized channel from the uniforms.
@@ -311,8 +312,14 @@ class Environment:
         and each pulled arm's last-pull time move to the block's end; a block shorter than
         its prefix sets only the arms it pulls. A bad prefix raises before its block is
         logged, as it would in `pull_cycles`.
+
+        `repeat` logs the whole list that many times, as `blocks * repeat` would: the first
+        copy as above, each further copy as the same rows, L pulls later, where L is the
+        copy's length. So the clock and the last pulls of the arms the copy pulls move on
+        by (repeat - 1) L.
         """
         ids, log, last = self._cycle_ids, self._blocks, self._last
+        t0, start = self.t, len(log)
         for prefix, n, policy, retain_from in blocks:
             cycle = ids.get(prefix)
             if cycle is None:
@@ -336,6 +343,15 @@ class Environment:
             for i, arm in enumerate(prefix, t + n - len(prefix)):
                 last[arm] = i
             self.t = t + n
+        if repeat > 1:
+            rows, shift = log[start:], (repeat - 1) * (self.t - t0)
+            self._reserve(self.t + shift)
+            for _ in range(repeat - 1):
+                log.extend(rows)
+            for arm, i in enumerate(last):
+                if i is not None and i >= t0:
+                    last[arm] = i + shift
+            self.t += shift
 
     def pull_cycles(self, prefix, n_pulls: int, policy: int = -1,
                     retain_from: int = 0) -> tuple[float, int]:

@@ -235,6 +235,75 @@ def _in_order(node, leaf_key) -> list:
     return _in_order(node.bigger, leaf_key) + [node.arm] + _in_order(node.smaller, leaf_key)
 
 
+def bernoulli_rounds(mus, rng):
+    """Per-round iid Bernoulli sampler: `sampler(active) -> (samples, pulls)`, one uniform
+    per active arm and round, in order."""
+    mus = [float(m) for m in mus]
+
+    def sampler(active):
+        us = rng.random(len(active))
+        return {a: float(us[j] < mus[a]) for j, a in enumerate(active)}, len(active)
+
+    return sampler
+
+
+def by_round(sampler):
+    """A per-round sampler `sampler(active) -> (samples by arm, pulls)` in `rank_arms`'
+    protocol: each call hands out one round, drawn when handed out."""
+
+    def chunked(active, rounds):
+        samples, pulls = sampler(active)
+        return np.array([[samples[a] for a in active]], float), pulls, lambda n: None
+
+    return chunked
+
+
+def rank_arms_by_round(sampler, k, delta, pull_cap=10**7):
+    """Reference elimination, one round at a time: `sampler(active) -> (samples by arm,
+    pulls)` is called once per round, and each round is sorted and scanned with
+    `epsilon_r`."""
+    if k < 2:
+        raise ValueError("need at least two arms")
+    if pull_cap < 1:
+        raise ValueError(f"pull cap must be >= 1, got {pull_cap}")
+    active = list(range(k))
+    sums = [0.0] * k
+    key = [()] * k                        # 0 above, 1 at, 2 below each elimination
+    elim_round: dict = {i: None for i in range(k)}
+    pulls = 0
+    r = 0
+    while len(active) > 1 and pulls < pull_cap:
+        samples, used = sampler(list(active))
+        pulls += used
+        r += 1
+        for i in active:
+            sums[i] += samples[i]
+        means = {i: sums[i] / r for i in active}
+        eps = epsilon_r(k, r, delta)
+        order = sorted(active, key=lambda i: (-means[i], i))
+        prev = None                       # nearest arm above i that is still active
+        for pos, i in enumerate(order):
+            if len(active) <= 1:
+                break
+            mi = means[i]
+            nxt = order[pos + 1] if pos + 1 < len(order) else None
+            sep_above = prev is None or means[prev] > mi + 2 * eps
+            sep_below = nxt is None or means[nxt] < mi - 2 * eps
+            if sep_above and sep_below:
+                active.remove(i)
+                elim_round[i] = r
+                for j in active:
+                    if key[j] == key[i]:
+                        key[j] += (0,) if means[j] > mi else (2,)
+                key[i] += (1,)
+            else:
+                prev = i
+    complete = len(active) <= 1
+    final_means = {i: sums[i] / (elim_round[i] or r) for i in range(k)}
+    perm = tuple(sorted(range(k), key=lambda a: (key[a], -final_means[a], a)))
+    return RankingOutcome(perm, r, pulls, elim_round, complete, final_means)
+
+
 def rank_arms_by_scan(sampler, k, delta, pull_cap=10**7):
     """Reference elimination: each arm compared against every other active arm's mean;
     eliminated arms grow a binary tree whose in-order walk, with each leaf sorted by

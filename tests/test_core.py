@@ -242,6 +242,39 @@ class TestEnvironment:
             env.log_blocks([((0,), 2, -1, 0), (prefix, 3, -1, 0)])
         assert env.t == 2 and env.columns()["arms"].tolist() == [0, 0] and env._last == [1, None]
 
+    @pytest.mark.parametrize("repeat", [1, 2, 1000])
+    def test_repeated_blocks_log_as_the_repeated_list(self, repeat):
+        # a block shorter than its prefix, an empty block, a clipped retain_from; arm 3 was
+        # pulled before the list and arm 4 never, and the list pulls neither
+        inst = make_instance([0.9, 0.7, 0.5, 0.3, 0.1], [2, 3, 1, 4, 2], Discount.geometric(0.7))
+        blocks = [((0, 1, 2), 2, 1, 0), ((2,), 0, 2, 0), ((1, 2, 0), 5, 3, 9), ((0,), 1, -1, 0)]
+        once, listed = (Environment(inst, substream(5, "rep"), capacity=16) for _ in range(2))
+        for env in (once, listed):
+            env.pull_cycles((3,), 1)
+        once.log_blocks(blocks, repeat=repeat)
+        listed.log_blocks(blocks * repeat)
+        assert once._blocks == listed._blocks and once._cycle_ids == listed._cycle_ids
+        assert once.t == listed.t == 1 + 8 * repeat
+        assert once._last == listed._last and once._last[3:] == [0, None]
+        assert_same_columns(once.columns(), listed.columns())
+
+    @pytest.mark.parametrize("prefix", [(), (0, 2), (-1,)])
+    @pytest.mark.parametrize("first", [True, False])
+    def test_repeated_logging_stops_at_a_bad_prefix_in_the_first_copy(self, prefix, first):
+        # a bad first block logs nothing; a bad second block leaves only the first copy of
+        # the block before it, as the repeated list does
+        inst = make_instance([0.9, 0.6], [1, 1], Discount.constant(0.5))
+        blocks = [(prefix, 3, -1, 0), ((0,), 2, -1, 0)] if first else \
+            [((0,), 2, -1, 0), (prefix, 3, -1, 0)]
+        once, listed = (Environment(inst, substream(0, "bad")) for _ in range(2))
+        with pytest.raises((ValueError, IndexError)):
+            once.log_blocks(blocks, repeat=1000)
+        with pytest.raises((ValueError, IndexError)):
+            listed.log_blocks(blocks * 1000)
+        assert (once.t, once._last) == (listed.t, listed._last) == \
+            ((0, [None, None]) if first else (2, [1, None]))
+        assert once._blocks == listed._blocks and once._cycle_ids == listed._cycle_ids
+
     def test_steady_hits_equal_pulled_pairs(self):
         # a pair of distinct-arm cycles retains the hits counted for its start time,
         # whatever was pulled before it

@@ -1,8 +1,8 @@
 """Property tests: batching never changes a trace; the derived pull log equals a per-pull
-loop; the greedy rollout's block path, the block calibrated rounds and the neighbour
-separation test in `rank_arms` match their one-at-a-time references; the ghost reference
-is the ghost run; the oracle's optimum bounds every ranking and alternation value and
-matches cycle enumeration; the low-switch schedule covers T in O(ln ln T) stages."""
+loop; the greedy rollout's block path, the block calibrated rounds, and the neighbour
+separation test and chunked rounds in `rank_arms` match their one-at-a-time references; the
+ghost reference is the ghost run; the oracle's optimum bounds every ranking and alternation
+value and matches cycle enumeration; the low-switch schedule covers T in O(ln ln T) stages."""
 
 import math
 from fractions import Fraction as F
@@ -19,9 +19,11 @@ from delaybandit import (
     alternation_value,
     build_state_graph,
     calibrated_sample_round,
+    calibrated_sampler,
     ghost_reference,
     ghost_summary,
     greedy_arm,
+    iid_bernoulli_sampler,
     load_instance,
     make_instance,
     optimal_average,
@@ -35,8 +37,9 @@ from delaybandit import (
 from delaybandit.core import _SCALAR_SLACK
 from delaybandit.harness import run_algorithm
 from delaybandit.oracle import _certify, _evaluate_policy
-from helpers import (assert_same_columns, brute_force_max_mean, random_exact_instance,
-                     random_float_instance, rank_arms_by_scan, step_columns, step_rollout)
+from helpers import (assert_same_columns, bernoulli_rounds, brute_force_max_mean, by_round,
+                     random_exact_instance, random_float_instance, rank_arms_by_round,
+                     rank_arms_by_scan, step_columns, step_rollout)
 
 FIG2 = preset_fig2().instance
 fig2_delays = st.lists(st.integers(1, 6), min_size=7, max_size=7)
@@ -218,22 +221,51 @@ def test_block_calibrated_rounds_equal_per_pull_rounds(instance_seed, data):
 
 
 def _bernoulli_stream(mus, seed):
-    rng = np.random.default_rng(seed)
+    return bernoulli_rounds(mus, np.random.default_rng(seed))
 
-    def sampler(active):
-        return {a: float(rng.random() < mus[a]) for a in active}, len(active)
 
-    return sampler
+tie_heavy_means = st.lists(st.sampled_from([0.0, 0.2, 0.5, 0.8, 1.0]), min_size=2, max_size=7)
 
 
 @settings(max_examples=150, deadline=None)
-@given(mus=st.lists(st.sampled_from([0.0, 0.2, 0.5, 0.8, 1.0]), min_size=2, max_size=7),
-       delta=st.sampled_from([0.1, 0.5, 0.99]), seed=st.integers(0, 2**16))
+@given(mus=tie_heavy_means, delta=st.sampled_from([0.1, 0.5, 0.99]), seed=st.integers(0, 2**16))
 def test_neighbour_separation_matches_full_scan(mus, delta, seed):
     # 0/1 samples and equal baselines tie empirical means all the time
     k = len(mus)
-    got = rank_arms(_bernoulli_stream(mus, seed), k, delta, pull_cap=400 * k)
+    got = rank_arms(by_round(_bernoulli_stream(mus, seed)), k, delta, pull_cap=400 * k)
     assert got == rank_arms_by_scan(_bernoulli_stream(mus, seed), k, delta, pull_cap=400 * k)
+
+
+@settings(max_examples=150, deadline=None)
+@given(mus=tie_heavy_means, delta=st.sampled_from([0.1, 0.5, 0.99]), seed=st.integers(0, 2**16),
+       pull_cap=st.integers(50, 20_000))
+def test_chunked_iid_ranking_equals_rounds_by_round(mus, delta, seed, pull_cap):
+    # the iid sampler's chunks read the per-round stream, the draws of rounds not taken
+    # included; the chunk's candidate rounds hold every round the scalar pass eliminates in
+    k = len(mus)
+    got = rank_arms(iid_bernoulli_sampler(mus, np.random.default_rng(seed)), k, delta, pull_cap)
+    assert got == rank_arms_by_round(_bernoulli_stream(mus, seed), k, delta, pull_cap)
+
+
+@settings(max_examples=80, deadline=None)
+@given(instance_seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_chunked_calibrated_ranking_equals_rounds_by_round(instance_seed, data):
+    # d0 up to max d + 4 reaches the serialized rounds of k < d0 with nothing removed
+    rng = np.random.default_rng(instance_seed)
+    inst = random_exact_instance(rng, kmax=7, dmax=4) if rng.random() < 0.5 else \
+        random_float_instance(rng, kmax=7, dmax=4)
+    assume(inst.k >= 2)
+    d0 = max(inst.ds) + data.draw(st.integers(1, 4))
+    seed = data.draw(st.integers(0, 2**16))
+    delta = data.draw(st.sampled_from([0.1, 0.5, 0.99]))
+    pull_cap = data.draw(st.integers(1, 20_000))
+    chunked, stepped = (Environment(inst, substream(seed, "rank")) for _ in range(2))
+    got = rank_arms(calibrated_sampler(chunked, d0), inst.k, delta, pull_cap)
+    want = rank_arms_by_round(lambda active: calibrated_sample_round(stepped, active, d0),
+                              inst.k, delta, pull_cap)
+    assert got == want
+    assert chunked.t == stepped.t == got.pulls and chunked._last == stepped._last
+    assert_same_columns(chunked.columns(), stepped.columns())
 
 
 def _assert_ghost_reference_is_ghost_run(inst, T):

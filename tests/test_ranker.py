@@ -11,9 +11,13 @@ from delaybandit import (
     epsilon_r,
     iid_bernoulli_sampler,
     make_instance,
+    materialize_instance,
+    preset_fig2,
     rank_arms,
     substream,
 )
+from delaybandit.ranker import _slack_radii
+from helpers import assert_same_columns, bernoulli_rounds, by_round, rank_arms_by_round
 
 
 class TestEpsilon:
@@ -33,11 +37,32 @@ class TestEpsilon:
         with pytest.raises(ValueError):
             epsilon_r(2, 1, 0.0)
 
+    @pytest.mark.parametrize("k", [2, 3, 7, 100])
+    @pytest.mark.parametrize("delta", [1e-6, 0.1, 0.5, 0.99])
+    def test_slack_radii_never_exceed_epsilon_r(self, k, delta):
+        # numpy's log may lie an ulp above math.log, so the chunked search shrinks its radii;
+        # after the log, epsilon_r's division and sqrt are correctly rounded in both, so the
+        # math radius of every round is math.log over numpy's argument
+        r = np.arange(1, 200_001, dtype=float)
+        x = 2.0 * k * r * (r + 1) / delta
+        exact = np.sqrt(np.array(list(map(math.log, x.tolist()))) / (2.0 * r))
+        for i in range(0, len(r), 997):
+            assert exact[i] == epsilon_r(k, i + 1, delta)
+        assert (_slack_radii(k, r, delta) <= exact).all()
+
 
 class TestRankArms:
     def test_rejects_single_arm(self):
         with pytest.raises(ValueError):
             rank_arms(lambda a: ({}, 0), 1, 0.1)
+
+    @pytest.mark.parametrize("k, delta, pull_cap", [(3, 0.0, 100), (3, 1.0, 100),
+                                                     (3, float("nan"), 100), (3, 0.1, 0)])
+    def test_bad_arguments_pull_nothing(self, k, delta, pull_cap):
+        calls = []
+        with pytest.raises(ValueError):
+            rank_arms(lambda active, rounds: calls.append(active), k, delta, pull_cap)
+        assert calls == []
 
     def test_zero_variance_two_arms(self):
         # deterministic means (1, 0): both arms separate at the first round
@@ -79,14 +104,14 @@ class TestRankArms:
         # at removal, the arm's mean is separated by > 2 eps_r from every
         # other active arm, on the correct side; replay the sample stream
         log = []
-        base = iid_bernoulli_sampler([0.85, 0.55, 0.2], substream(7, "snd"))
+        base = bernoulli_rounds([0.85, 0.55, 0.2], substream(7, "snd"))
 
         def sampler(active):
             samples, used = base(active)
             log.append(dict(samples))
             return samples, used
 
-        out = rank_arms(sampler, 3, 0.1)
+        out = rank_arms(by_round(sampler), 3, 0.1)
         sums = {a: 0.0 for a in range(3)}
         active = set(range(3))
         for r, samples in enumerate(log, start=1):
@@ -106,14 +131,14 @@ class TestRankArms:
     def test_eliminated_arm_mean_covers_its_own_rounds(self):
         # arm 2 leaves at round 96 of 352 with 8 successes; its mean is 8/96, not 8/352
         log = []
-        base = iid_bernoulli_sampler([0.9, 0.6, 0.1], substream(1, "m"))
+        base = bernoulli_rounds([0.9, 0.6, 0.1], substream(1, "m"))
 
         def sampler(active):
             samples, used = base(active)
             log.append(samples)
             return samples, used
 
-        out = rank_arms(sampler, 3, 0.1)
+        out = rank_arms(by_round(sampler), 3, 0.1)
         assert (out.permutation, out.rounds, out.elimination_round[2]) == ((0, 1, 2), 352, 96)
         assert out.means[2] == 8 / 96
         for arm in range(3):
@@ -195,3 +220,21 @@ class TestCalibratedSampling:
             out = rank_arms(calibrated_sampler(env, 3), 3, 0.1)
             correct += out.permutation == (0, 1, 2)
         assert correct >= 8
+
+
+class TestChunkedRounds:
+    """`rank_arms` over chunks of rounds equals the per-round reference loop."""
+
+    @pytest.mark.parametrize("draw, seed", [(d, s) for d in range(5) for s in sorted({d, 3})])
+    @pytest.mark.parametrize("pull_cap", [10**7, 5000])
+    def test_calibrated_fig2_draws_equal_rounds_by_round(self, draw, seed, pull_cap):
+        inst = materialize_instance(preset_fig2().instance, draw)
+        d0 = max(inst.ds) + 1
+        chunked, stepped = (Environment(inst, substream(seed, "rank")) for _ in range(2))
+        got = rank_arms(calibrated_sampler(chunked, d0), inst.k, 0.1, pull_cap)
+        want = rank_arms_by_round(lambda active: calibrated_sample_round(stepped, active, d0),
+                                  inst.k, 0.1, pull_cap)
+        assert got == want
+        assert chunked.t == stepped.t == got.pulls and chunked._last == stepped._last
+        assert len(chunked._u) == len(stepped._u)
+        assert_same_columns(chunked.columns(), stepped.columns())
