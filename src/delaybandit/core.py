@@ -73,6 +73,12 @@ def _is_count(x) -> bool:
     return not isinstance(x, bool) and x >= 1 and x % 1 == 0
 
 
+def _check_delta(delta) -> None:
+    """A confidence level delta must lie in (0, 1); nan fails too."""
+    if not 0 < delta < 1:
+        raise ValueError(f"delta must lie in (0, 1), got {delta}")
+
+
 def _check_horizon(T) -> int:
     """The horizon as an int, 0 allowed; a negative or fractional one would be coerced, so it
     raises."""
@@ -147,8 +153,9 @@ class BanditInstance:
     """Baseline means `mus`, delay parameters `ds` and the shared discount.
 
     The constructor enforces strictly decreasing baselines. Pass relaxed=True
-    to skip that check (ties, zero baselines); the scheduling reduction needs
-    it, nothing else should.
+    to skip that check (ties, zero baselines); the scheduling reduction and the
+    iid ranking sampler (whose means come in any order) need it, nothing else
+    should.
     """
 
     __slots__ = ("mus", "ds", "discount")
@@ -166,7 +173,8 @@ class BanditInstance:
                 raise ValueError(f"delay parameter must be an integer >= 1, got {d}")
         if not relaxed and not all(a > b for a, b in zip(mus, mus[1:])):
             raise ValueError("baselines must be strictly decreasing; "
-                             "use relaxed=True only for the scheduling reduction")
+                             "use relaxed=True only for the scheduling reduction "
+                             "or the iid sampler")
         self.mus = mus
         self.ds = tuple(int(d) for d in ds)
         self.discount = discount
@@ -250,11 +258,9 @@ class Environment:
         self.t = 0
         self._last: list = [None] * self.k
         self._u = rng.random(max(int(capacity), 16))   # uniform t is pull t's
-        # payoff lookup per arm over capped tau = 0..min(d, len(_u)), plain lists for
-        # the scalar path; a gap never exceeds the pulls made, so _reserve extends the
-        # rows as the buffer grows
+        # payoff lookup per arm over capped tau = 0, 1, ..., plain lists for the scalar
+        # path; a row holds the taus read so far, so it costs what the pulls reach
         self._ptable: list = [[] for _ in range(self.k)]
-        self._extend_ptable()
         self._cycle_ids: dict = {}     # each distinct prefix, numbered by first use
         self._blocks = array("q")      # per block: n, cycle id, policy, retain_from
 
@@ -267,13 +273,13 @@ class Environment:
             grown[:have] = self._u
             self._rng.random(out=grown[have:])
             self._u = grown
-            self._extend_ptable()
 
-    def _extend_ptable(self):
-        for i, row in enumerate(self._ptable):
-            top = min(self._ds[i], len(self._u))
-            row.extend(float(expected_payoff(self.instance, i, tau))
-                       for tau in range(len(row), top + 1))
+    def _payoffs(self, arm: int, top: int) -> list:
+        # the arm's payoff row, extended to cover capped tau = 0..top
+        row = self._ptable[arm]
+        row.extend(float(expected_payoff(self.instance, arm, tau))
+                   for tau in range(len(row), top + 1))
+        return row
 
     def _uniform(self) -> float:
         # the next pull's uniform (reserved by the caller); the clock moves on
@@ -293,7 +299,10 @@ class Environment:
         # capped tau at time t since the arm's last pull at `last` (None if none), and its
         # expected payoff
         tau = t - last if last is not None and t - last <= self._ds[arm] else 0
-        return tau, self._ptable[arm][tau]
+        try:
+            return tau, self._ptable[arm][tau]
+        except IndexError:      # a tau this arm has not reached before
+            return tau, self._payoffs(arm, tau)[tau]
 
     # -- pulling -----------------------------------------------------------
 
@@ -449,8 +458,10 @@ class Environment:
         taus = gaps.astype(np.int32)
         taus[taus > np.array(self._ds, np.int32)[arms]] = 0
         np.maximum(taus, 0, out=taus)
-        table = np.zeros((self.k, max(map(len, self._ptable))))
-        for a, row in enumerate(self._ptable):
+        top = int(taus.max(initial=0))
+        rows = [self._payoffs(a, min(d, top)) for a, d in enumerate(self._ds)]
+        table = np.zeros((self.k, max(map(len, rows))))
+        for a, row in enumerate(rows):
             table[a, :len(row)] = row
         expected = table[arms, taus]
         return {

@@ -23,8 +23,8 @@ from numbers import Real
 import numpy as np
 
 from . import __version__
-from .core import (BanditInstance, Discount, _check_horizon, _check_seed, _param_name,
-                   make_instance, substream)
+from .core import (BanditInstance, Discount, _check_delta, _check_horizon, _check_seed,
+                   _param_name, make_instance, substream)
 from .low_switch import run_pi_low, stage_schedule
 from .policies import GreedyPolicy, PolicyTrace, RankingPolicy, ghost_summary, orbit, rollout
 from .ucb import run_ucb_rankings
@@ -153,8 +153,7 @@ class ExperimentConfig:
                 raise ValueError(f"need at least one {kind}")
         if not math.isfinite(self.switch_cost) or self.switch_cost < 0:
             raise ValueError(f"switch cost must be a finite number >= 0, got {self.switch_cost}")
-        if not 0 < self.delta < 1:
-            raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
+        _check_delta(self.delta)
         for algo in self.algorithms:
             if algo not in ALGORITHMS:
                 raise ValueError(f"unknown algorithm {algo!r}")

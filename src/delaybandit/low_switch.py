@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import BanditInstance, Environment, _is_count, substream
+from .core import BanditInstance, Environment, _check_delta, _check_horizon, substream
 from .policies import PolicyTrace
 
 __all__ = [
@@ -62,11 +62,8 @@ def stage_schedule(k: int, T: int, delta: float) -> StageSchedule:
     """
     if k < 1 or T < k:
         raise ValueError(f"need horizon T >= k >= 1 arms, got T={T}, k={k}")
-    if not _is_count(T):
-        raise ValueError(f"horizon T must be an integer, got {T}")
-    T = int(T)
-    if not 0 < delta < 1:
-        raise ValueError("delta must lie in (0, 1)")
+    T = _check_horizon(T)
+    _check_delta(delta)
     sizes = []
     total = 0
     while total < T:

@@ -12,12 +12,15 @@ some arm could leave with a slightly smaller radius, confirms the first one
 that really eliminates with the scalar rule, and tells the sampler how many
 rounds it used. Rounds handed out but not used are never consumed.
 
-For delay-dependent environments the samples come from a calibrated wrapper:
-arms are grouped into cycles of length d0 > max_i d_i and each cycle is pulled
-twice, keeping only the second pass, so every kept sample is an unbiased draw
-of the baseline. Until an arm leaves, every round pulls the same arm sequence
-and each kept sample is u[t] < mu, so a chunk reads its samples off the
-uniform buffer and logs its rounds as one round's blocks repeated.
+Both samplers read their rounds off an `Environment`: a round is a list of
+blocks, its samples are the retained pulls. A plain stochastic bandit is a
+delay bandit whose discount is 0, with one all-retained block per round. For
+delay-dependent environments the rounds are calibrated: arms are grouped into
+cycles of length d0 > max_i d_i and each cycle is pulled twice, keeping only
+the second pass, so every kept sample is an unbiased draw of the baseline.
+Either way, until an arm leaves every round pulls the same arm sequence and
+each kept sample is u[t] < mu, so a chunk reads its samples off the uniform
+buffer and logs its rounds as one round's blocks repeated.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Environment
+from .core import BanditInstance, Discount, Environment, _check_delta
 
 __all__ = [
     "RankingOutcome",
@@ -53,11 +56,6 @@ def epsilon_r(k: int, r: int, delta: float) -> float:
         raise ValueError("round index must be >= 1")
     _check_delta(delta)
     return math.sqrt(math.log(2.0 * k * r * (r + 1) / delta) / (2.0 * r))
-
-
-def _check_delta(delta):
-    if not 0 < delta < 1:
-        raise ValueError("delta must lie in (0, 1)")
 
 
 def _slack_radii(k: int, r: np.ndarray, delta: float) -> np.ndarray:
@@ -177,93 +175,32 @@ def rank_arms(sampler, k: int, delta: float, pull_cap: int = 10**7) -> RankingOu
     return RankingOutcome(perm, r, pulls, elim_round, complete, final_means)
 
 
-def iid_bernoulli_sampler(mus, rng: np.random.Generator):
-    """Plain stochastic-bandit sampler: one Bernoulli(mu_i) draw per active arm and round.
+def _sampler(env: Environment, round_blocks):
+    """A sampler over `env` whose round over `active` is the `log_blocks` blocks
+    `round_blocks(active)`; block by block, pulls retain_from to n - 1 are the round's
+    retained pulls, which must take each active arm once, in the order of `active`.
 
-    Rounds are drawn row-major, one uniform per active arm in order, so the stream is the
-    same however rounds are chunked; the draws of rounds handed out but not taken are kept
-    for the next call."""
-    mus = np.array([float(m) for m in mus])
-    spare = np.empty(0)          # drawn, not yet taken
+    A call plans the round (once per active set), reads up to `rounds` rounds' samples
+    straight off the uniform buffer, and logs nothing; `take(n)` logs the round's blocks n
+    times over. A retained pull pays its arm's baseline, so its sample is u[t] < mu. A chunk
+    stays within the reserved buffer when a round fits there, so the buffer grows when, and
+    as far as, pulling round by round grows it.
+    """
+    plan = None     # the last active set, its blocks, length, kept offsets and their payoffs
 
     def sampler(active, rounds):
-        nonlocal spare
-        width = len(active)
-        rounds = max(1, min(rounds, _CHUNK_PULLS // width))
-        if len(spare) < rounds * width:
-            spare = np.concatenate([spare, rng.random(rounds * width - len(spare))])
-        drawn = spare
-
-        def take(n):
-            nonlocal spare
-            spare = drawn[n * width:]
-
-        hits = drawn[:rounds * width].reshape(rounds, width) < mus[active]
-        return hits.astype(float), width, take
-
-    return sampler
-
-
-def _round_plan(env: Environment, active: list, d0: int) -> tuple:
-    """One calibrated round over `active`: (blocks, length, kept offsets, kept payoffs).
-
-    The round is a list of (calibration cycle, kept arms, padding) entries: the calibration
-    cycle once, discarded, then one kept pull per kept arm, then the padding, discarded.
-    Active arms are split into groups of exactly d0 slots, so every kept sample is taken
-    d0 > max_i d_i rounds after the arm's previous pull. Deficient groups are padded with
-    removed arms first (repeats are fine, their samples are dropped), then with actives
-    from earlier groups. If no padding pool exists at all (fewer arms than d0, nothing
-    removed yet), each arm is its own entry after d0 filler pulls of other arms, which keeps
-    the sample unbiased at a gap > d0. Offsets and payoffs follow the order of `active`;
-    a kept pull pays the baseline, so its sample is u[t] < mu.
-    """
-    if not active:
-        raise ValueError("need at least one active arm")
-    if d0 <= max(env.instance.ds):
-        raise ValueError("d0 must exceed every delay parameter")
-    removed = sorted(set(range(env.k)) - set(active))
-    entries = []
-    if len(active) < d0 and not removed:
-        for x in active:
-            others = [a for a in range(env.k) if a != x]
-            entries.append(([others[j % len(others)] for j in range(d0)], [x], []))
-    else:
-        for start in range(0, len(active), d0):
-            group = active[start:start + d0]
-            pool = removed + active[:start]   # only the last group can fall short
-            padding = [pool[j % len(pool)] for j in range(d0 - len(group))]
-            entries.append((group + padding, group, padding))
-    blocks, kept_at = [], {}
-    t = 0
-    for cycle, kept, padding in entries:
-        blocks.append((tuple(cycle), d0, -1, d0))
-        t += d0
-        for arm in kept:
-            blocks.append(((arm,), 1, -1, 0))
-            kept_at[arm] = t
-            t += 1
-        if padding:
-            blocks.append((tuple(padding), len(padding), -1, len(padding)))
-            t += len(padding)
-    pay = np.array([env._ptable[a][0] for a in active])
-    return blocks, t, [kept_at[a] for a in active], pay
-
-
-def calibrated_sampler(env: Environment, d0: int):
-    """Adapter so rank_arms can run against a delay environment.
-
-    A call plans the round over `active` (once per active set), reads up to `rounds`
-    rounds' samples straight off the uniform buffer, and logs nothing; `take(n)` logs the
-    round's blocks n times over. A chunk stays within the reserved buffer when a round
-    fits there, so the buffer grows when, and as far as, pulling round by round grows it.
-    """
-    planned, plan = None, None      # the last active set and its round plan
-
-    def sampler(active, rounds):
-        nonlocal planned, plan
-        if active != planned:
-            planned, plan = list(active), _round_plan(env, active, d0)
-        blocks, length, offsets, pay = plan
+        nonlocal plan
+        if plan is None or plan[0] != active:
+            blocks, offsets, kept, t = round_blocks(active), [], [], 0
+            for prefix, n, _, retain_from in blocks:
+                offsets += range(t + retain_from, t + n)
+                kept += (prefix[i % len(prefix)] for i in range(retain_from, n))
+                t += n
+            if kept != list(active):
+                raise RuntimeError(f"a round over {list(active)} retains pulls of {kept}")
+            pay = np.array([float(env.instance.mus[a]) for a in active])
+            plan = list(active), blocks, t, offsets, pay
+        _, blocks, length, offsets, pay = plan
         t = env.t
         rounds = max(1, min(rounds, _CHUNK_PULLS // length, (len(env._u) - t) // length))
         env._reserve(t + rounds * length)
@@ -273,11 +210,64 @@ def calibrated_sampler(env: Environment, d0: int):
     return sampler
 
 
+def iid_bernoulli_sampler(mus, rng: np.random.Generator):
+    """Plain stochastic-bandit sampler: one Bernoulli(mu_i) draw per active arm and round.
+
+    A plain bandit is a delay bandit whose discount is 0, so this is the calibrated
+    sampler's path over such an environment, with a round of one block that pulls each
+    active arm once, all retained. Pull t reads uniform t, so rounds are drawn row-major
+    and the stream is the same however rounds are chunked. A mu outside [0, 1] raises
+    before any draw."""
+    mus = tuple(mus)
+    inst = BanditInstance(mus, (1,) * len(mus), Discount.constant(0), relaxed=True)
+    return _sampler(Environment(inst, rng), lambda active: [(tuple(active), len(active), -1, 0)])
+
+
+def _round_plan(env: Environment, active: list, d0: int) -> list:
+    """One calibrated round over `active`, as `log_blocks` blocks.
+
+    Active arms are split into groups of exactly d0 slots; a group's block pulls its cycle
+    (the group, then padding) once, discarded, then the group again, retained, so every kept
+    sample is taken d0 > max_i d_i rounds after the arm's previous pull; a second block then
+    pulls the padding, discarded. Deficient groups are padded with removed arms first
+    (repeats are fine, their samples are dropped), then with actives from earlier groups.
+    If no padding pool exists at all (fewer arms than d0, nothing removed yet), each arm's
+    block is d0 filler pulls of other arms, then the arm, retained, which keeps the sample
+    unbiased at a gap > d0.
+    """
+    if not active:
+        raise ValueError("need at least one active arm")
+    if d0 <= max(env.instance.ds):
+        raise ValueError("d0 must exceed every delay parameter")
+    removed = sorted(set(range(env.k)) - set(active))
+    blocks = []
+    if len(active) < d0 and not removed:
+        for x in active:
+            others = [a for a in range(env.k) if a != x]
+            fillers = tuple(others[j % len(others)] for j in range(d0))
+            blocks.append((fillers + (x,), d0 + 1, -1, d0))
+        return blocks
+    for start in range(0, len(active), d0):
+        group = tuple(active[start:start + d0])
+        pool = removed + active[:start]   # only the last group can fall short
+        padding = tuple(pool[j % len(pool)] for j in range(d0 - len(group)))
+        blocks.append((group + padding + group, d0 + len(group), -1, d0))
+        if padding:
+            blocks.append((padding, len(padding), -1, len(padding)))
+    return blocks
+
+
+def calibrated_sampler(env: Environment, d0: int):
+    """Adapter so rank_arms can run against a delay environment: `_sampler` over `env`,
+    each round planned by `_round_plan`."""
+    return _sampler(env, lambda active: _round_plan(env, active, d0))
+
+
 def calibrated_sample_round(env: Environment, active_arms, d0: int):
     """One unbiased baseline sample per active arm from a delay environment, pulled.
 
-    The one-round case of `calibrated_sampler`'s plan (see `_round_plan`): returns the
-    samples by arm, in the order of `active_arms`, and the round's pull count.
+    The one-round case of `calibrated_sampler` (see `_round_plan`): returns the samples by
+    arm, in the order of `active_arms`, and the round's pull count.
     """
     active = list(active_arms)
     samples, pulls, take = calibrated_sampler(env, d0)(active, 1)

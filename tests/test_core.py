@@ -356,7 +356,7 @@ class TestEnvironment:
         assert_same_columns(env.columns(), want)
 
     def test_construction_cost_does_not_grow_with_delay(self):
-        # the payoff table covers the taus the buffered pulls can reach, not all of 0..d
+        # a payoff row holds only the taus pulls have read, so a new environment holds none
         inst = make_instance([0.9], [10**6], Discount.geometric(0.999))
         rng = substream(0, "env")
         tracemalloc.start()
@@ -366,6 +366,25 @@ class TestEnvironment:
         finally:
             tracemalloc.stop()
         assert peak < 4 * 2**20
+
+    def test_payoff_rows_cost_what_the_pulls_reach(self, monkeypatch):
+        # back-to-back pulls of one arm read tau 0 and 1 only, so at most two exact payoffs
+        # are computed, however far the buffer and the delay reach
+        inst = make_instance([F(7, 10)], [5000], Discount.geometric(F(999, 1000)))
+        computed = []
+
+        def counted(instance, arm, tau):
+            computed.append(tau)
+            return expected_payoff(instance, arm, tau)
+
+        monkeypatch.setattr("delaybandit.core.expected_payoff", counted)
+        env = Environment(inst, substream(6, "env"))
+        env.pull_cycles((0,), 5000)
+        got = env.columns()
+        assert len(computed) <= 2
+        monkeypatch.undo()
+        assert_same_columns(got, step_columns(inst, [((0,), 5000, -1, 0)],
+                                              substream(6, "env").random(5000)))
 
     def test_large_delay_past_the_start_buffer_equals_stepwise(self):
         # tau reaches 301, past the 16-slot start buffer, so the table grows with it

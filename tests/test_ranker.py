@@ -6,6 +6,7 @@ import pytest
 from delaybandit import (
     Discount,
     Environment,
+    ExperimentConfig,
     calibrated_sample_round,
     calibrated_sampler,
     epsilon_r,
@@ -14,9 +15,10 @@ from delaybandit import (
     materialize_instance,
     preset_fig2,
     rank_arms,
+    stage_schedule,
     substream,
 )
-from delaybandit.ranker import _slack_radii
+from delaybandit.ranker import _sampler, _slack_radii
 from helpers import assert_same_columns, bernoulli_rounds, by_round, rank_arms_by_round
 
 
@@ -49,6 +51,19 @@ class TestEpsilon:
         for i in range(0, len(r), 997):
             assert exact[i] == epsilon_r(k, i + 1, delta)
         assert (_slack_radii(k, r, delta) <= exact).all()
+
+
+@pytest.mark.parametrize("delta", [0, 1, -0.5, float("nan")])
+def test_every_entry_point_checks_delta_by_one_rule(delta):
+    config = dict(instance=preset_fig2().instance, algorithms=("ucb",), horizon=100,
+                  switch_cost=0.0, seeds=(0,))
+    for call in (lambda: epsilon_r(2, 1, delta),
+                 lambda: rank_arms(lambda active, rounds: None, 2, delta),
+                 lambda: stage_schedule(2, 100, delta),
+                 lambda: ExperimentConfig(delta=delta, **config)):
+        with pytest.raises(ValueError) as err:
+            call()
+        assert str(err.value) == f"delta must lie in (0, 1), got {delta}"
 
 
 class TestRankArms:
@@ -145,6 +160,13 @@ class TestRankArms:
             kept = [samples[arm] for samples in log if arm in samples]
             assert out.means[arm] == sum(kept) / len(kept)
 
+    def test_iid_mean_outside_the_unit_interval_raises_before_any_draw(self):
+        rng = substream(0, "bad")
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError):
+            iid_bernoulli_sampler([1.5, 0.2], rng)
+        assert rng.bit_generator.state == state
+
     def test_pull_cap_incomplete(self):
         out = rank_arms(iid_bernoulli_sampler([0.51, 0.49], substream(0, "cap")), 2, 0.1,
                         pull_cap=100)
@@ -211,6 +233,31 @@ class TestCalibratedSampling:
         env = self.make_env()
         with pytest.raises(ValueError):
             calibrated_sample_round(env, [0, 1], 2)  # d0 must exceed max d = 2
+
+    @pytest.mark.parametrize("blocks", [
+        [((1, 0), 2, -1, 0)],                       # out of the order of active
+        [((0, 1, 2), 3, -1, 0)],                    # retains an arm that is not active
+        [((0, 1), 2, -1, 1)],                       # retains no pull of arm 0
+        [((0,), 1, -1, 0), ((0, 1), 2, -1, 0)],     # retains arm 0 twice
+    ])
+    def test_round_must_retain_each_active_arm_once_in_order(self, blocks):
+        env = self.make_env(k=3)
+        with pytest.raises(RuntimeError):
+            _sampler(env, lambda active: blocks)([0, 1], 5)
+        assert env.t == 0
+
+    @pytest.mark.parametrize("draw", range(5))
+    def test_retained_pulls_are_the_ranking_samples(self, draw):
+        # each arm's retained pulls in the log are its samples: one per round until it
+        # leaves, and their realized mean is the outcome's mean, exactly
+        inst = materialize_instance(preset_fig2().instance, draw)
+        env = Environment(inst, substream(draw, "rank"))
+        out = rank_arms(calibrated_sampler(env, max(inst.ds) + 1), inst.k, 0.1)
+        cols = env.columns()
+        for arm in range(inst.k):
+            kept = cols["realized"][cols["retained"] & (cols["arms"] == arm)]
+            assert len(kept) == (out.elimination_round[arm] or out.rounds)
+            assert out.means[arm] == int(kept.sum()) / len(kept)
 
     def test_end_to_end_ranking_on_environment(self):
         inst = make_instance([0.95, 0.6, 0.25], [2, 1, 2], Discount.constant(0.8))
