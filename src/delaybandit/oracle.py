@@ -12,8 +12,8 @@ checked on every edge, and the witness cycle's mean must equal it.
 
 Also here: long-run values of fixed periodic arm patterns (used for the
 two-policy alternation bonus) and of delay-feedback policies, each the mean of
-one `policies.orbit` cycle, and the periodic-maintenance reduction with a
-brute-force feasibility checker.
+one `policies.orbit` cycle, and the periodic-maintenance reduction with an
+exhaustive feasibility search on one occupancy table of the period's slots.
 """
 
 from __future__ import annotations
@@ -315,10 +315,11 @@ class PmspSchedule:
 
 
 def pmsp_feasible(pmsp: PmspInstance, cap: int = 10**4) -> PmspSchedule:
-    """Exhaustive offset search: machine i occupies all t = o_i mod l_i.
+    """Exhaustive offset search on one occupancy table of the period lcm(l_i).
 
-    Two machines collide iff their offsets agree modulo gcd(l_i, l_j), so the
-    search prunes pairwise. Period is lcm of the intervals, capped.
+    Machine i at offset o_i holds slots o_i, o_i + l_i, ...; an offset is free
+    when none of its slots is held. The cap bounds the period, and with it the
+    table, but not the time of the search.
     """
     ivs = pmsp.intervals
     period = math.lcm(*ivs)
@@ -326,34 +327,28 @@ def pmsp_feasible(pmsp: PmspInstance, cap: int = 10**4) -> PmspSchedule:
         raise ValueError(f"lcm of intervals ({period}) exceeds cap ({cap})")
     order = sorted(range(len(ivs)), key=lambda i: ivs[i])
     # depth-first over machines by interval, offsets ascending; chosen[j] is
-    # the offset of machine order[j], and a dead end moves the previous
-    # machine on to its next offset
+    # the offset of machine order[j], whose slots are set in `busy`, and a dead
+    # end clears the previous machine's slots and moves it on to its next offset
+    busy = bytearray(period)
     chosen: list = []
     o = 0
     while len(chosen) < len(order):
-        pos = len(chosen)
-        li = ivs[order[pos]]
-        while o < li:
-            for j in range(pos):
-                if (o - chosen[j]) % math.gcd(li, ivs[order[j]]) == 0:
-                    break
-            else:
-                break
+        li = ivs[order[len(chosen)]]
+        while o < li and 1 in busy[o::li]:
             o += 1
         if o < li:
+            busy[o::li] = b"\1" * (period // li)
             chosen.append(o)
             o = 0
         elif chosen:
-            o = chosen.pop() + 1
+            li = ivs[order[len(chosen) - 1]]
+            o = chosen.pop()
+            busy[o::li] = bytes(period // li)
+            o += 1
         else:
             return PmspSchedule(False, period)
-    offsets = [0] * len(ivs)
-    for pos, machine in enumerate(order):
-        offsets[machine] = chosen[pos]
-    slots = [0] * period
-    for machine, (li, o) in enumerate(zip(ivs, offsets)):
-        for t in range(o, period, li):
-            if slots[t] != 0:
-                raise RuntimeError("offset search produced a colliding schedule")
-            slots[t] = machine + 1
+    offsets, slots = [0] * len(ivs), [0] * period
+    for machine, o in zip(order, chosen):
+        offsets[machine] = o
+        slots[o::ivs[machine]] = [machine + 1] * (period // ivs[machine])
     return PmspSchedule(True, period, tuple(offsets), tuple(slots))

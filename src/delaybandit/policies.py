@@ -195,15 +195,15 @@ def rollout(instance: BanditInstance, policy, horizon: int, rng: np.random.Gener
             policy_id: int = -1) -> PolicyTrace:
     """Play the block rule policy(state) -> arms for `horizon` pulls from the all-zero state.
 
-    The rule sees the delay state alone, so its play is its orbit: the prefix,
-    cut to the horizon, and then the cycle tiled, pulled as two `pull_cycles`
-    blocks. Deterministic given (instance, policy, horizon, stream state); the
-    trace records both channels at every pull and equals pulling the same arms
-    one at a time, bit for bit.
+    The rule sees the delay state alone, so its whole play is decided up front:
+    its orbit's prefix, cut to the horizon, and then the cycle tiled, logged as
+    two blocks by one `log_blocks` call. Deterministic given (instance, policy,
+    horizon, stream state); the trace records both channels at every pull and
+    equals pulling the same arms one at a time, bit for bit.
     """
     horizon = _check_horizon(horizon)
     head, cycle = orbit(instance, policy, arms=True)
     env = Environment(instance, rng, capacity=max(horizon, 1))
-    env.pull_cycles(head, min(len(head), horizon), policy=policy_id)
-    env.pull_cycles(cycle, horizon - len(head), policy=policy_id)
+    env.log_blocks([(tuple(head), min(len(head), horizon), policy_id, 0),
+                    (tuple(cycle), horizon - len(head), policy_id, 0)])
     return PolicyTrace.from_env(env)

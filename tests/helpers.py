@@ -10,6 +10,7 @@ import numpy as np
 from delaybandit import (
     Discount,
     Environment,
+    PmspSchedule,
     PolicyTrace,
     advance_state,
     build_state_graph,
@@ -211,6 +212,52 @@ def verify_maintenance_schedule(intervals, slots):
             if b - a != li:
                 return False
     return True
+
+
+def pmsp_feasible_by_gcd(pmsp, cap=10**4):
+    """Reference for `pmsp_feasible`: the same search order, decided pairwise, with its
+    slots rebuilt and re-checked. Machine i occupies all t = o_i mod l_i.
+
+    Two machines collide iff their offsets agree modulo gcd(l_i, l_j), so the
+    search prunes pairwise. Period is lcm of the intervals, capped.
+    """
+    ivs = pmsp.intervals
+    period = math.lcm(*ivs)
+    if period > cap:
+        raise ValueError(f"lcm of intervals ({period}) exceeds cap ({cap})")
+    order = sorted(range(len(ivs)), key=lambda i: ivs[i])
+    # depth-first over machines by interval, offsets ascending; chosen[j] is
+    # the offset of machine order[j], and a dead end moves the previous
+    # machine on to its next offset
+    chosen: list = []
+    o = 0
+    while len(chosen) < len(order):
+        pos = len(chosen)
+        li = ivs[order[pos]]
+        while o < li:
+            for j in range(pos):
+                if (o - chosen[j]) % math.gcd(li, ivs[order[j]]) == 0:
+                    break
+            else:
+                break
+            o += 1
+        if o < li:
+            chosen.append(o)
+            o = 0
+        elif chosen:
+            o = chosen.pop() + 1
+        else:
+            return PmspSchedule(False, period)
+    offsets = [0] * len(ivs)
+    for pos, machine in enumerate(order):
+        offsets[machine] = chosen[pos]
+    slots = [0] * period
+    for machine, (li, o) in enumerate(zip(ivs, offsets)):
+        for t in range(o, period, li):
+            if slots[t] != 0:
+                raise RuntimeError("offset search produced a colliding schedule")
+            slots[t] = machine + 1
+    return PmspSchedule(True, period, tuple(offsets), tuple(slots))
 
 
 @dataclass

@@ -1,5 +1,9 @@
 import inspect
+import itertools
+import math
+import random
 import sys
+import time
 from fractions import Fraction as F
 
 import numpy as np
@@ -28,6 +32,7 @@ from delaybandit import (
 from helpers import (
     brute_force_max_mean,
     make_equal_optima,
+    pmsp_feasible_by_gcd,
     random_exact_instance,
     random_float_instance,
     verify_maintenance_schedule,
@@ -300,3 +305,39 @@ class TestPmsp:
                 assert feasible == meets, (ivs, feasible, rho)
                 checked += 1
         assert checked > 20
+
+    @staticmethod
+    def _equivalence_instances():
+        """The soundness grid above, (l,) * l for l = 2..60, and 2,000 seeded draws."""
+        for n in (1, 2, 3):
+            for ivs in itertools.combinations_with_replacement(range(2, 7), n):
+                if sum(F(1, v) for v in ivs) <= 1 and math.lcm(*ivs) <= 60:
+                    yield ivs
+        for li in range(2, 61):
+            yield (li,) * li
+        rng, pool = random.Random(0), (2, 3, 4, 5, 6, 8, 9, 10, 12, 15, 16, 18, 20, 24)
+        for _ in range(2000):
+            ivs = tuple(rng.choice(pool) for _ in range(rng.randint(1, 6)))
+            if sum(F(1, v) for v in ivs) <= 1 and math.lcm(*ivs) <= 10**4:
+                yield ivs
+
+    def test_occupancy_search_equals_gcd_search(self):
+        # the occupancy table decides each offset as the pairwise gcd rule does, so the
+        # search visits the same offsets; every witness is checked independently
+        checked = feasible = 0
+        for ivs in self._equivalence_instances():
+            pmsp = PmspInstance(ivs)
+            verdict = pmsp_feasible(pmsp)
+            assert verdict == pmsp_feasible_by_gcd(pmsp), ivs
+            if verdict.feasible:
+                assert verify_maintenance_schedule(ivs, verdict.slots), ivs
+                feasible += 1
+            checked += 1
+        assert checked > 1000 and 0 < feasible < checked
+
+    def test_many_machines_of_one_interval_are_fast(self):
+        # 1,100 machines of interval 1,100: the pairwise gcd search made O(n^3) checks here
+        t0 = time.monotonic()
+        verdict = pmsp_feasible(PmspInstance((1100,) * 1100))
+        assert time.monotonic() - t0 < 5
+        assert verdict.feasible and verdict.offsets == tuple(range(1100))
