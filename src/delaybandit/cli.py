@@ -98,11 +98,8 @@ def _cmd_pmsp(args) -> int:
     return 0
 
 
-PRESETS = {
-    "fig2": preset_fig2,
-    "fig3-cost": lambda: preset_fig3(cost=True),
-    "fig3-free": lambda: preset_fig3(cost=False),
-}
+PRESETS = {config.label: config
+           for config in (preset_fig2(), preset_fig3(cost=True), preset_fig3(cost=False))}
 
 
 def _cmd_experiment(args) -> int:
@@ -110,7 +107,7 @@ def _cmd_experiment(args) -> int:
         for flag, value in (("--algos", args.algos), ("--instance", args.instance)):
             if value is not None:
                 raise ValueError(f"{flag} cannot be combined with --preset")
-        base = PRESETS[args.preset]()
+        base = PRESETS[args.preset]
     elif args.instance:
         base = ExperimentConfig(instance={"file": args.instance}, algorithms=("low", "ucb"),
                                 horizon=10_000, delta=0.1, switch_cost=0.0, seeds=(0,),

@@ -244,7 +244,9 @@ class Environment:
     `log_blocks`: `pull_cycles` logs its block there and then reads the block's
     reward, and a caller that decided its blocks already logs them all in one
     call (UCB its run, the ranker a chunk of equal rounds as one round's blocks
-    repeated). Per-arm last-pull times make a pull cost O(1) regardless of k.
+    repeated). The log is the only pull state: a pull reads each arm's last
+    pull off it from its end, a whole-log walk while some arm was never pulled;
+    only the low-switch learner (at most k S + 1 blocks) and the tests pull.
     The realized channel depends only on the stream and the pull sequence, not
     on how pulls are batched.
     """
@@ -256,7 +258,6 @@ class Environment:
         self._rng = rng
         self._ds = instance.ds
         self.t = 0
-        self._last: list = [None] * self.k
         self._u = rng.random(max(int(capacity), 16))   # uniform t is pull t's
         # payoff lookup per arm over capped tau = 0, 1, ..., plain lists for the scalar
         # path; a row holds the taus read so far, so it costs what the pulls reach
@@ -293,7 +294,20 @@ class Environment:
         """Capped delay vector: rounds since each arm's last pull, 0 past its delay. Nothing
         in the lab calls it; it stays only because perfbench/tracer.py patches it (ROADMAP
         item 1)."""
-        return tuple(self._row(arm, self.t, self._last[arm])[0] for arm in range(self.k))
+        return tuple(self._row(arm, self.t, last)[0] for arm, last in enumerate(self._last_pulls()))
+
+    def _last_pulls(self) -> list:
+        # each arm's latest pull time (None if it has none), read off the log from its end:
+        # a block's last min(n, len(prefix)) pulls hold its last pull of each arm it pulls
+        found, prefixes, log, end = {}, list(self._cycle_ids), self._blocks, self.t
+        for b in range(len(log) - 4, -1, -4):
+            if len(found) == self.k:
+                break
+            n, prefix = log[b], prefixes[log[b + 1]]
+            end -= n
+            for i in range(n - 1, max(n - len(prefix), 0) - 1, -1):
+                found.setdefault(prefix[i % len(prefix)], end + i)
+        return [found.get(arm) for arm in range(self.k)]
 
     def _row(self, arm: int, t: int, last) -> tuple:
         # capped tau at time t since the arm's last pull at `last` (None if none), and its
@@ -317,17 +331,15 @@ class Environment:
         `columns` derives the realized channel from the uniforms.
 
         Per block: a new prefix is checked and numbered, the buffer is reserved, the block
-        is appended (none for n <= 0 pulls; retain_from clipped to [0, n]), and the clock
-        and each pulled arm's last-pull time move to the block's end; a block shorter than
-        its prefix sets only the arms it pulls. A bad prefix raises before its block is
-        logged, as it would in `pull_cycles`.
+        is appended (none for n <= 0 pulls; retain_from clipped to [0, n]) and the clock
+        moves to the block's end. A bad prefix raises before its block is logged, as it
+        would in `pull_cycles`.
 
         `repeat` logs the whole list that many times, as `blocks * repeat` would: the first
-        copy as above, each further copy as the same rows, L pulls later, where L is the
-        copy's length. So the clock and the last pulls of the arms the copy pulls move on
-        by (repeat - 1) L.
+        copy as above, each further copy as the same rows, so the clock moves on by
+        (repeat - 1) L, where L is the copy's length.
         """
-        ids, log, last = self._cycle_ids, self._blocks, self._last
+        ids, log = self._cycle_ids, self._blocks
         t0, start = self.t, len(log)
         for prefix, n, policy, retain_from in blocks:
             cycle = ids.get(prefix)
@@ -340,26 +352,14 @@ class Environment:
             n = int(n)
             if n <= 0:
                 continue
-            t = self.t
-            self._reserve(t + n)
-            rf = int(retain_from)
-            log.extend((n, cycle, policy, 0 if rf < 0 else n if rf > n else rf))
-            m = len(prefix)
-            if n < m:
-                prefix = prefix[:n]
-            elif n % m:     # the last m pulls hold every arm's final pull: the prefix rotated
-                prefix = prefix[n % m:] + prefix[:n % m]
-            for i, arm in enumerate(prefix, t + n - len(prefix)):
-                last[arm] = i
-            self.t = t + n
+            self._reserve(self.t + n)
+            log.extend((n, cycle, policy, min(max(int(retain_from), 0), n)))
+            self.t += n
         if repeat > 1:
             rows, shift = log[start:], (repeat - 1) * (self.t - t0)
             self._reserve(self.t + shift)
             for _ in range(repeat - 1):
                 log.extend(rows)
-            for arm, i in enumerate(last):
-                if i is not None and i >= t0:
-                    last[arm] = i + shift
             self.t += shift
 
     def pull_cycles(self, prefix, n_pulls: int, policy: int = -1,
@@ -376,7 +376,7 @@ class Environment:
         the stream.
         """
         prefix = tuple(prefix)
-        t0, last = self.t, self._last[:]    # the block's gaps count from the pulls before it
+        t0, last = self.t, self._last_pulls()   # the block's gaps count from the pulls before it
         self.log_blocks(((prefix, n_pulls, policy, retain_from),))
         n = self.t - t0
         rf = self._blocks[-1] if n else 0
@@ -403,32 +403,6 @@ class Environment:
             ret_sum += int(np.count_nonzero(self._u[t0 + lo:t0 + n] < pay))
             self.t = t0 + n
         return float(ret_sum), n - rf
-
-    def steady_hits(self, prefixes, n: int) -> list:
-        """Retained hits of each prefix's pulled pair of cycles, by start time, without pulling.
-
-        One row per prefix, of length n: entry t counts the pulls of the second of two
-        cycles over the prefix started at t (pulls t + m to t + 2m - 1, m = len(prefix))
-        whose uniform falls below its payoff, which is the retained reward sum of
-        `pull_cycles(prefix, 2 * m, retain_from=m)` at t. Entries whose pair would end past
-        pull n - 1 hold 0. Valid for a cycle of distinct arms: every gap in the second cycle
-        is then m, whatever came before t, so arm prefix[j] pays what `_row` gives at gap m,
-        and the count is fixed by the uniforms.
-        """
-        self._reserve(n)
-        # a row per prefix, not one 2-D table: in fig2 runs the single table left glibc's
-        # heap about 1 MB larger at peak than separate rows did
-        hits = [np.zeros(n, np.min_scalar_type(len(prefix))) for prefix in prefixes]
-        hit = np.empty(n, bool)     # one comparison row, reused
-        for row, prefix in zip(hits, prefixes):
-            m = len(prefix)
-            size = n - 2 * m + 1
-            if size <= 0:
-                continue
-            for j, arm in enumerate(prefix):
-                np.less(self._u[m + j:m + j + size], self._row(arm, m, 0)[1], out=hit[:size])
-                row[:size] += hit[:size]
-        return hits
 
     def columns(self) -> dict:
         """The seven pull-log columns, derived from the blocks and uniforms in one pass.

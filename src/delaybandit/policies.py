@@ -10,6 +10,7 @@ the ghost reference and the oracle's periodic values are read off it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -89,13 +90,16 @@ def _cycle_mean(values):
     return total / len(values)
 
 
-def orbit(instance: BanditInstance, block, *, arms: bool = False) -> tuple[list, list]:
+def orbit(instance: BanditInstance, block, *, arms: bool = False,
+          limit: float = math.inf) -> tuple[list, list]:
     """Expected payoffs of playing block(state) -> arms from the all-zero state.
 
     Blocks are played until a delay state at a block boundary repeats; from
     then on the play is periodic. Returns (prefix, cycle): the payoffs
     before the periodic part and those of one period, exact for exact
-    instances. With arms=True both lists hold the arms played instead.
+    instances. With arms=True both lists hold the arms played instead. Play
+    also stops at the first block boundary at or past `limit` pulls; then
+    the prefix is all that was played and the cycle is empty.
     """
     state = initial_state(instance)
     seen = {}
@@ -105,6 +109,8 @@ def orbit(instance: BanditInstance, block, *, arms: bool = False) -> tuple[list,
         for arm in block(state):
             played.append(arm if arms else expected_payoff(instance, arm, state[arm]))
             state = advance_state(state, arm, instance)
+        if len(played) >= limit:
+            return played, []
     start = seen[state]
     return played[:start], played[start:]
 
@@ -196,14 +202,16 @@ def rollout(instance: BanditInstance, policy, horizon: int, rng: np.random.Gener
     """Play the block rule policy(state) -> arms for `horizon` pulls from the all-zero state.
 
     The rule sees the delay state alone, so its whole play is decided up front:
-    its orbit's prefix, cut to the horizon, and then the cycle tiled, logged as
-    two blocks by one `log_blocks` call. Deterministic given (instance, policy,
-    horizon, stream state); the trace records both channels at every pull and
-    equals pulling the same arms one at a time, bit for bit.
+    its orbit, played no further than the horizon, as the prefix and then the
+    cycle tiled, logged by one `log_blocks` call. Deterministic given (instance,
+    policy, horizon, stream state); the trace records both channels at every
+    pull and equals pulling the same arms one at a time, bit for bit.
     """
     horizon = _check_horizon(horizon)
-    head, cycle = orbit(instance, policy, arms=True)
+    head, cycle = orbit(instance, policy, arms=True, limit=horizon)
+    blocks = [(tuple(head), min(len(head), horizon), policy_id, 0)]
+    if cycle:
+        blocks.append((tuple(cycle), horizon - len(head), policy_id, 0))
     env = Environment(instance, rng, capacity=max(horizon, 1))
-    env.log_blocks([(tuple(head), min(len(head), horizon), policy_id, 0),
-                    (tuple(cycle), horizon - len(head), policy_id, 0)])
+    env.log_blocks(blocks)
     return PolicyTrace.from_env(env)

@@ -11,7 +11,7 @@ import math
 from array import array
 from dataclasses import dataclass
 
-from .core import BanditInstance, Environment, _check_horizon, substream
+from .core import BanditInstance, Environment, _check_horizon, expected_payoff, substream
 from .policies import PolicyTrace
 
 __all__ = ["UcbRun", "run_ucb_rankings", "ucb_index"]
@@ -48,20 +48,20 @@ def run_ucb_rankings(instance: BanditInstance, T: int, seed: int = 0, rng=None) 
     updates the estimate. Every pick is the index's: ties break toward the
     lower cutoff, so the unplayed cutoffs (index +inf) go first, in order.
 
-    The second roll-out's gaps all equal m, so its hits depend only on its
-    start time: `Environment.steady_hits` counts them for every start up front,
-    a pick reads its count from that table, and the picks are logged at the end
-    in one `log_blocks` call, as if each pair had been pulled.
+    Every gap in cutoff m's second roll-out is m, whatever came before, so arm
+    j pays expected_payoff(instance, j, m) there: a pick counts the hits of its
+    own uniforms against that cutoff's payoffs, and the picks are logged at the
+    end in one `log_blocks` call, as if each pair had been pulled.
     """
     k = instance.k
     T = _check_horizon(T)
     if rng is None:
         rng = substream(seed, "ucb")
     env = Environment(instance, rng, capacity=max(T, 1))
+    u = memoryview(env._u)      # the run's uniforms, reserved up to T
     prefixes = [tuple(range(m)) for m in range(k + 1)]   # 1-based cutoffs
-    hits = [None, *map(memoryview, env.steady_hits(prefixes[1:], T))]
-    counts = [0] * (k + 1)
-    means = [0.0] * (k + 1)
+    pays = [[float(expected_payoff(instance, j, m)) for j in range(m)] for m in range(k + 1)]
+    counts, means = [0] * (k + 1), [0.0] * (k + 1)
     picks = array("q")     # (cutoff, pulls) per selection
     n = t = 0
     while t < T:
@@ -79,13 +79,17 @@ def run_ucb_rankings(instance: BanditInstance, T: int, seed: int = 0, rng=None) 
         n += 1
         pulls = 2 * m
         if t + pulls <= T:
-            means[m] = (means[m] * counts[m] + hits[m][t] / m) / (counts[m] + 1)
+            hits, i = 0, t + m      # the second roll-out's first pull
+            for p in pays[m]:
+                if u[i] < p:
+                    hits += 1
+                i += 1
+            means[m] = (means[m] * counts[m] + hits / m) / (counts[m] + 1)
             counts[m] += 1
         else:
             pulls = T - t
         picks.extend((m, pulls))
         t += pulls
-    del hits    # free the rows before the log's columns are built
     pairs = iter(picks)
     env.log_blocks((prefixes[m], pulls, m, m) for m, pulls in zip(pairs, pairs))
     trace = PolicyTrace.from_env(env)

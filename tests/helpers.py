@@ -25,6 +25,11 @@ from delaybandit import (
 from delaybandit.ranker import RankingOutcome
 
 
+def fig3_instance():
+    """The fig3 presets' two arms, exact: both ranking policies are optimal, g(1) = g(2) = 0.7."""
+    return make_instance([F(1), F(13, 15)], [2, 2], Discount.table([F(3, 10), F(1, 4)]))
+
+
 def random_exact_instance(rng, kmax=3, dmax=3, denom=20):
     """Random instance with strictly decreasing rational baselines."""
     k = int(rng.integers(1, kmax + 1))

@@ -230,7 +230,7 @@ class TestEnvironment:
         logged.log_blocks(blocks)
         assert_same_columns(logged.columns(), pulled.columns())
         assert logged.t == pulled.t == 223
-        assert logged._last == pulled._last == [220, 221, 222, 215]
+        assert logged._last_pulls() == pulled._last_pulls() == [220, 221, 222, 215]
         assert logged.pull_cycles((3, 2, 1, 0), 5) == pulled.pull_cycles((3, 2, 1, 0), 5)
 
     @pytest.mark.parametrize("prefix", [(), (0, 2), (-1,)])
@@ -240,7 +240,8 @@ class TestEnvironment:
         env = Environment(inst, substream(0, "bad"))
         with pytest.raises((ValueError, IndexError)):
             env.log_blocks([((0,), 2, -1, 0), (prefix, 3, -1, 0)])
-        assert env.t == 2 and env.columns()["arms"].tolist() == [0, 0] and env._last == [1, None]
+        assert env.t == 2 and env.columns()["arms"].tolist() == [0, 0]
+        assert env._last_pulls() == [1, None]
 
     @pytest.mark.parametrize("repeat", [1, 2, 1000])
     def test_repeated_blocks_log_as_the_repeated_list(self, repeat):
@@ -255,7 +256,7 @@ class TestEnvironment:
         listed.log_blocks(blocks * repeat)
         assert once._blocks == listed._blocks and once._cycle_ids == listed._cycle_ids
         assert once.t == listed.t == 1 + 8 * repeat
-        assert once._last == listed._last and once._last[3:] == [0, None]
+        assert once._last_pulls() == listed._last_pulls() and once._last_pulls()[3:] == [0, None]
         assert_same_columns(once.columns(), listed.columns())
 
     @pytest.mark.parametrize("prefix", [(), (0, 2), (-1,)])
@@ -271,26 +272,25 @@ class TestEnvironment:
             once.log_blocks(blocks, repeat=1000)
         with pytest.raises((ValueError, IndexError)):
             listed.log_blocks(blocks * 1000)
-        assert (once.t, once._last) == (listed.t, listed._last) == \
+        assert (once.t, once._last_pulls()) == (listed.t, listed._last_pulls()) == \
             ((0, [None, None]) if first else (2, [1, None]))
         assert once._blocks == listed._blocks and once._cycle_ids == listed._cycle_ids
 
-    def test_steady_hits_equal_pulled_pairs(self):
-        # a pair of distinct-arm cycles retains the hits counted for its start time,
-        # whatever was pulled before it
+    def test_pulled_pairs_retain_the_hits_at_gap_m(self):
+        # the second of a pair of distinct-arm cycles retains the pulls whose uniform falls
+        # below the payoff at gap m, whatever was pulled before the pair: the count UCB reads
         inst = make_instance([0.9, 0.6, 0.3], [2, 3, 1], Discount.table([0.5, 0.25]))
-        prefixes = [(0,), (0, 1), (0, 1, 2), (2, 0, 1)]
         n = 60
-        hits = Environment(inst, substream(4, "hits"), capacity=n).steady_hits(prefixes, n)
-        assert [(row.shape, row.dtype) for row in hits] == [((n,), np.uint8)] * 4
+        u = substream(4, "hits").random(n)
         rng = np.random.default_rng(1)
-        for row, prefix in zip(hits, prefixes):
+        for prefix in [(0,), (0, 1), (0, 1, 2), (2, 0, 1)]:
             m = len(prefix)
+            pay = [float(expected_payoff(inst, a, m)) for a in prefix]
             for t in range(n - 2 * m + 1):
                 env = Environment(inst, substream(4, "hits"), capacity=n)
                 env.log_blocks([((int(a),), 1, -1, 0) for a in rng.integers(0, 3, size=t)])
-                assert env.pull_cycles(prefix, 2 * m, retain_from=m) == (float(row[t]), m)
-            assert not row[n - 2 * m + 1:].any()
+                hits = sum(u[t + m + j] < pay[j] for j in range(m))
+                assert env.pull_cycles(prefix, 2 * m, retain_from=m) == (float(hits), m)
 
     def test_gap_recording(self):
         inst = make_instance([0.9, 0.6], [1, 1], Discount.constant(0.5))

@@ -26,10 +26,7 @@ from delaybandit import (
     run_experiment,
 )
 from delaybandit.cli import main
-
-
-def fig3_instance():
-    return make_instance([F(1), F(13, 15)], [2, 2], Discount.table([F(3, 10), F(1, 4)]))
+from helpers import fig3_instance
 
 
 class TestInstanceIO:

@@ -12,11 +12,7 @@ from delaybandit import (
     run_pi_low,
     stage_schedule,
 )
-from helpers import random_exact_instance
-
-
-def fig3_instance():
-    return make_instance([F(1), F(13, 15)], [2, 2], Discount.table([F(3, 10), F(1, 4)]))
+from helpers import fig3_instance, random_exact_instance
 
 
 class TestStageSchedule:

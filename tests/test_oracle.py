@@ -31,16 +31,13 @@ from delaybandit import (
 )
 from helpers import (
     brute_force_max_mean,
+    fig3_instance,
     make_equal_optima,
     pmsp_feasible_by_gcd,
     random_exact_instance,
     random_float_instance,
     verify_maintenance_schedule,
 )
-
-
-def fig3_instance():
-    return make_instance([F(1), F(13, 15)], [2, 2], Discount.table([F(3, 10), F(1, 4)]))
 
 
 class TestStateGraph:

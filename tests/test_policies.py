@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction as F
 
 import numpy as np
@@ -16,11 +17,7 @@ from delaybandit import (
     rollout,
     substream,
 )
-from helpers import random_exact_instance
-
-
-def fig3_instance():
-    return make_instance([F(1), F(13, 15)], [2, 2], Discount.table([F(3, 10), F(1, 4)]))
+from helpers import assert_same_columns, fig3_instance, random_exact_instance, step_rollout
 
 
 def section3_example(eps=F(1, 10)):
@@ -88,6 +85,12 @@ class TestOrbit:
         inst = section3_example()
         prefix, cycle = orbit(inst, lambda state: (greedy_arm(inst, state),))
         assert prefix == [1] and cycle == [F(1, 2)]
+
+    def test_limit_stops_at_a_block_boundary(self):
+        # blocks of two: play stops at the first boundary at or past the limit, no cycle
+        inst = make_instance([0.9, 0.6], [2, 3], Discount.geometric(0.7))
+        assert orbit(inst, lambda state: (0, 1), arms=True, limit=3) == ([0, 1, 0, 1], [])
+        assert orbit(inst, lambda state: (0, 1), arms=True, limit=5) == ([0, 1], [0, 1])
 
     def test_float_instance(self):
         inst = make_instance([0.9, 0.6], [2, 3], Discount.geometric(0.7))
@@ -176,3 +179,17 @@ class TestRollout:
         trace = rollout(inst, RankingPolicy(1), 10, substream(0, "r"), policy_id=1)
         assert trace.total_switches == 0
         assert trace.cum_switches[-1] == 0
+
+    def test_cost_stops_at_the_horizon(self):
+        # greedy alternates arms 1 and 2 for 10^6 rounds before its state repeats; 1,000
+        # pulls walk 1,000 states of that orbit, not all of them
+        inst = make_instance([1, 0.5, 0.49], [1_000_000, 1, 1], Discount.constant(0.9))
+        tracemalloc.start()
+        try:
+            trace = rollout(inst, GreedyPolicy(inst), 1000, substream(0, "r"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        want = step_rollout(inst, lambda s: greedy_arm(inst, s), 1000, substream(0, "r"))
+        assert_same_columns(vars(trace), vars(want))
+        assert peak < 5 * 2**20

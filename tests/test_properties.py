@@ -92,8 +92,22 @@ def test_logging_blocks_equals_pulling_them(ds, pool, picks, seed):
         pulled.pull_cycles(*block)
     logged.log_blocks(block_list)
     assert_same_columns(logged.columns(), pulled.columns())
-    assert (logged.t, logged._last) == (pulled.t, pulled._last)
+    assert (logged.t, logged._last_pulls()) == (pulled.t, pulled._last_pulls())
     assert logged.pull_cycles(tuple(range(7)), 7) == pulled.pull_cycles(tuple(range(7)), 7)
+
+
+@settings(max_examples=100, deadline=None)
+@given(ds=fig2_delays, pool=st.lists(blocks(7), min_size=1, max_size=3),
+       picks=st.lists(st.tuples(st.integers(0, 2), st.integers(0, 20)), max_size=8),
+       repeat=st.integers(1, 3), seed=st.integers(0, 2**16))
+def test_last_pulls_are_read_off_the_log(ds, pool, picks, repeat, seed):
+    # blocks cut short of their prefix, tails that stop mid-cycle and repeated lists: each
+    # arm's last pull is its last index in the arms column, None if it was never pulled
+    env = Environment(fig2_instance(ds), substream(seed, "env"))
+    env.log_blocks([(pool[i % len(pool)][0], n, i, 0) for i, n in picks], repeat=repeat)
+    arms = env.columns()["arms"].tolist()
+    want = [len(arms) - 1 - arms[::-1].index(a) if a in arms else None for a in range(7)]
+    assert env._last_pulls() == want
 
 
 @st.composite
@@ -264,7 +278,7 @@ def test_chunked_calibrated_ranking_equals_rounds_by_round(instance_seed, data):
     want = rank_arms_by_round(lambda active: calibrated_sample_round(stepped, active, d0),
                               inst.k, delta, pull_cap)
     assert got == want
-    assert chunked.t == stepped.t == got.pulls and chunked._last == stepped._last
+    assert chunked.t == stepped.t == got.pulls and chunked._last_pulls() == stepped._last_pulls()
     assert_same_columns(chunked.columns(), stepped.columns())
 
 

@@ -282,6 +282,7 @@ class TestChunkedRounds:
         want = rank_arms_by_round(lambda active: calibrated_sample_round(stepped, active, d0),
                                   inst.k, 0.1, pull_cap)
         assert got == want
-        assert chunked.t == stepped.t == got.pulls and chunked._last == stepped._last
+        assert chunked.t == stepped.t == got.pulls
+        assert chunked._last_pulls() == stepped._last_pulls()
         assert len(chunked._u) == len(stepped._u)
         assert_same_columns(chunked.columns(), stepped.columns())

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction as F
 
 import numpy as np
@@ -15,12 +16,8 @@ from delaybandit import (
     run_ucb_rankings,
     ucb_index,
 )
-from helpers import (assert_same_columns, random_exact_instance, random_float_instance,
-                     ucb_reference)
-
-
-def fig3_instance():
-    return make_instance([F(1), F(13, 15)], [2, 2], Discount.table([F(3, 10), F(1, 4)]))
+from helpers import (assert_same_columns, fig3_instance, random_exact_instance,
+                     random_float_instance, ucb_reference)
 
 
 class TestUcbIndex:
@@ -127,6 +124,29 @@ class TestMatchesPerSelectionReference:
         inst = make_instance([F(3, 4)], [1], Discount.constant(F(1, 2)))
         for T in (0, 1, 2, 3, 401):
             assert_run_equals_reference(inst, T, seed=0)
+
+    @pytest.mark.parametrize("k", [30, 100])
+    @pytest.mark.parametrize("d", [3, 50])
+    def test_many_arms(self, k, d):
+        for T in (0, 2 * k - 1, 2 * k, 20000):
+            assert_run_equals_reference(many_arms(k, d), T, seed=8)
+
+
+def many_arms(k, d):
+    """k arms with baselines 1 - i/(k+1), all of delay d, geometric discount 0.9."""
+    return make_instance([1 - i / (k + 1) for i in range(k)], [d] * k, Discount.geometric(0.9))
+
+
+def test_many_arms_memory_stays_near_the_log():
+    # a pick reads its own uniforms, so memory is the uniforms, the log and its columns,
+    # with no k x T table of hits
+    tracemalloc.start()
+    try:
+        run_ucb_rankings(many_arms(100, 3), 200_000, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * 2**20
 
 
 @settings(max_examples=60, deadline=None)
