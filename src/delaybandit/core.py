@@ -238,17 +238,16 @@ def _aged(state, ds) -> tuple:
 class Environment:
     """Sequential sampler over an instance; owns its RNG stream and pull log.
 
-    The log is the block sequence plus the uniforms it consumed: pull t reads
-    uniform t of the stream, and from the all-zero start the arms fix every
-    other column, which `columns` derives on demand. Every block is logged by
-    `log_blocks`: `pull_cycles` logs its block there and then reads the block's
-    reward, and a caller that decided its blocks already logs them all in one
-    call (UCB its run, the ranker a chunk of equal rounds as one round's blocks
-    repeated). The log is the only pull state: a pull reads each arm's last
-    pull off it from its end, a whole-log walk while some arm was never pulled;
-    only the low-switch learner (at most k S + 1 blocks) and the tests pull.
-    The realized channel depends only on the stream and the pull sequence, not
-    on how pulls are batched.
+    The log is the block sequence plus the uniforms it consumed: pull t reads uniform t of
+    the stream, and from the all-zero start the arms fix every other column, which
+    `columns` derives on demand. Every block is logged by `log_blocks`: `pull_cycles` logs
+    its block there and then reads the block's reward, and a caller that decided its
+    blocks already logs them all in one call (UCB its run, the ranker a chunk of equal
+    rounds as one round's blocks repeated). The log is the only pull state: a pull reads
+    each arm's last pull off it from its end, no further back than the largest delay (an
+    older pull pays the baseline, as no pull does), so it reads at most the last max d
+    pulls. The realized channel depends only on the stream and the pull sequence, not on
+    how pulls are batched.
     """
 
     def __init__(self, instance: BanditInstance, rng: np.random.Generator,
@@ -256,7 +255,7 @@ class Environment:
         self.instance = instance
         self.k = instance.k
         self._rng = rng
-        self._ds = instance.ds
+        self._ds, self._dmax = instance.ds, max(instance.ds)
         self.t = 0
         self._u = rng.random(max(int(capacity), 16))   # uniform t is pull t's
         # payoff lookup per arm over capped tau = 0, 1, ..., plain lists for the scalar
@@ -294,20 +293,21 @@ class Environment:
         """Capped delay vector: rounds since each arm's last pull, 0 past its delay. Nothing
         in the lab calls it; it stays only because perfbench/tracer.py patches it (ROADMAP
         item 1)."""
-        return tuple(self._row(arm, self.t, last)[0] for arm, last in enumerate(self._last_pulls()))
+        last = self._last_pulls(self.t - self._dmax)
+        return tuple(self._row(arm, self.t, at)[0] for arm, at in enumerate(last))
 
-    def _last_pulls(self) -> list:
-        # each arm's latest pull time (None if it has none), read off the log from its end:
-        # a block's last min(n, len(prefix)) pulls hold its last pull of each arm it pulls
+    def _last_pulls(self, since: int = 0) -> list:
+        # each arm's latest pull at or after `since` (None if none), read off the log from its
+        # end: a block's last min(n, len(prefix)) pulls hold its last pull of each arm it pulls
         found, prefixes, log, end = {}, list(self._cycle_ids), self._blocks, self.t
         for b in range(len(log) - 4, -1, -4):
-            if len(found) == self.k:
+            if len(found) == self.k or end <= since:
                 break
             n, prefix = log[b], prefixes[log[b + 1]]
             end -= n
-            for i in range(n - 1, max(n - len(prefix), 0) - 1, -1):
+            for i in range(n - 1, max(n - len(prefix), since - end, 0) - 1, -1):
                 found.setdefault(prefix[i % len(prefix)], end + i)
-        return [found.get(arm) for arm in range(self.k)]
+        return list(map(found.get, range(self.k)))
 
     def _row(self, arm: int, t: int, last) -> tuple:
         # capped tau at time t since the arm's last pull at `last` (None if none), and its
@@ -376,7 +376,7 @@ class Environment:
         the stream.
         """
         prefix = tuple(prefix)
-        t0, last = self.t, self._last_pulls()   # the block's gaps count from the pulls before it
+        t0, last = self.t, self._last_pulls(self.t - self._dmax)   # gaps from earlier pulls
         self.log_blocks(((prefix, n_pulls, policy, retain_from),))
         n = self.t - t0
         rf = self._blocks[-1] if n else 0

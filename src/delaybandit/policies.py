@@ -10,7 +10,6 @@ the ghost reference and the oracle's periodic values are read off it.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -91,7 +90,7 @@ def _cycle_mean(values):
 
 
 def orbit(instance: BanditInstance, block, *, arms: bool = False,
-          limit: float = math.inf) -> tuple[list, list]:
+          limit: float = float("inf")) -> tuple[list, list]:
     """Expected payoffs of playing block(state) -> arms from the all-zero state.
 
     Blocks are played until a delay state at a block boundary repeats; from

@@ -48,10 +48,9 @@ def run_ucb_rankings(instance: BanditInstance, T: int, seed: int = 0, rng=None) 
     updates the estimate. Every pick is the index's: ties break toward the
     lower cutoff, so the unplayed cutoffs (index +inf) go first, in order.
 
-    Every gap in cutoff m's second roll-out is m, whatever came before, so arm
-    j pays expected_payoff(instance, j, m) there: a pick counts the hits of its
-    own uniforms against that cutoff's payoffs, and the picks are logged at the
-    end in one `log_blocks` call, as if each pair had been pulled.
+    Every gap in cutoff m's second roll-out is m, whatever came before, so arm j pays
+    expected_payoff(instance, j, m) there: a pick counts the hits of its own uniforms against
+    those payoffs, and the picks are logged in one `log_blocks` call, as if pulled.
     """
     k = instance.k
     T = _check_horizon(T)
@@ -59,8 +58,7 @@ def run_ucb_rankings(instance: BanditInstance, T: int, seed: int = 0, rng=None) 
         rng = substream(seed, "ucb")
     env = Environment(instance, rng, capacity=max(T, 1))
     u = memoryview(env._u)      # the run's uniforms, reserved up to T
-    prefixes = [tuple(range(m)) for m in range(k + 1)]   # 1-based cutoffs
-    pays = [[float(expected_payoff(instance, j, m)) for j in range(m)] for m in range(k + 1)]
+    prefixes, pays = [()], [[]]     # per 1-based cutoff, built at its first pick
     counts, means = [0] * (k + 1), [0.0] * (k + 1)
     picks = array("q")     # (cutoff, pulls) per selection
     n = t = 0
@@ -77,6 +75,9 @@ def run_ucb_rankings(instance: BanditInstance, T: int, seed: int = 0, rng=None) 
                 best_val = val
                 m = c
         n += 1
+        if m == len(pays):      # unplayed cutoffs are picked in order
+            prefixes.append(tuple(range(m)))
+            pays.append([float(expected_payoff(instance, j, m)) for j in range(m)])
         pulls = 2 * m
         if t + pulls <= T:
             hits, i = 0, t + m      # the second roll-out's first pull

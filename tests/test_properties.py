@@ -99,15 +99,18 @@ def test_logging_blocks_equals_pulling_them(ds, pool, picks, seed):
 @settings(max_examples=100, deadline=None)
 @given(ds=fig2_delays, pool=st.lists(blocks(7), min_size=1, max_size=3),
        picks=st.lists(st.tuples(st.integers(0, 2), st.integers(0, 20)), max_size=8),
-       repeat=st.integers(1, 3), seed=st.integers(0, 2**16))
-def test_last_pulls_are_read_off_the_log(ds, pool, picks, repeat, seed):
+       repeat=st.integers(1, 3), seed=st.integers(0, 2**16), back=st.integers(0, 30))
+def test_last_pulls_are_read_off_the_log(ds, pool, picks, repeat, seed, back):
     # blocks cut short of their prefix, tails that stop mid-cycle and repeated lists: each
-    # arm's last pull is its last index in the arms column, None if it was never pulled
+    # arm's last pull is its last index in the arms column, None if it was never pulled,
+    # and with `since` also None if that index is before it
     env = Environment(fig2_instance(ds), substream(seed, "env"))
     env.log_blocks([(pool[i % len(pool)][0], n, i, 0) for i, n in picks], repeat=repeat)
     arms = env.columns()["arms"].tolist()
     want = [len(arms) - 1 - arms[::-1].index(a) if a in arms else None for a in range(7)]
     assert env._last_pulls() == want
+    since = env.t - back
+    assert env._last_pulls(since) == [t if t is not None and t >= since else None for t in want]
 
 
 @st.composite
