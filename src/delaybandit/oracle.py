@@ -6,9 +6,11 @@ of the state graph. The graph holds only the states reachable from the
 all-zero start, found by breadth-first search; its size is capped. Howard
 policy iteration (Cochet-Terrasson et al. 1998, multichain form) solves it
 in O(nk) memory, in double precision with a 1e-12 switching tolerance. When
-the instance is exact, the iteration continues in rationals from the float
-policy and the optimum is certified exactly: the optimality conditions are
-checked on every edge, and the witness cycle's mean must equal it.
+the instance is exact, the iteration continues from the float policy in
+Python ints: every weight is scaled by D, the lcm of the distinct payoffs'
+denominators, and every gain and bias by D and the lcm of the policy-cycle
+lengths seen so far. The optimum is then certified exactly: the optimality
+conditions are checked on every edge, and the witness cycle's mean must equal it.
 
 Also here: long-run values of fixed periodic arm patterns (used for the
 two-policy alternation bonus) and of delay-feedback policies, each the mean of
@@ -53,7 +55,8 @@ class StateGraph:
 
     Node 0 is the start and nodes are numbered in breadth-first order.
     succ[i] has one (next_node, weight) entry per arm; weight is the expected
-    payoff of that pull from state i. `exact` marks rational weights.
+    payoff of that pull from state i, so it is fixed by the arm and state i's
+    tau for that arm. `exact` marks rational weights.
     """
 
     nodes: list
@@ -112,35 +115,64 @@ class OptimalCycle:
         return len(self.arms)
 
 
-def _evaluate_policy(nxt, wts, policy, h_prev):
-    """Cycle mean eta and bias h of every node under a policy (one arm per node).
+def _policy_walk(succ):
+    """The cycles of a policy's successor list and an order that fills every other node.
 
-    Each policy cycle's root, its smallest node, keeps its bias from h_prev;
-    every other node satisfies h(u) = w - eta(u) + h(v) on its policy edge.
+    Each cycle is listed from the node where the walk first met it; order
+    holds the remaining nodes, each after its successor.
     """
-    n = len(nxt)
-    succ = nxt[np.arange(n), policy].tolist()
-    gain = wts[np.arange(n), policy].tolist()
-    eta, h, visit = [None] * n, [None] * n, [-1] * n
+    n = len(succ)
+    cycles, order, done, visit = [], [], [False] * n, [-1] * n
     for s in range(n):
         path, u = [], s
-        while eta[u] is None and visit[u] != s:
+        while not done[u] and visit[u] != s:
             visit[u] = s
             path.append(u)
             u = succ[u]
-        if eta[u] is None:  # the walk closed a new cycle at u
+        closed = not done[u]  # the walk closed a new cycle at u
+        for x in path:
+            done[x] = True
+        if closed:
             i = path.index(u)
             cycle = path[i:]
-            root = min(cycle)
-            r = cycle.index(root)
-            eta[root] = _cycle_mean([gain[x] for x in cycle])
-            h[root] = h_prev[root]
+            cycles.append(cycle)
+            r = cycle.index(min(cycle))
             path = path[:i] + cycle[r + 1:] + cycle[:r]
-        for x in reversed(path):  # each node after its successor
-            v = succ[x]
-            eta[x] = eta[v]
-            h[x] = gain[x] - eta[v] + h[v]
-    return np.array(eta), np.array(h)
+        order.extend(reversed(path))  # each node after its successor
+    return cycles, order
+
+
+def _evaluate_policy(nxt, wts, policy, h_prev, scale=0):
+    """Gain eta and bias h of every node under a policy (one arm per node), and their scale.
+
+    Each policy cycle's root, its smallest node, keeps its bias from h_prev;
+    every other node satisfies h(u) = w - eta(u) + h(v) on its policy edge.
+    With scale 0 the weights are floats and eta is each cycle's mean. Integer
+    weights W run at a scale m > 0: eta and h are integers, the true values
+    times m and W's common denominator. The scale grows to m' = lcm(m, every
+    cycle length), the kept root biases with it, so a cycle of weight sum S
+    and length L has eta = S * m' / L and the edge weights are W * m'.
+    """
+    rows = np.arange(len(nxt))
+    succ = nxt[rows, policy].tolist()
+    cycles, order = _policy_walk(succ)
+    if scale:
+        grown = math.lcm(scale, *map(len, cycles))
+        gain = (wts[rows, policy] * grown).tolist()
+        mean, keep, scale = (lambda c: sum(c) // len(c)), grown // scale, grown
+    else:
+        gain, mean, keep = wts[rows, policy].tolist(), _cycle_mean, 1
+    eta, h = [None] * len(succ), [None] * len(succ)
+    for cycle in cycles:
+        root = min(cycle)
+        eta[root] = mean([gain[x] for x in cycle])
+        h[root] = h_prev[root] * keep
+    for x in order:
+        v = succ[x]
+        eta[x] = eta[v]
+        h[x] = gain[x] - eta[v] + h[v]
+    dtype = object if scale else float
+    return np.array(eta, dtype), np.array(h, dtype), scale
 
 
 def _improve_policy(nxt, wts, policy, eta, h, tol) -> bool:
@@ -165,16 +197,21 @@ def _improve_policy(nxt, wts, policy, eta, h, tol) -> bool:
     return bool(switch.any())
 
 
-def _howard(nxt, wts, policy, h, tol):
+def _howard(nxt, wts, policy, tol, scale=0):
     """Multichain Howard policy iteration (Cochet-Terrasson et al. 1998) from `policy`.
 
-    nxt and wts are n x k arrays of successors and weights; float weights
-    run in float64, Fraction weights in object arrays, through the same code.
+    nxt and wts are n x k arrays of successors and weights: float weights in
+    float64 (scale 0), or integer weights in object arrays from scale 1, the
+    exact leg. Returns eta, h, their scale and the weights at that scale.
     """
+    h = [0] * len(nxt)
+    scaled = wts
     for _ in range(MAX_POLICY_ITERATIONS):
-        eta, h = _evaluate_policy(nxt, wts, policy, h)
-        if not _improve_policy(nxt, wts, policy, eta, h, tol):
-            return eta, h
+        eta, h, grown = _evaluate_policy(nxt, wts, policy, h, scale)
+        if grown != scale:
+            scaled, scale = wts * grown, grown
+        if not _improve_policy(nxt, scaled, policy, eta, h, tol):
+            return eta, h, scale, scaled
     raise RuntimeError(f"policy iteration did not settle in {MAX_POLICY_ITERATIONS} rounds")
 
 
@@ -184,29 +221,56 @@ def _certify(nxt, wts, eta, h) -> None:
     eta never rises along an edge, and between nodes of equal eta
     h(u) >= w - eta(u) + h(v). Summed around any cycle, these bound its mean
     by the eta of its nodes, so no cycle reachable from a node beats its eta.
+    The weights must be at the scale of eta and h.
     """
-    for u, (row, ws) in enumerate(zip(nxt.tolist(), wts.tolist())):
-        for v, w in zip(row, ws):
-            if eta[v] > eta[u] or (eta[v] == eta[u] and w - eta[u] + h[v] > h[u]):
-                raise RuntimeError(f"optimality certificate fails on edge {u} -> {v}")
+    reach, here = eta[nxt], eta[:, None]
+    bad = (reach > here) | ((reach == here) & (wts - here + h[nxt] > h[:, None]))
+    if bad.any():
+        u, j = np.argwhere(bad)[0]
+        raise RuntimeError(f"optimality certificate fails on edge {u} -> {nxt[u, j]}")
+
+
+def _weight_tables(graph: StateGraph):
+    """Float weights and, for an exact graph, integer weights over one common denominator.
+
+    An edge's weight is fixed by its arm and its source state's tau for that
+    arm, so each distinct payoff is converted once and gathered by tau.
+    Returns the n x k float array, the n x k object array of ints W (None
+    for a float graph) and the denominator D with W = weight * D.
+    """
+    taus = np.array(graph.nodes, np.int64).T
+    payoffs = []  # payoffs[arm][tau], read off any state with that tau; 0 where none has it
+    for arm, col in enumerate(taus):
+        state = np.full(col.max() + 1, -1)
+        state[col] = np.arange(len(col))
+        payoffs.append([graph.succ[u][arm][1] if u >= 0 else 0 for u in state.tolist()])
+    floats = np.column_stack([np.array([float(w) for w in row])[col]
+                              for row, col in zip(payoffs, taus)])
+    if not graph.exact:
+        return floats, None, 1
+    denom = math.lcm(*(w.denominator for row in payoffs for w in row))
+    ints = np.column_stack([np.array([w.numerator * (denom // w.denominator) for w in row],
+                                     object)[col] for row, col in zip(payoffs, taus)])
+    return floats, ints, denom
 
 
 def max_mean_cycle(graph: StateGraph) -> OptimalCycle:
     """Maximum mean over all cycles reachable from the start state, with a witness.
 
     Howard policy iteration in floats from the greedy policy. For an exact
-    graph it continues in Fractions from the float policy and certifies the
-    result exactly; the witness is the policy cycle the start state runs into.
+    graph it continues from the float policy in Python ints, every weight
+    scaled by one common denominator, and certifies the result exactly; the
+    witness is the policy cycle the start state runs into.
     """
     n = graph.n_nodes
-    nxt = np.array([[v for v, _ in row] for row in graph.succ], np.int64)
-    wts = np.array([[float(w) for _, w in row] for row in graph.succ])
+    nxt = np.fromiter((v for row in graph.succ for v, _ in row), np.int64, n * len(graph.succ[0]))
+    nxt = nxt.reshape(n, -1)
+    wts, ints, denom = _weight_tables(graph)
     policy = wts.argmax(axis=1)
-    eta, h = _howard(nxt, wts, policy, np.zeros(n), max(FLOAT_TOL, 4.0 * n * 1e-16))
+    _howard(nxt, wts, policy, max(FLOAT_TOL, 4.0 * n * 1e-16))
     if graph.exact:
-        wts = np.array([[Fraction(w) for _, w in row] for row in graph.succ], object)
-        eta, h = _howard(nxt, wts, policy, [Fraction(0)] * n, 0)
-        _certify(nxt, wts, eta, h)
+        eta, h, scale, scaled = _howard(nxt, ints, policy, 0, 1)
+        _certify(nxt, scaled, eta, h)
     policy = policy.tolist()
     seen, u = {}, graph.start
     while u not in seen:
@@ -216,7 +280,7 @@ def max_mean_cycle(graph: StateGraph) -> OptimalCycle:
     cyc_arms = [policy[x] for x in cyc_nodes]
     weights = [graph.succ[x][policy[x]][1] for x in cyc_nodes]
     mean = _cycle_mean(weights if graph.exact else [float(w) for w in weights])
-    if graph.exact and mean != eta[graph.start]:
+    if graph.exact and mean != Fraction(eta[graph.start], denom * scale):
         raise RuntimeError("witness cycle mean disagrees with the certified optimum")
     states = [graph.nodes[x] for x in cyc_nodes]
     return OptimalCycle(mean, states, cyc_arms, n)
@@ -328,7 +392,10 @@ def pmsp_feasible(pmsp: PmspInstance, cap: int = 10**4) -> PmspSchedule:
     order = sorted(range(len(ivs)), key=lambda i: ivs[i])
     # depth-first over machines by interval, offsets ascending; chosen[j] is
     # the offset of machine order[j], whose slots are set in `busy`, and a dead
-    # end clears the previous machine's slots and moves it on to its next offset
+    # end clears the previous machine's slots and moves it on to its next offset.
+    # Machines of one interval are interchangeable and sit next to each other in
+    # the order, so each starts past the previous one's offset: the first
+    # feasible offsets have them increasing, and no other order of them is tried.
     busy = bytearray(period)
     chosen: list = []
     o = 0
@@ -339,7 +406,8 @@ def pmsp_feasible(pmsp: PmspInstance, cap: int = 10**4) -> PmspSchedule:
         if o < li:
             busy[o::li] = b"\1" * (period // li)
             chosen.append(o)
-            o = 0
+            same = len(chosen) < len(order) and ivs[order[len(chosen)]] == li
+            o = o + 1 if same else 0
         elif chosen:
             li = ivs[order[len(chosen) - 1]]
             o = chosen.pop()

@@ -22,6 +22,8 @@ from delaybandit import (
     substream,
     ucb_index,
 )
+from delaybandit.oracle import FLOAT_TOL, MAX_POLICY_ITERATIONS, OptimalCycle
+from delaybandit.policies import _cycle_mean
 from delaybandit.ranker import RankingOutcome
 
 
@@ -263,6 +265,95 @@ def pmsp_feasible_by_gcd(pmsp, cap=10**4):
                 raise RuntimeError("offset search produced a colliding schedule")
             slots[t] = machine + 1
     return PmspSchedule(True, period, tuple(offsets), tuple(slots))
+
+
+def evaluate_policy_by_fractions(nxt, wts, policy, h_prev):
+    """Cycle mean eta and bias h of every node under a policy (one arm per node).
+
+    Each policy cycle's root, its smallest node, keeps its bias from h_prev;
+    every other node satisfies h(u) = w - eta(u) + h(v) on its policy edge.
+    """
+    n = len(nxt)
+    succ = nxt[np.arange(n), policy].tolist()
+    gain = wts[np.arange(n), policy].tolist()
+    eta, h, visit = [None] * n, [None] * n, [-1] * n
+    for s in range(n):
+        path, u = [], s
+        while eta[u] is None and visit[u] != s:
+            visit[u] = s
+            path.append(u)
+            u = succ[u]
+        if eta[u] is None:  # the walk closed a new cycle at u
+            i = path.index(u)
+            cycle = path[i:]
+            root = min(cycle)
+            r = cycle.index(root)
+            eta[root] = _cycle_mean([gain[x] for x in cycle])
+            h[root] = h_prev[root]
+            path = path[:i] + cycle[r + 1:] + cycle[:r]
+        for x in reversed(path):  # each node after its successor
+            v = succ[x]
+            eta[x] = eta[v]
+            h[x] = gain[x] - eta[v] + h[v]
+    return np.array(eta), np.array(h)
+
+
+def _improve_by_fractions(nxt, wts, policy, eta, h, tol) -> bool:
+    """Switch, in place, every arm that gains more than tol; False when none does."""
+    reach = eta[nxt]
+    switch = reach.max(axis=1) > eta + tol
+    if not switch.any():
+        means, bias = reach, wts + h[nxt]
+        reach = np.where(means == eta[:, None], bias, -np.inf)
+        switch = reach.max(axis=1) > eta + h + tol
+        if tol and not switch.any():
+            reach = np.where(abs(means - eta[:, None]) <= tol, bias, -np.inf)
+            switch = reach.max(axis=1) > eta + h + tol
+    policy[switch] = reach.argmax(axis=1)[switch]
+    return bool(switch.any())
+
+
+def _howard_by_fractions(nxt, wts, policy, h, tol):
+    for _ in range(MAX_POLICY_ITERATIONS):
+        eta, h = evaluate_policy_by_fractions(nxt, wts, policy, h)
+        if not _improve_by_fractions(nxt, wts, policy, eta, h, tol):
+            return eta, h
+    raise RuntimeError(f"policy iteration did not settle in {MAX_POLICY_ITERATIONS} rounds")
+
+
+def _certify_by_fractions(nxt, wts, eta, h) -> None:
+    for u, (row, ws) in enumerate(zip(nxt.tolist(), wts.tolist())):
+        for v, w in zip(row, ws):
+            if eta[v] > eta[u] or (eta[v] == eta[u] and w - eta[u] + h[v] > h[u]):
+                raise RuntimeError(f"optimality certificate fails on edge {u} -> {v}")
+
+
+def max_mean_cycle_by_fractions(graph):
+    """Reference for `max_mean_cycle`: Howard policy iteration in floats from the greedy
+    policy, continued in `Fraction`s on exact graphs, with per-edge weight conversions
+    and a per-edge certificate."""
+    n = graph.n_nodes
+    nxt = np.array([[v for v, _ in row] for row in graph.succ], np.int64)
+    wts = np.array([[float(w) for _, w in row] for row in graph.succ])
+    policy = wts.argmax(axis=1)
+    eta, h = _howard_by_fractions(nxt, wts, policy, np.zeros(n), max(FLOAT_TOL, 4.0 * n * 1e-16))
+    if graph.exact:
+        wts = np.array([[F(w) for _, w in row] for row in graph.succ], object)
+        eta, h = _howard_by_fractions(nxt, wts, policy, [F(0)] * n, 0)
+        _certify_by_fractions(nxt, wts, eta, h)
+    policy = policy.tolist()
+    seen, u = {}, graph.start
+    while u not in seen:
+        seen[u] = len(seen)
+        u = graph.succ[u][policy[u]][0]
+    cyc_nodes = list(seen)[seen[u]:]
+    cyc_arms = [policy[x] for x in cyc_nodes]
+    weights = [graph.succ[x][policy[x]][1] for x in cyc_nodes]
+    mean = _cycle_mean(weights if graph.exact else [float(w) for w in weights])
+    if graph.exact and mean != eta[graph.start]:
+        raise RuntimeError("witness cycle mean disagrees with the certified optimum")
+    states = [graph.nodes[x] for x in cyc_nodes]
+    return OptimalCycle(mean, states, cyc_arms, n)
 
 
 @dataclass

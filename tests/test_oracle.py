@@ -28,11 +28,15 @@ from delaybandit import (
     pmsp_threshold,
     pmsp_to_bandit,
     steady_state_average,
+    substream,
 )
+from delaybandit.harness import load_instance, materialize_instance, preset_fig2
 from helpers import (
     brute_force_max_mean,
+    evaluate_policy_by_fractions,
     fig3_instance,
     make_equal_optima,
+    max_mean_cycle_by_fractions,
     pmsp_feasible_by_gcd,
     random_exact_instance,
     random_float_instance,
@@ -168,6 +172,118 @@ class TestMaxMeanCycle:
     def test_fig3_beats_alternation(self):
         rho, _ = optimal_average(fig3_instance())
         assert rho >= F(139, 180) - F(1, 10**12)
+
+
+def _same_cycle(got, want):
+    assert type(got.mean) is type(want.mean)
+    assert (got.mean, got.states, got.arms, got.reachable_states) == \
+        (want.mean, want.states, want.arms, want.reachable_states)
+
+
+def _tied_instances(seed, count):
+    """Exact instances on a grid of quarters with constant or table discounts: ties are common."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        k = int(rng.integers(1, 5))
+        mus = sorted((F(int(v), 8) for v in rng.choice(np.arange(1, 9), k, replace=False)),
+                     reverse=True)
+        ds = rng.integers(1, 5, k).tolist()
+        if i % 2:
+            disc = Discount.constant(F(int(rng.integers(0, 5)), 4))
+        else:
+            vals = sorted((F(int(v), 4) for v in rng.integers(0, 5, 3)), reverse=True)
+            disc = Discount.table(vals)
+        yield make_instance(mus, ds, disc)
+
+
+class TestExactLeg:
+    """The exact leg runs on ints over one common denominator; the parent's Fraction
+    leg (`helpers.max_mean_cycle_by_fractions`) is the reference."""
+
+    def test_fig2_draws_equal_the_fraction_leg(self):
+        for draw in range(5):
+            graph = build_state_graph(materialize_instance(preset_fig2().instance, draw))
+            _same_cycle(max_mean_cycle(graph), max_mean_cycle_by_fractions(graph))
+
+    def test_oracle_benchmark_instances_equal_the_fraction_leg(self):
+        # the oracle benchmark's two exact delay sets, permuted as its seeds 0-2 permute them
+        spec = preset_fig2().instance
+        for seed in range(3):
+            for j, ds in enumerate([(1, 2, 3, 3, 4), (2, 3, 3, 3, 4)]):
+                ds = substream(seed, "perfbench", f"exact{j}").permutation(list(ds)).tolist()
+                inst = load_instance({"k": 5, "mu": spec["mu"][:5], "d": ds,
+                                      "discount": spec["discount"]})
+                graph = build_state_graph(inst)
+                _same_cycle(max_mean_cycle(graph), max_mean_cycle_by_fractions(graph))
+
+    def test_pmsp_reductions_equal_the_fraction_leg(self):
+        for ivs in [(2, 4, 4), (2, 4, 8, 8), (2, 3, 12), (6,) * 6]:
+            graph = build_state_graph(pmsp_to_bandit(PmspInstance(ivs)))
+            _same_cycle(max_mean_cycle(graph), max_mean_cycle_by_fractions(graph))
+
+    def test_tied_instances_equal_the_fraction_leg(self):
+        for inst in _tied_instances(27, 300):
+            graph = build_state_graph(inst)
+            _same_cycle(max_mean_cycle(graph), max_mean_cycle_by_fractions(graph))
+
+    def test_float_graphs_equal_the_float_leg_bit_for_bit(self):
+        rng = np.random.default_rng(28)
+        for _ in range(100):
+            graph = build_state_graph(random_float_instance(rng, kmax=4, dmax=4))
+            _same_cycle(max_mean_cycle(graph), max_mean_cycle_by_fractions(graph))
+        spec = preset_fig2().instance
+        doc = dict(spec, mu=[float(F(m)) for m in spec["mu"]], d=[1, 3, 2, 4, 1, 2, 3],
+                   discount={"kind": "geometric", "gamma": 0.999})
+        graph = build_state_graph(load_instance(doc))
+        _same_cycle(max_mean_cycle(graph), max_mean_cycle_by_fractions(graph))
+
+    def test_poor_start_matches_the_fraction_evaluation_round_by_round(self):
+        # arm 0 everywhere: several rounds, and the scale grows once biases are kept; every
+        # integer gain and bias is the Fraction leg's times D and the scale, round by round
+        rescaled = 0
+        for draw in (0, 2, 4):
+            graph = build_state_graph(materialize_instance(preset_fig2().instance, draw))
+            n = graph.n_nodes
+            nxt = np.array([[v for v, _ in row] for row in graph.succ], np.int64)
+            fracs = np.array([[F(w) for _, w in row] for row in graph.succ], object)
+            _, ints, denom = oracle._weight_tables(graph)
+            policy = np.zeros(n, np.int64)
+            h, h_ref, scale, rounds = [0] * n, [F(0)] * n, 1, 0
+            while True:
+                eta, h, grown = oracle._evaluate_policy(nxt, ints, policy, h, scale)
+                eta_ref, h_ref = evaluate_policy_by_fractions(nxt, fracs, policy, h_ref)
+                assert [F(e, denom * grown) for e in eta] == eta_ref.tolist()
+                assert [F(b, denom * grown) for b in h] == h_ref.tolist()
+                rescaled += rounds > 0 and grown != scale
+                scale, rounds = grown, rounds + 1
+                if not oracle._improve_policy(nxt, ints * scale, policy, eta, h, 0):
+                    break
+            oracle._certify(nxt, ints * scale, eta, h)
+            assert F(eta[graph.start], denom * scale) == max_mean_cycle_by_fractions(graph).mean
+            assert rounds >= 3
+        assert rescaled > 0
+
+    def test_exact_leg_makes_no_fraction_per_edge(self, monkeypatch):
+        # each distinct payoff is converted once: the parent made a Fraction per edge and
+        # ran Howard and the certificate on Fractions, hundreds of thousands in all here
+        graph = build_state_graph(pmsp_to_bandit(PmspInstance((7,) * 7)))
+        assert graph.n_nodes == 37634
+        made = []
+        new = F.__new__
+
+        def counted_new(cls, *args, **kwargs):
+            made.append(1)
+            return new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(F, "__new__", counted_new)
+        if hasattr(F, "_from_coprime_ints"):  # arithmetic results skip __new__ from Python 3.12
+            coprime = F._from_coprime_ints
+            monkeypatch.setattr(F, "_from_coprime_ints",
+                                classmethod(lambda cls, n, d: made.append(1) or coprime(n, d)))
+        cycle = max_mean_cycle(graph)
+        monkeypatch.undo()
+        assert cycle.mean == 1
+        assert len(made) < graph.n_nodes // 100
 
 
 class TestSteadyStateAverage:
@@ -317,6 +433,13 @@ class TestPmsp:
             ivs = tuple(rng.choice(pool) for _ in range(rng.randint(1, 6)))
             if sum(F(1, v) for v in ivs) <= 1 and math.lcm(*ivs) <= 10**4:
                 yield ivs
+        # repeated intervals given in shuffled order: the search starts each machine of an
+        # interval past the previous one's offset
+        for _ in range(600):
+            ivs = [rng.choice(pool) for _ in range(rng.randint(1, 3))] * rng.randint(2, 4)
+            rng.shuffle(ivs)
+            if sum(F(1, v) for v in ivs) <= 1 and math.lcm(*ivs) <= 10**4:
+                yield tuple(ivs)
 
     def test_occupancy_search_equals_gcd_search(self):
         # the occupancy table decides each offset as the pairwise gcd rule does, so the
@@ -331,6 +454,13 @@ class TestPmsp:
                 feasible += 1
             checked += 1
         assert checked > 1000 and 0 < feasible < checked
+
+    def test_interchangeable_machines_are_not_reordered(self):
+        # infeasible: the search tried every order of the four 24s and of the two 10s, 4 s
+        t0 = time.monotonic()
+        verdict = pmsp_feasible(PmspInstance((24, 10, 42, 24, 35, 10, 24, 24)))
+        assert time.monotonic() - t0 < 1
+        assert not verdict.feasible and verdict.period == 840
 
     def test_many_machines_of_one_interval_are_fast(self):
         # 1,100 machines of interval 1,100: the pairwise gcd search made O(n^3) checks here

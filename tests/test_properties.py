@@ -36,7 +36,7 @@ from delaybandit import (
 )
 from delaybandit.core import _SCALAR_SLACK
 from delaybandit.harness import run_algorithm
-from delaybandit.oracle import _certify, _evaluate_policy
+from delaybandit.oracle import _certify, _evaluate_policy, _weight_tables
 from helpers import (assert_same_columns, bernoulli_rounds, brute_force_max_mean, by_round,
                      random_exact_instance, random_float_instance, rank_arms_by_round,
                      rank_arms_by_scan, step_columns, step_rollout)
@@ -341,14 +341,14 @@ def test_certificate_rejects_a_suboptimal_policy(instance_seed, data):
     inst = random_exact_instance(np.random.default_rng(instance_seed), kmax=4, dmax=3)
     graph = build_state_graph(inst)
     nxt = np.array([[v for v, _ in row] for row in graph.succ])
-    wts = np.array([[F(w) for _, w in row] for row in graph.succ], object)
+    _, wts, denom = _weight_tables(graph)
     policy = np.array(data.draw(st.lists(st.integers(0, inst.k - 1), min_size=graph.n_nodes,
                                          max_size=graph.n_nodes)))
-    eta, h = _evaluate_policy(nxt, wts, policy, [F(0)] * graph.n_nodes)
+    eta, h, scale = _evaluate_policy(nxt, wts, policy, [0] * graph.n_nodes, 1)
     rho, _ = optimal_average(inst)
-    assume(eta[graph.start] < rho)
+    assume(F(eta[graph.start], denom * scale) < rho)
     with pytest.raises(RuntimeError):
-        _certify(nxt, wts, eta, h)
+        _certify(nxt, wts * scale, eta, h)
 
 
 def test_seven_arms_at_delay_five_solve_under_the_default_cap():
