@@ -231,7 +231,8 @@ def advance_state(state, pulled: int, instance: BanditInstance) -> tuple:
 
 def _aged(state, ds) -> tuple:
     """The delay vector one round on, before any pull: each running delay grows by one and
-    wraps to 0 past d; idle arms at 0 stay 0."""
+    wraps to 0 past d; idle arms at 0 stay 0. The oracle's state graph ages a whole layer
+    of delay vectors by this rule in numpy."""
     return tuple(0 if tau == 0 or tau >= d else tau + 1 for tau, d in zip(state, ds))
 
 

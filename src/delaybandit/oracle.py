@@ -3,14 +3,19 @@
 The delay vector is a finite sufficient state and pulls are deterministic
 transitions, so the optimal long-run average reward is the maximum mean cycle
 of the state graph. The graph holds only the states reachable from the
-all-zero start, found by breadth-first search; its size is capped. Howard
-policy iteration (Cochet-Terrasson et al. 1998, multichain form) solves it
-in O(nk) memory, in double precision with a 1e-12 switching tolerance. When
-the instance is exact, the iteration continues from the float policy in
-Python ints: every weight is scaled by D, the lcm of the distinct payoffs'
-denominators, and every gain and bias by D and the lcm of the policy-cycle
-lengths seen so far. The optimum is then certified exactly: the optimality
-conditions are checked on every edge, and the witness cycle's mean must equal it.
+all-zero start, found by breadth-first search one layer at a time in numpy:
+each state is coded as one integer, a layer's children are coded straight
+from their parents' aged delay vectors and looked up among the sorted codes
+seen so far, and only new states get rows. The graph is n x k arrays of
+delay vectors and successors plus one payoff table per arm; its size is
+capped. Howard policy iteration (Cochet-Terrasson et al. 1998, multichain
+form) solves it on those arrays in O(nk) memory, in double precision with a
+1e-12 switching tolerance. When the instance is exact, the iteration
+continues from the float policy in Python ints: every weight is scaled by
+D, the lcm of the distinct payoffs' denominators, and every gain and bias by
+D and the lcm of the policy-cycle lengths seen so far. The optimum is then
+certified exactly: the optimality conditions are checked on every edge, and
+the witness cycle's mean must equal it.
 
 Also here: long-run values of fixed periodic arm patterns (used for the
 two-policy alternation bonus) and of delay-feedback policies, each the mean of
@@ -23,10 +28,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
-from .core import BanditInstance, Discount, _aged, _is_count, expected_payoff, initial_state
+from .core import BanditInstance, Discount, _is_count, expected_payoff
 from .policies import _cycle_mean, g_value, orbit
 
 __all__ = [
@@ -53,48 +59,93 @@ MAX_POLICY_ITERATIONS = 500
 class StateGraph:
     """Transition graph over the delay vectors reachable from the all-zero start.
 
-    Node 0 is the start and nodes are numbered in breadth-first order.
-    succ[i] has one (next_node, weight) entry per arm; weight is the expected
-    payoff of that pull from state i, so it is fixed by the arm and state i's
-    tau for that arm. `exact` marks rational weights.
+    Node 0 is the start and nodes are numbered in breadth-first order: each
+    layer's new states in the order (parent, arm) first reaches them. Row u of
+    the n x k array `taus` is node u's delay vector, and nxt[u, arm] is the node
+    that pulling arm from u leads to. payoffs[arm][tau] is the expected payoff of
+    pulling arm at tau, for every tau up to the largest any node has, so the
+    edge's weight is payoffs[arm][taus[u, arm]]. `exact` marks rational payoffs.
+    `nodes` and `succ` give the same graph as tuples and (next_node, weight) rows.
     """
 
-    nodes: list
-    succ: list
+    taus: np.ndarray
+    nxt: np.ndarray
+    payoffs: list
     start: int
     exact: bool
 
     @property
     def n_nodes(self) -> int:
-        return len(self.nodes)
+        return len(self.taus)
+
+    @cached_property
+    def nodes(self) -> list:
+        """Each node's delay vector as a tuple, built on first read."""
+        return list(map(tuple, self.taus.tolist()))
+
+    @cached_property
+    def succ(self) -> list:
+        """One (next_node, weight) entry per arm for each node, built on first read."""
+        return [[(v, row[tau]) for v, row, tau in zip(vs, self.payoffs, taus)]
+                for vs, taus in zip(self.nxt.tolist(), self.taus.tolist())]
 
 
 def build_state_graph(instance: BanditInstance, cap: int = 10**6) -> StateGraph:
-    """Breadth-first search from the all-zero state; more than `cap` reachable states is an error."""
+    """Breadth-first search from the all-zero state, one layer at a time; more than `cap`
+    reachable states is an error.
+
+    A state is coded as sum tau_i * prod_{j<i} (d_j + 1): in int64 when every code
+    fits, else in Python ints. Pulling arm a from a state whose aged vector is aged
+    leads to code(aged) + (1 - aged[a]) * radix[a], so a layer's children are coded
+    without building their rows, looked up among the sorted codes seen so far, and
+    only the new ones get rows, numbered in order of first discovery.
+    """
     if cap < 1:
         raise ValueError("cap must be >= 1")
-    # a reachable state's tau never exceeds the reachable-state count, so cap bounds the table
-    payoff = [[expected_payoff(instance, arm, tau) for tau in range(min(d, cap) + 1)]
-              for arm, d in enumerate(instance.ds)]
-    start = initial_state(instance)
-    nodes = [start]
-    index = {start: 0}
-    succ = []
-    for state in nodes:  # nodes grows behind the loop: a breadth-first queue
-        # advance_state for every arm at once: age all taus, then reset the pulled one
-        aged = _aged(state, instance.ds)
-        row = []
-        for arm in range(instance.k):
-            nxt = aged[:arm] + (1,) + aged[arm + 1:]
-            v = index.get(nxt)
-            if v is None:
-                if len(nodes) >= cap:
-                    raise ValueError(f"more than {cap} reachable states; raise the cap to go on")
-                v = index[nxt] = len(nodes)
-                nodes.append(nxt)
-            row.append((v, payoff[arm][state[arm]]))
-        succ.append(row)
-    return StateGraph(nodes, succ, 0, instance.is_exact)
+    k = instance.k
+    ds = np.array(instance.ds, np.int64)
+    radix = [1]
+    for d in instance.ds:
+        radix.append(radix[-1] * (d + 1))
+    # numpy's int64 wraps silently, so the product is taken in Python ints
+    radix = np.array(radix[:-1], np.int64 if radix[-1] < 2**63 else object)
+    frontier = np.zeros((1, k), np.int64)
+    taus, nxt = [frontier], []
+    # the codes seen so far, sorted, and the node of each
+    codes, ids = np.zeros(1, radix.dtype), np.zeros(1, np.int64)
+    n = 1
+    while len(frontier):
+        # advance_state for every (node, arm) at once: age all taus by core._aged's rule,
+        # then reset the pulled one
+        aged = np.where((frontier == 0) | (frontier >= ds), 0, frontier + 1)
+        child = ((aged @ radix)[:, None] + (1 - aged) * radix).ravel()
+        pos = np.searchsorted(codes, child).clip(max=len(codes) - 1)
+        old = codes[pos] == child
+        succ = np.empty(len(child), np.int64)
+        succ[old] = ids[pos[old]]
+        fresh = np.flatnonzero(~old)
+        new, first, inverse = np.unique(child[fresh], return_index=True, return_inverse=True)
+        if n + len(new) > cap:
+            raise ValueError(f"more than {cap} reachable states; raise the cap to go on")
+        # number the new codes in order of first discovery
+        discovered = np.zeros(len(fresh), bool)
+        discovered[first] = True
+        new_ids = (n - 1 + np.cumsum(discovered))[first]
+        succ[fresh] = new_ids[inverse]
+        nxt.append(succ.reshape(-1, k))
+        at = np.searchsorted(codes, new)
+        codes, ids = np.insert(codes, at, new), np.insert(ids, at, new_ids)
+        parent, arm = np.divmod(fresh[discovered], k)
+        frontier = aged[parent]
+        frontier[np.arange(len(new)), arm] = 1
+        taus.append(frontier)
+        n += len(new)
+    taus = np.concatenate(taus)
+    # every tau from 0 to an arm's largest is some node's (each is its predecessor's plus
+    # one), and the largest is below both d + 1 and the node count, so cap bounds the table
+    payoffs = [[expected_payoff(instance, arm, tau) for tau in range(top + 1)]
+               for arm, top in enumerate(taus.max(axis=0).tolist())]
+    return StateGraph(taus, np.concatenate(nxt), payoffs, 0, instance.is_exact)
 
 
 @dataclass
@@ -234,16 +285,11 @@ def _weight_tables(graph: StateGraph):
     """Float weights and, for an exact graph, integer weights over one common denominator.
 
     An edge's weight is fixed by its arm and its source state's tau for that
-    arm, so each distinct payoff is converted once and gathered by tau.
+    arm, so each payoff of the graph's table is converted once and gathered by tau.
     Returns the n x k float array, the n x k object array of ints W (None
     for a float graph) and the denominator D with W = weight * D.
     """
-    taus = np.array(graph.nodes, np.int64).T
-    payoffs = []  # payoffs[arm][tau], read off any state with that tau; 0 where none has it
-    for arm, col in enumerate(taus):
-        state = np.full(col.max() + 1, -1)
-        state[col] = np.arange(len(col))
-        payoffs.append([graph.succ[u][arm][1] if u >= 0 else 0 for u in state.tolist()])
+    payoffs, taus = graph.payoffs, graph.taus.T
     floats = np.column_stack([np.array([float(w) for w in row])[col]
                               for row, col in zip(payoffs, taus)])
     if not graph.exact:
@@ -262,9 +308,7 @@ def max_mean_cycle(graph: StateGraph) -> OptimalCycle:
     scaled by one common denominator, and certifies the result exactly; the
     witness is the policy cycle the start state runs into.
     """
-    n = graph.n_nodes
-    nxt = np.fromiter((v for row in graph.succ for v, _ in row), np.int64, n * len(graph.succ[0]))
-    nxt = nxt.reshape(n, -1)
+    n, nxt = graph.n_nodes, graph.nxt
     wts, ints, denom = _weight_tables(graph)
     policy = wts.argmax(axis=1)
     _howard(nxt, wts, policy, max(FLOAT_TOL, 4.0 * n * 1e-16))
@@ -275,14 +319,14 @@ def max_mean_cycle(graph: StateGraph) -> OptimalCycle:
     seen, u = {}, graph.start
     while u not in seen:
         seen[u] = len(seen)
-        u = graph.succ[u][policy[u]][0]
+        u = int(nxt[u, policy[u]])
     cyc_nodes = list(seen)[seen[u]:]
     cyc_arms = [policy[x] for x in cyc_nodes]
-    weights = [graph.succ[x][policy[x]][1] for x in cyc_nodes]
+    states = list(map(tuple, graph.taus[cyc_nodes].tolist()))
+    weights = [graph.payoffs[a][state[a]] for a, state in zip(cyc_arms, states)]
     mean = _cycle_mean(weights if graph.exact else [float(w) for w in weights])
     if graph.exact and mean != Fraction(eta[graph.start], denom * scale):
         raise RuntimeError("witness cycle mean disagrees with the certified optimum")
-    states = [graph.nodes[x] for x in cyc_nodes]
     return OptimalCycle(mean, states, cyc_arms, n)
 
 

@@ -22,6 +22,7 @@ from delaybandit import (
     substream,
     ucb_index,
 )
+from delaybandit.core import _aged
 from delaybandit.oracle import FLOAT_TOL, MAX_POLICY_ITERATIONS, OptimalCycle
 from delaybandit.policies import _cycle_mean
 from delaybandit.ranker import RankingOutcome
@@ -265,6 +266,49 @@ def pmsp_feasible_by_gcd(pmsp, cap=10**4):
                 raise RuntimeError("offset search produced a colliding schedule")
             slots[t] = machine + 1
     return PmspSchedule(True, period, tuple(offsets), tuple(slots))
+
+
+@dataclass
+class QueueGraph:
+    """`build_state_graph_by_queue`'s graph: node tuples and (next_node, weight) rows."""
+
+    nodes: list
+    succ: list
+    start: int
+    exact: bool
+
+    @property
+    def n_nodes(self) -> int:
+        return len(self.nodes)
+
+
+def build_state_graph_by_queue(instance, cap=10**6):
+    """Reference for `build_state_graph`: a breadth-first queue over state tuples with a
+    dict index; more than `cap` reachable states is an error."""
+    if cap < 1:
+        raise ValueError("cap must be >= 1")
+    # a reachable state's tau never exceeds the reachable-state count, so cap bounds the table
+    payoff = [[expected_payoff(instance, arm, tau) for tau in range(min(d, cap) + 1)]
+              for arm, d in enumerate(instance.ds)]
+    start = initial_state(instance)
+    nodes = [start]
+    index = {start: 0}
+    succ = []
+    for state in nodes:  # nodes grows behind the loop: a breadth-first queue
+        # advance_state for every arm at once: age all taus, then reset the pulled one
+        aged = _aged(state, instance.ds)
+        row = []
+        for arm in range(instance.k):
+            nxt = aged[:arm] + (1,) + aged[arm + 1:]
+            v = index.get(nxt)
+            if v is None:
+                if len(nodes) >= cap:
+                    raise ValueError(f"more than {cap} reachable states; raise the cap to go on")
+                v = index[nxt] = len(nodes)
+                nodes.append(nxt)
+            row.append((v, payoff[arm][state[arm]]))
+        succ.append(row)
+    return QueueGraph(nodes, succ, 0, instance.is_exact)
 
 
 def evaluate_policy_by_fractions(nxt, wts, policy, h_prev):

@@ -4,6 +4,7 @@ import math
 import random
 import sys
 import time
+import tracemalloc
 from fractions import Fraction as F
 
 import numpy as np
@@ -33,6 +34,7 @@ from delaybandit import (
 from delaybandit.harness import load_instance, materialize_instance, preset_fig2
 from helpers import (
     brute_force_max_mean,
+    build_state_graph_by_queue,
     evaluate_policy_by_fractions,
     fig3_instance,
     make_equal_optima,
@@ -110,6 +112,29 @@ class TestStateGraph:
             full = build_state_graph(inst)
             tight = build_state_graph(inst, cap=full.n_nodes)
             assert tight.nodes == full.nodes and tight.succ == full.succ
+
+    def test_codes_past_int64_fall_back_to_python_ints(self):
+        # prod(d_i + 1) = 2^65, but only 66 states are reachable; in wrapping int64 the last
+        # arm's place value 2^64 would be 0, and its state would read as the start
+        inst = make_instance([1 - F(i, 66) for i in range(65)], [1] * 65,
+                             Discount.constant(F(1, 2)))
+        assert math.prod(d + 1 for d in inst.ds) >= 2**63
+        graph, want = build_state_graph(inst), build_state_graph_by_queue(inst)
+        assert graph.n_nodes == 66
+        assert graph.nodes == want.nodes and graph.succ == want.succ
+        _same_cycle(optimal_average(inst)[1], max_mean_cycle_by_fractions(want))
+
+    def test_build_memory_on_the_seven_machine_reduction(self):
+        # a queue over state tuples with a dict index and (v, w) rows peaks at 26.9 MiB
+        inst = pmsp_to_bandit(PmspInstance((7,) * 7))
+        tracemalloc.start()
+        try:
+            graph = build_state_graph(inst)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert graph.n_nodes == 37634
+        assert peak <= 20 * 2**20
 
 
 class TestMaxMeanCycle:
@@ -243,8 +268,7 @@ class TestExactLeg:
         rescaled = 0
         for draw in (0, 2, 4):
             graph = build_state_graph(materialize_instance(preset_fig2().instance, draw))
-            n = graph.n_nodes
-            nxt = np.array([[v for v, _ in row] for row in graph.succ], np.int64)
+            n, nxt = graph.n_nodes, graph.nxt
             fracs = np.array([[F(w) for _, w in row] for row in graph.succ], object)
             _, ints, denom = oracle._weight_tables(graph)
             policy = np.zeros(n, np.int64)

@@ -1,8 +1,9 @@
 """Property tests: batching never changes a trace; the derived pull log equals a per-pull
 loop; the greedy rollout's block path, the block calibrated rounds, and the neighbour
 separation test and chunked rounds in `rank_arms` match their one-at-a-time references; the
-ghost reference is the ghost run; the oracle's optimum bounds every ranking and alternation
-value and matches cycle enumeration; the low-switch schedule covers T in O(ln ln T) stages."""
+ghost reference is the ghost run; the oracle's layered state graph equals a breadth-first
+queue's; the oracle's optimum bounds every ranking and alternation value and matches cycle
+enumeration; the low-switch schedule covers T in O(ln ln T) stages."""
 
 import math
 from fractions import Fraction as F
@@ -16,6 +17,7 @@ from delaybandit import (
     Discount,
     Environment,
     GreedyPolicy,
+    PmspInstance,
     alternation_value,
     build_state_graph,
     calibrated_sample_round,
@@ -28,6 +30,7 @@ from delaybandit import (
     make_instance,
     optimal_average,
     orbit,
+    pmsp_to_bandit,
     preset_fig2,
     rank_arms,
     rollout,
@@ -37,7 +40,8 @@ from delaybandit import (
 from delaybandit.core import _SCALAR_SLACK
 from delaybandit.harness import run_algorithm
 from delaybandit.oracle import _certify, _evaluate_policy, _weight_tables
-from helpers import (assert_same_columns, bernoulli_rounds, brute_force_max_mean, by_round,
+from helpers import (assert_same_columns, bernoulli_rounds, brute_force_max_mean,
+                     build_state_graph_by_queue, by_round,
                      random_exact_instance, random_float_instance, rank_arms_by_round,
                      rank_arms_by_scan, step_columns, step_rollout)
 
@@ -321,6 +325,43 @@ def test_optimum_bounds_every_ranking_and_alternation_value(instance_seed, exact
         _assert_optimum_bounds_ranking_and_alternation(random_exact_instance(rng, kmax=5, dmax=4), 0)
     else:
         _assert_optimum_bounds_ranking_and_alternation(random_float_instance(rng, kmax=5), 1e-12)
+
+
+@st.composite
+def small_instances(draw):
+    """Up to four arms of delay up to five with a constant or table discount, in Fractions or
+    in floats, or the relaxed reduction of a pmsp instance."""
+    kind = draw(st.sampled_from(["constant", "table", "pmsp"]))
+    if kind == "pmsp":
+        intervals = draw(st.lists(st.integers(2, 8), min_size=1, max_size=4))
+        assume(sum(F(1, v) for v in intervals) <= 1)
+        return pmsp_to_bandit(PmspInstance(intervals))
+    k = draw(st.integers(1, 4))
+    num = draw(st.sampled_from([F, float]))
+    mus = draw(st.lists(st.integers(1, 20), min_size=k, max_size=k, unique=True))
+    mus = [num(F(m, 20)) for m in sorted(mus, reverse=True)]
+    ds = draw(st.lists(st.integers(1, 5), min_size=k, max_size=k))
+    vals = draw(st.lists(st.integers(0, 10), min_size=1, max_size=4 if kind == "table" else 1))
+    vals = [num(F(v, 10)) for v in sorted(vals, reverse=True)]
+    disc = Discount.table(vals) if kind == "table" else Discount.constant(vals[0])
+    return make_instance(mus, ds, disc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(inst=small_instances())
+def test_layered_build_equals_the_queue(inst):
+    want = build_state_graph_by_queue(inst)
+    got = build_state_graph(inst)
+    n = want.n_nodes
+    assert got.nodes == want.nodes
+    assert got.nxt.tolist() == [[v for v, _ in row] for row in want.succ]
+    assert repr(got.succ) == repr(want.succ)  # equal weights of equal types
+    with pytest.raises(ValueError) as queue_error:
+        build_state_graph_by_queue(inst, cap=n - 1)
+    with pytest.raises(ValueError) as layered_error:
+        build_state_graph(inst, cap=n - 1)
+    assert str(layered_error.value) == str(queue_error.value)
+    assert build_state_graph(inst, cap=n).nodes == want.nodes
 
 
 @settings(max_examples=60, deadline=None)
