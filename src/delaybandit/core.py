@@ -16,6 +16,7 @@ import hashlib
 from array import array
 from dataclasses import dataclass
 from numbers import Rational
+from operator import index
 
 import numpy as np
 
@@ -244,11 +245,13 @@ class Environment:
     `columns` derives on demand. Every block is logged by `log_blocks`: `pull_cycles` logs
     its block there and then reads the block's reward, and a caller that decided its
     blocks already logs them all in one call (UCB its run, the ranker a chunk of equal
-    rounds as one round's blocks repeated). The log is the only pull state: a pull reads
-    each arm's last pull off it from its end, no further back than the largest delay (an
-    older pull pays the baseline, as no pull does), so it reads at most the last max d
-    pulls. The realized channel depends only on the stream and the pull sequence, not on
-    how pulls are batched.
+    rounds as one round's blocks repeated). A logged block costs a prefix lookup, a row
+    append and the clock move, under 1 us, one rule for one block or thousands; the uniform
+    buffer grows as reserving block by block would, and a block size or retain_from that is
+    not an integer raises. The log is the only pull state: a pull reads each arm's last
+    pull off it from its end, no further back than the largest delay (an older pull pays
+    the baseline, as no pull does), so it reads at most the last max d pulls. The realized
+    channel depends only on the stream and the pull sequence, not on how pulls are batched.
     """
 
     def __init__(self, instance: BanditInstance, rng: np.random.Generator,
@@ -331,34 +334,48 @@ class Environment:
         order and exactly as `pull_cycles` logs its own block, but compute no reward:
         `columns` derives the realized channel from the uniforms.
 
-        Per block: a new prefix is checked and numbered, the buffer is reserved, the block
-        is appended (none for n <= 0 pulls; retain_from clipped to [0, n]) and the clock
-        moves to the block's end. A bad prefix raises before its block is logged, as it
-        would in `pull_cycles`.
+        Per block: a new prefix is checked and numbered, the block is appended (none for
+        n <= 0 pulls; retain_from clipped to [0, n]) and the clock moves to the block's end;
+        the uniform buffer grows only when the clock passes its end, to the size reserving
+        block by block would give. A logged block costs one prefix lookup, one row append
+        and the clock move, under 1 us. A bad prefix, or an n or retain_from that is not an
+        integer (2.7 pulls is an error, not 2), raises before its block is logged; the
+        blocks before it stay logged and the clock stands at their end.
 
         `repeat` logs the whole list that many times, as `blocks * repeat` would: the first
         copy as above, each further copy as the same rows, so the clock moves on by
         (repeat - 1) L, where L is the copy's length.
         """
-        ids, log = self._cycle_ids, self._blocks
-        t0, start = self.t, len(log)
-        for prefix, n, policy, retain_from in blocks:
-            cycle = ids.get(prefix)
-            if cycle is None:
-                if not prefix:
-                    raise ValueError("prefix must be nonempty")
-                if not all(0 <= a < self.k for a in prefix):
-                    raise IndexError(f"prefix {prefix} has an arm out of range for k={self.k}")
-                cycle = ids[prefix] = len(ids)
-            n = int(n)
-            if n <= 0:
-                continue
-            self._reserve(self.t + n)
-            log.extend((n, cycle, policy, min(max(int(retain_from), 0), n)))
-            self.t += n
+        ids, log, k = self._cycle_ids, self._blocks, self.k
+        extend, t, have = log.extend, self.t, len(self._u)
+        t0, start = t, len(log)
+        try:
+            for prefix, n, policy, retain_from in blocks:
+                cycle = ids.get(prefix)
+                if cycle is None:
+                    if not prefix:
+                        raise ValueError("prefix must be nonempty")
+                    if not all(0 <= a < k for a in prefix):
+                        raise IndexError(f"prefix {prefix} has an arm out of range for k={k}")
+                    cycle = ids[prefix] = len(ids)
+                if n > 0:
+                    # the array rejects a non-integer field; a clipped one is checked first
+                    extend((n, cycle, policy, retain_from if 0 <= retain_from <= n
+                            else n if index(retain_from) > n else 0))
+                    t += n
+                    if t > have:
+                        self._reserve(t)
+                        have = len(self._u)
+                else:   # skipped, but its sizes must be integers all the same
+                    index(n), index(retain_from)
+        except BaseException:
+            del log[len(log) - len(log) % 4:]   # a row cut short by a non-integer field
+            raise
+        finally:
+            self.t = t = int(t)     # a Python int, whatever integer type the sizes had
         if repeat > 1:
-            rows, shift = log[start:], (repeat - 1) * (self.t - t0)
-            self._reserve(self.t + shift)
+            rows, shift = log[start:], (repeat - 1) * (t - t0)
+            self._reserve(t + shift)
             for _ in range(repeat - 1):
                 log.extend(rows)
             self.t += shift
@@ -418,14 +435,13 @@ class Environment:
         cycles = list(self._cycle_ids)
         size = np.array([len(c) for c in cycles], np.int32)
         flat = np.array([a for c in cycles for a in c], np.int32)
-        block = np.repeat(np.arange(len(n), dtype=np.int32), n)
         i = np.arange(t, dtype=np.int32)    # pull time, then index within the block
-        i -= (np.cumsum(n) - n).astype(np.int32)[block]
-        retained = i >= rf.astype(np.int32)[block]
-        i %= size[cycle][block]
-        i += (np.cumsum(size) - size).astype(np.int32)[cycle][block]
+        i -= np.repeat((np.cumsum(n) - n).astype(np.int32), n)
+        retained = i >= np.repeat(rf.astype(np.int32), n)
+        i %= np.repeat(size[cycle], n)
+        i += np.repeat((np.cumsum(size) - size).astype(np.int32)[cycle], n)
         arms = flat[i]
-        del i, block
+        del i
         gaps = np.full(t, -1, np.int64)
         for a in range(self.k):
             pos = np.flatnonzero(arms == a)

@@ -91,8 +91,8 @@ def run_ucb_rankings(instance: BanditInstance, T: int, seed: int = 0, rng=None) 
             pulls = T - t
         picks.extend((m, pulls))
         t += pulls
-    pairs = iter(picks)
-    env.log_blocks((prefixes[m], pulls, m, m) for m, pulls in zip(pairs, pairs))
+    ms, sizes = picks[::2], picks[1::2]
+    env.log_blocks(zip(map(prefixes.__getitem__, ms), sizes, ms, ms))
     trace = PolicyTrace.from_env(env)
     return UcbRun(
         trace,

@@ -1,20 +1,25 @@
 """Pinned CLI outputs: each command's pin is the sha256 of its (exit code, stdout, stderr).
 
-This is the oracle's slice of the manifest: `oracle` on the five exact fig2 delay draws and
-their float copies, `oracle`'s `--cap` error, and `pmsp --check-reduction` on small
-reductions. Instance files are written from the fixed documents below. A pin changes only
-with a change that means to change that output.
+The oracle's slice: `oracle` on the five exact fig2 delay draws and their float copies,
+`oracle`'s `--cap` error, and `pmsp --check-reduction` on small reductions. The learners'
+slice: `ghost`, `learn` and `rank` on two exact draws, `experiment` on each preset and on a
+custom greedy,ghost run, and the `error:` paths that exit 2. An `experiment` run writes into
+a relative `--out`, and every file it writes is pinned too. Instance files are written from
+the fixed documents below. A pin changes only with a change that means to change that
+output.
 
-SLOW holds larger reductions kept out of the suite; check them by hand with
+SLOW holds larger reductions kept out of the suite; CI checks them after the suite with
 `PYTHONPATH=src python tests/test_cli_manifest.py`.
 """
 
 import hashlib
 import io
 import json
+import os
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
 
@@ -30,6 +35,8 @@ for _j, _ds in enumerate(FIG2_DRAWS):
                                "discount": {"kind": "geometric", "gamma": "999/1000"}}
     INSTANCES[f"float{_j}"] = {"k": 7, "mu": [float(F(m)) for m in FIG2_MU], "d": list(_ds),
                                "discount": {"kind": "geometric", "gamma": 0.999}}
+INSTANCES["nomu"] = {"k": 7, "d": list(FIG2_DRAWS[0]),
+                     "discount": {"kind": "geometric", "gamma": "999/1000"}}
 
 MANIFEST = [
     (("oracle", "--instance", "exact0"),
@@ -63,6 +70,113 @@ MANIFEST = [
      "9f8facfcb6ae1791f0454a62942564780b46f3bd75f58ebf5baaf35ee73232fc"),
     (("pmsp", "--intervals", "6,6,6,6,6,6", "--check-reduction"),
      "cea84f031a927d639a7d35605b41cc77f3997fa72da81b0cf42ce61428582e12"),
+    # the learners' slice; rank prints the same on both draws, every kept sample being
+    # taken past every delay
+    (("ghost", "--instance", "exact0"),
+     "68661e7a9bbbaaa556977dba328f9be4157f7f93f174c4d4fb82f28d6e70669c"),
+    (("ghost", "--instance", "exact1"),
+     "e13677472ae60c02e9c286e67d70cbc4b76aa528af696045f1674db2702b007f"),
+    (("learn", "--instance", "exact0", "-T", "5000"),
+     "477b74f46b2349dbbc4be795d8645c6925f9dcd1760d492a46da0929832046c5"),
+    (("learn", "--instance", "exact1", "-T", "5000"),
+     "2957c1c29e68b3a9104f3888cff645293212d1f0b62aa5dd8f24916d920b1ece"),
+    (("rank", "--instance", "exact0"),
+     "0b2048249541f7d929ee496af3aedb3606d5636b1d9abf3dd142cc581643ba2d"),
+    (("rank", "--instance", "exact1"),
+     "0b2048249541f7d929ee496af3aedb3606d5636b1d9abf3dd142cc581643ba2d"),
+    # one error line and exit code 2 each; argparse rejects a fractional horizon with its
+    # usage lines
+    (("learn", "--instance", "exact0", "-T", "100", "--seed", str(2**64)),
+     "4408389eb5786f8b45c1c6ded9d5657fc9e081532f64ebc8930d8948839ba1c6"),
+    (("learn", "--instance", "exact0", "-T", "100", "--delta", "1"),
+     "8baea9c9ac50b03546f20a5ebc89ff25089f6d092394f3891514e687990b2099"),
+    (("experiment", "--preset", "fig2", "-T", "11.5"),
+     "9e3f1c7808a2cb491e344f4dddbb141352f9380d851bd5ecb450383a0e9b8de2"),
+    (("ghost", "--instance", "nomu"),
+     "a976480c6e421eca4c0e8489ab03db74f7118dde3ab6d2ef0edd564ade65569d"),
+]
+
+# experiment runs that write files: the pin of (exit code, stdout, stderr) under "stdout",
+# then each file's sha256, metadata.json's without its "versions" key (it names the numpy
+# version), re-dumped with sorted keys
+WRITES = [
+    (("experiment", "--preset", "fig2", "-T", "2000", "--out", "out"), {
+        "stdout": "ff4aa4b15616e15cbbb72a21206bc04505822e1cd8d8bc0e302c5d97c97ae0cd",
+        "low_agg.csv": "fb8687a9b5574b0e20c3f4343adb71fe52f5870eb2b5f15d3f5861650ed658fb",
+        "low_seed0.csv": "1e8576906357f2ce2a3a0352291d4c96326579f78b865dd9f80a345610b8588e",
+        "low_seed1.csv": "f883c7c909c712da56cd13597e071707ace4d44d224e36fea340b83bd0b814d7",
+        "low_seed2.csv": "36bd0cff0249a4059a0243afb1d911f52a7546d864d6ffe09e90cd158cec4d0f",
+        "low_seed3.csv": "9a80761b20f06ede47cded99b4d612387946bf0150f60c15b87879679d9c2d95",
+        "low_seed4.csv": "6bda5bac846254e9e7cb9853fa65917269c7ce095ea0a856f39023c9a926d953",
+        "metadata.json": "d39402f15d191a320fc6effa5c51593f1ac02ad7ca3ce1688b47520d6e2e1cd2",
+        "ucb_agg.csv": "d77ef0ac9d8c9a007c93567d24f154f8919cb4e218d5f1e1b45b5d8c5ee10b5c",
+        "ucb_seed0.csv": "46c5b983e04e4aad65df312102e58e52853b1694017e0f257f715331ac0cddf8",
+        "ucb_seed1.csv": "9edfbe8b04d3b8eb19f42dfaf4f11e2730c2443170475e5c4f11a80bc7a34cb6",
+        "ucb_seed2.csv": "a8c9fe0ccca391e3af06fb42ae6316b333f5b2effb64c8018a45a90d47232a4b",
+        "ucb_seed3.csv": "8f798682c241ca3edfb81dba63c46fe938859c705cf5dcad872695d3aa581295",
+        "ucb_seed4.csv": "a688b4bd69795e5bdd25871de555cfa2d0e84037aa703531060e7dc945900972",
+    }),
+    (("experiment", "--preset", "fig3-cost", "-T", "2000", "--out", "out"), {
+        "stdout": "269a2dbbda0486d385962087b3b59570bf3f8d35b62dbff06c71cb01ee52fcc2",
+        "low_agg.csv": "f62405e1e75568e22571f74ba39935da55936700eeb1a62091db041130974b73",
+        "low_seed0.csv": "1305020a172b8eafa79d933ec545b9ee15b2cd81658315b6fcabe87bd63d2cac",
+        "low_seed1.csv": "807edcd9b3bb1f93280ebcff4f24a9b2a5eac248e84de7ea07eee36ed67c04f6",
+        "low_seed2.csv": "cd2f5fd46d9015496fcb315cdf90a34983857df9c53cc49ccd459249f5ec6f03",
+        "low_seed3.csv": "6c86ef667d52fabaca46f645f4bd0b2c25591c48f61a4182b0c97ae8a5b764a2",
+        "low_seed4.csv": "88ca73392f982775103b6d5e71ae761d623a6ba299c76198783ac695965a6ef4",
+        "low_seed5.csv": "4e83f414625422aedc8067b8c7d573c1e9607234c500c961619a4cb25c7155c0",
+        "low_seed6.csv": "507c66d0c703c8d76c2d50c65e38b328bcaf2b01de60f3bfced023673fd292aa",
+        "low_seed7.csv": "a22008f2d9ddf0eb27a3c45d5f6c83153bb75501e26fad8d8a56a7d8815fab12",
+        "low_seed8.csv": "373bf00dfe97d4b6f8b32e013128c8a3fe35bd3cc6fe8c0c3378212f195ca783",
+        "low_seed9.csv": "69267358a2e6979018c3400d5a17e9581b3820cad6fe9536aef9278e722ee288",
+        "metadata.json": "d85dd1fef5dfa991526b908e32f1530921aa2b495dc17e4e61ef8b23426f9a8d",
+        "ucb_agg.csv": "5b354d63b932469d1e5049d27f33b43ba81715786b93e291f877bf111e762531",
+        "ucb_seed0.csv": "6a1b66b0246e63be17282a3bd2ac57bc576d1d3ddef1b8835d2668a40a06bd1d",
+        "ucb_seed1.csv": "49443275d10c89233d49075cb5558dadfef8a073687f055c68c132b0a4383056",
+        "ucb_seed2.csv": "aced9a18bab1c0db56eeb9b2647c44ec34cd8548bee13704d75681bbe51e1619",
+        "ucb_seed3.csv": "bbd324ee8233355f7ce5db9a45d04a37a015103c45b636d17558dae4666de509",
+        "ucb_seed4.csv": "d788e39b6864a18ea68450c36aa0046c3a47c4c56c3171680e080b35af6c9d1a",
+        "ucb_seed5.csv": "03010006322d69b54df11585694e5f59b192529ffacacfb821c11050872a846e",
+        "ucb_seed6.csv": "78461954de2d1dadcc81f3b1912d28aab12952999693dbe432cd7164aabec9ce",
+        "ucb_seed7.csv": "b18bc674f47643d8de2f311b978d681dd5f3d63a0ed094337a7768750e01b6fc",
+        "ucb_seed8.csv": "fda41daad52e0f87050819c70758087fbcac0cbdf173198c070390d95bf0a309",
+        "ucb_seed9.csv": "cbc00b5f447b7da7e1807b52901111bdd35662e8c25ca5de0d3967a730b666a9",
+    }),
+    (("experiment", "--preset", "fig3-free", "-T", "2000", "--out", "out"), {
+        "stdout": "9d44ba37af2a03174d38feba0041ca861416fd810be50229ada7856319a53c0c",
+        "low_agg.csv": "c6c5df5241583116686fe163aa8b30fa3d7d74aa2f34161cd5fe17edefc2df9e",
+        "low_seed0.csv": "0dc8bdb9938d4e3b0da7d836ec4081a07a64943f346b4fa7aad0b008172c04f0",
+        "low_seed1.csv": "c2358b7c2337523a3c85f7f978eef3e4d4fc2343796800a0af471c569eec3c76",
+        "low_seed2.csv": "388055cbef5f099a2d68716d20050d65b8006e20bb19830d6bb48719f76c7682",
+        "low_seed3.csv": "6c50e812ea7353db0c8de62041087194270f5b145768ccff16acaab1259c16b1",
+        "low_seed4.csv": "6606bc23985aa04517663b4ef2484808935fef35113e287021ea05b87cead436",
+        "low_seed5.csv": "72c7e7878a2df2acaa79977d2eabc66bf5d0ddd59decf7adfe9cfc8191c90ea7",
+        "low_seed6.csv": "b08933bcf2d52e49b9cb6b8a4ab9c0bd4b1fece1fa1f74a2f7c0fabbc8ee2f6c",
+        "low_seed7.csv": "b7363c286a9d0db54d31f1eaaf2dfc589e57e24e7e77ae4dff639fd43080e78e",
+        "low_seed8.csv": "15cfae4fa5d001b4db6bc25d332d7d6d0b5f9530a4dda2696f047acbe2799d9b",
+        "low_seed9.csv": "6e9f9202776cbbda4e6e54379ceffbb3139bf48957922b38fa2bef1a3fdd4f7d",
+        "metadata.json": "671a16356b83e4c652ebf255402876dd577b8ade037855f588357595fd53475b",
+        "ucb_agg.csv": "9597b0847db991d74bd2d2438509fc93d760407bd8bc23c05eb9302f6a708d9e",
+        "ucb_seed0.csv": "d4e25f6ec0e1f97e646a72761b1ceafbbde7b982af83832e2175662248fb30ad",
+        "ucb_seed1.csv": "a869a44475b97fff4b51fb7f7680b84594f5b75a2fa9e71b3a03f16cfc5f72d4",
+        "ucb_seed2.csv": "4ca16e1716713dbe8a264177c0ee61958b32816ebaedcaada0cbd1cfd0eb316c",
+        "ucb_seed3.csv": "ffa7a0543a14343904e3670ad07d3f222e6770387fe219f5d4e4079bf08a69d1",
+        "ucb_seed4.csv": "6ffe6317c7b8ebc47dc8bf4296dc55f3473fc73be6de1b6bc1a8bfcbc11a4140",
+        "ucb_seed5.csv": "f876bb04ddb897535e2e018c816fff85bd006906ebe19159e1b73103920be059",
+        "ucb_seed6.csv": "457137f2418468c22c296ebdbdcf72ee296ee95f6122fa07a02b35601cb65f63",
+        "ucb_seed7.csv": "6b72292c769265495a031a85cd935fbee0cbfe4dcf0ac3240f75d059395f5eb9",
+        "ucb_seed8.csv": "528a9b7162eda9ab35ba14b2b6d29026ad0ab61f4927dcc28910711ee62d3fc7",
+        "ucb_seed9.csv": "47b960a3d85b32e86c873d042c597881f4c468171d3edbaab2fa2375cca05157",
+    }),
+    (("experiment", "--instance", "exact0", "--algos", "greedy,ghost", "-T", "2000",
+      "--out", "out"), {
+        "stdout": "511f48be260e123e86393110bffc5ca7b6e8aaabf569f9bc5327074ccbcda97f",
+        "ghost_agg.csv": "efbcf249c5ef8fa1c159dad5619bfdbb8f0e364356630b7f162bf014d7d935a3",
+        "ghost_seed0.csv": "9e98951738bc98afd824563a3aa1056aa153100c0ed50f20d6879b1fb31a8afd",
+        "greedy_agg.csv": "def0401ca968dc04c095dcbdf5ea232d0a3c0665c9263502d43b03cce0ab7c16",
+        "greedy_seed0.csv": "da5cd5b41c43e732d1e693d94365f5f393b83910f1683741927fa56368b1c884",
+        "metadata.json": "58c6e348e30f0eb29226997f553f91f32308b5643ff9cfb869e26b27f7d2e021",
+    }),
 ]
 
 SLOW = [
@@ -74,11 +188,28 @@ SLOW = [
 
 
 def digest(argv) -> str:
-    """sha256 of repr((exit code, stdout, stderr)) of one in-process CLI call."""
+    """sha256 of repr((exit code, stdout, stderr)) of one in-process CLI call. argparse
+    exits through SystemExit and wraps its usage lines at $COLUMNS, fixed here."""
     out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
-        code = cli.main(list(argv))
+    with redirect_stdout(out), redirect_stderr(err), mock.patch.dict(os.environ, COLUMNS="100"):
+        try:
+            code = cli.main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
     return hashlib.sha256(repr((code, out.getvalue(), err.getvalue())).encode()).hexdigest()
+
+
+def file_digests(directory) -> dict:
+    """sha256 of each file in directory by name; metadata.json's without its "versions"."""
+    got = {}
+    for path in sorted(directory.iterdir()):
+        data = path.read_bytes()
+        if path.name == "metadata.json":
+            meta = json.loads(data)
+            del meta["versions"]
+            data = json.dumps(meta, sort_keys=True).encode()
+        got[path.name] = hashlib.sha256(data).hexdigest()
+    return got
 
 
 def resolve(argv, directory) -> list:
@@ -101,6 +232,14 @@ def instance_dir(tmp_path_factory):
 @pytest.mark.parametrize("argv, pin", MANIFEST, ids=[" ".join(argv) for argv, _ in MANIFEST])
 def test_cli_output_is_pinned(argv, pin, instance_dir):
     assert digest(resolve(argv, instance_dir)) == pin
+
+
+@pytest.mark.parametrize("argv, pins", WRITES, ids=[" ".join(argv) for argv, _ in WRITES])
+def test_cli_files_are_pinned(argv, pins, instance_dir, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)     # a relative --out, so stdout names no temporary path
+    got = {"stdout": digest(resolve(argv, instance_dir))}
+    got.update(file_digests(tmp_path / argv[argv.index("--out") + 1]))
+    assert got == pins
 
 
 if __name__ == "__main__":

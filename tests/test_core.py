@@ -14,8 +14,8 @@ from delaybandit import (
     make_instance,
     substream,
 )
-from helpers import (assert_same_columns, delay_vector, random_exact_instance,
-                     random_float_instance, step_columns)
+from helpers import (assert_same_columns, delay_vector, log_blocks_by_block,
+                     random_exact_instance, random_float_instance, step_columns)
 
 
 class TestDiscount:
@@ -316,6 +316,54 @@ class TestEnvironment:
         with pytest.raises((ValueError, IndexError)):
             env.pull_cycles(prefix, 3)
         assert env.t == 0 and len(env.columns()["arms"]) == 0
+
+    @pytest.mark.parametrize("n, retain_from", [(2.7, 0), (2, 0.9), (2, 2.5), (2, -0.5),
+                                                (-0.5, 0), (0, 0.5), (np.float64(2), 0),
+                                                (2, F(1))])
+    def test_fractional_sizes_raise_before_logging(self, n, retain_from):
+        # 2.7 pulls retained from 0.9 is an error, not 2 pulls retained from 0; the blocks
+        # logged before the bad one stay, as with a bad prefix
+        inst = make_instance([0.9, 0.6], [1, 1], Discount.constant(0.5))
+        pulled, logged = (Environment(inst, substream(0, "frac")) for _ in range(2))
+        with pytest.raises(TypeError):
+            pulled.pull_cycles((0, 1), n, retain_from=retain_from)
+        with pytest.raises(TypeError):
+            logged.log_blocks([((1,), 3, -1, 1), ((0, 1), n, 2, retain_from), ((0,), 2, 3, 0)])
+        assert (pulled.t, len(pulled._blocks)) == (0, 0)
+        assert (logged.t, logged._blocks.tolist()) == (3, [3, 0, -1, 1])
+
+    def test_numpy_integer_sizes_are_accepted(self):
+        inst = make_instance([0.9, 0.6], [1, 1], Discount.constant(0.5))
+        ints, nps = (Environment(inst, substream(0, "np")) for _ in range(2))
+        assert ints.pull_cycles((0, 1), 5, retain_from=1) == \
+            nps.pull_cycles((0, 1), np.int64(5), retain_from=np.int32(1))
+        ints.log_blocks([((1,), 3, -1, 9)], repeat=2)
+        nps.log_blocks([((1,), np.int16(3), np.int8(-1), np.uint64(9))], repeat=2)
+        assert ints._blocks == nps._blocks and type(nps.t) is int and nps.t == ints.t == 11
+
+    def test_thousands_of_logged_blocks_equal_pulled_and_referenced_blocks(self):
+        # 6,000 blocks from a capacity of 16: UCB-like pairs, truncated pairs, single pulls,
+        # empty blocks and clipped retain_from, logged in one call, pulled one by one and
+        # logged by the block-by-block reference
+        inst = make_instance([0.9, 0.7, 0.5, 0.3, 0.1], [2, 3, 1, 4, 2], Discount.geometric(0.7))
+        rng = np.random.default_rng(7)
+        blocks = []
+        for m, kind, rf in zip(rng.integers(1, 6, 6000).tolist(), rng.integers(0, 8, 6000).tolist(),
+                               rng.integers(-2, 12, 6000).tolist()):
+            prefix = tuple(range(m)) if kind else (m - 1,)
+            n = (2 * m, m + 1, 1, 0, 3 * m + 70)[kind % 5]
+            blocks.append((prefix, n, m, m if kind < 4 else rf))
+        logged, pulled, ref = (Environment(inst, substream(8, "many"), capacity=16)
+                               for _ in range(3))
+        logged.log_blocks(blocks)
+        for block in blocks:
+            pulled.pull_cycles(*block)
+        log_blocks_by_block(ref, blocks)
+        for env in (pulled, ref):
+            assert logged._blocks == env._blocks and logged._cycle_ids == env._cycle_ids
+            assert (logged.t, len(logged._u)) == (env.t, len(env._u))
+        assert len(logged._blocks) // 4 > 5000
+        assert_same_columns(logged.columns(), pulled.columns())
 
     def test_long_block_with_repeated_arms_equals_stepwise(self):
         # tiled past the first cycle with per-position gaps (2, 1, 3)

@@ -41,7 +41,7 @@ from delaybandit.core import _SCALAR_SLACK
 from delaybandit.harness import run_algorithm
 from delaybandit.oracle import _certify, _evaluate_policy, _weight_tables
 from helpers import (assert_same_columns, bernoulli_rounds, brute_force_max_mean,
-                     build_state_graph_by_queue, by_round,
+                     build_state_graph_by_queue, by_round, log_blocks_by_block,
                      random_exact_instance, random_float_instance, rank_arms_by_round,
                      rank_arms_by_scan, step_columns, step_rollout)
 
@@ -115,6 +115,44 @@ def test_last_pulls_are_read_off_the_log(ds, pool, picks, repeat, seed, back):
     assert env._last_pulls() == want
     since = env.t - back
     assert env._last_pulls(since) == [t if t is not None and t >= since else None for t in want]
+
+
+@st.composite
+def logged_blocks(draw, k):
+    """(prefix, n, policy, retain_from) blocks for `log_blocks`: prefixes from a small pool,
+    one in twenty a bad one (empty or an arm out of range); n from -2 to 80; retain_from
+    from below 0 to above n."""
+    out = []
+    pool = [(0,), (1, 2), (3, 3, 1), tuple(range(k))]
+    for _ in range(draw(st.integers(0, 12))):
+        bad = draw(st.integers(0, 19)) == 0
+        prefix = draw(st.sampled_from([(), (k,), (0, -1)] if bad else pool))
+        n = draw(st.integers(-2, 80))
+        out.append((prefix, n, draw(st.integers(-1, k)), draw(st.integers(-3, max(n, 0) + 3))))
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(block_list=logged_blocks(7), before=st.integers(0, 20), repeat=st.integers(1, 3),
+       seed=st.integers(0, 2**16))
+def test_lean_logging_equals_logging_block_by_block(block_list, before, repeat, seed):
+    # from a capacity of 16 the buffer grows mid-list; the same rows, prefix numbers, clock,
+    # buffer and exception as the block-by-block reference, a bad prefix at any position
+    inst = fig2_instance([4, 3, 3, 6, 4, 3, 4])
+    lean, ref = (Environment(inst, substream(seed, "log"), capacity=16) for _ in range(2))
+    for env in (lean, ref):
+        env.pull_cycles((4,), before)
+    raised = []
+    for log in (lean.log_blocks, lambda blocks, repeat: log_blocks_by_block(ref, blocks, repeat)):
+        try:
+            log(block_list, repeat=repeat)
+            raised.append(None)
+        except (ValueError, IndexError) as exc:
+            raised.append(type(exc))
+    assert raised[0] == raised[1]
+    assert lean._blocks == ref._blocks and lean._cycle_ids == ref._cycle_ids
+    assert (lean.t, len(lean._u)) == (ref.t, len(ref._u))
+    assert np.array_equal(lean._u, ref._u)
 
 
 @st.composite
