@@ -135,8 +135,15 @@ def _split(text, convert=str):
     return tuple(map(convert, text.split(","))) if text else ()
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse whose rejections raise ValueError, so `main` reports them as one line."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="delaybandit",
         description="Delay-dependent bandit laboratory: oracles, learners, experiments.",
     )
@@ -193,9 +200,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command. A rejected option or input prints one `error:` line and returns 2;
+    `--help` exits 0 through argparse."""
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -81,12 +81,14 @@ def _check_delta(delta) -> None:
 
 
 def _check_horizon(T) -> int:
-    """The horizon as an int, 0 allowed; a negative or fractional one would be coerced, so it
-    raises."""
+    """The horizon as an int in [0, 2**63); a negative or fractional one would be coerced and
+    a larger one indexes no array, so each raises."""
     if T < 0:
         raise ValueError("horizon must be >= 0")
     if T and not _is_count(T):
         raise ValueError(f"horizon T must be an integer, got {T}")
+    if T >= 2**63:
+        raise ValueError(f"horizon T must be below 2**63, got {T}")
     return int(T)
 
 
@@ -447,7 +449,8 @@ class Environment:
             pos = np.flatnonzero(arms == a)
             gaps[pos[1:]] = np.diff(pos)
         taus = gaps.astype(np.int32)
-        taus[taus > np.array(self._ds, np.int32)[arms]] = 0
+        # a gap is below t, so capping d at t keeps every comparison and fits int32
+        taus[taus > np.array([min(d, t) for d in self._ds], np.int32)[arms]] = 0
         np.maximum(taus, 0, out=taus)
         top = int(taus.max(initial=0))
         rows = [self._payoffs(a, min(d, top)) for a, d in enumerate(self._ds)]

@@ -102,13 +102,20 @@ def build_state_graph(instance: BanditInstance, cap: int = 10**6) -> StateGraph:
     """
     if cap < 1:
         raise ValueError("cap must be >= 1")
+    too_many = f"more than {cap} reachable states; raise the cap to go on"
     k = instance.k
-    ds = np.array(instance.ds, np.int64)
+    # a reachable tau is below the state count, so a delay past the cap reads as the cap
+    ds = [min(d, cap) for d in instance.ds]
+    # with two arms or more, pulling arm i once and then another arm s - 1 times reaches a
+    # state of its own for each s in 1..d_i, so 1 + sum(d_i) states are reachable
+    if k > 1 and 1 + sum(ds) > cap:
+        raise ValueError(too_many)
     radix = [1]
-    for d in instance.ds:
+    for d in ds:
         radix.append(radix[-1] * (d + 1))
     # numpy's int64 wraps silently, so the product is taken in Python ints
     radix = np.array(radix[:-1], np.int64 if radix[-1] < 2**63 else object)
+    ds = np.array(ds, np.int64)
     frontier = np.zeros((1, k), np.int64)
     taus, nxt = [frontier], []
     # the codes seen so far, sorted, and the node of each
@@ -126,7 +133,7 @@ def build_state_graph(instance: BanditInstance, cap: int = 10**6) -> StateGraph:
         fresh = np.flatnonzero(~old)
         new, first, inverse = np.unique(child[fresh], return_index=True, return_inverse=True)
         if n + len(new) > cap:
-            raise ValueError(f"more than {cap} reachable states; raise the cap to go on")
+            raise ValueError(too_many)
         # number the new codes in order of first discovery
         discovered = np.zeros(len(fresh), bool)
         discovered[first] = True

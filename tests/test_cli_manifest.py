@@ -1,25 +1,25 @@
 """Pinned CLI outputs: each command's pin is the sha256 of its (exit code, stdout, stderr).
 
-The oracle's slice: `oracle` on the five exact fig2 delay draws and their float copies,
-`oracle`'s `--cap` error, and `pmsp --check-reduction` on small reductions. The learners'
-slice: `ghost`, `learn` and `rank` on two exact draws, `experiment` on each preset and on a
-custom greedy,ghost run, and the `error:` paths that exit 2. An `experiment` run writes into
-a relative `--out`, and every file it writes is pinned too. Instance files are written from
-the fixed documents below. A pin changes only with a change that means to change that
-output.
+This is the one place a CLI byte is pinned. It covers `oracle` on the five exact fig2 delay
+draws, their float copies and the oracle benchmark workload's instances at seeds 0-2;
+`oracle`'s `--cap` error; `pmsp --check-reduction` on small reductions and `pmsp` on four
+repeated-interval sets; `ghost`, `learn` and `rank` on fig2 draws 0 and 1, exact and float;
+`experiment` on each preset, at the fig2 preset's own horizon, and on custom runs; and the
+`error:` paths that exit 2. An `experiment` run writes into a relative `--out`, and every
+file it writes is pinned too. Instance files are written from the fixed documents below. A
+pin changes only with a change that means to change that output.
 
-SLOW holds larger reductions kept out of the suite; CI checks them after the suite with
-`PYTHONPATH=src python tests/test_cli_manifest.py`.
+SLOW holds larger reductions kept out of the suite. Run them, as CI does after the suite,
+with `PYTHONPATH=src timeout 120 python tests/test_cli_manifest.py`: it prints each command
+whose pin changed and exits 1 if any did.
 """
 
 import hashlib
 import io
 import json
-import os
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction as F
-from unittest import mock
 
 import pytest
 
@@ -37,6 +37,21 @@ for _j, _ds in enumerate(FIG2_DRAWS):
                                "discount": {"kind": "geometric", "gamma": 0.999}}
 INSTANCES["nomu"] = {"k": 7, "d": list(FIG2_DRAWS[0]),
                      "discount": {"kind": "geometric", "gamma": "999/1000"}}
+# the oracle benchmark workload's instances at its seeds 0-2: fig2 draws 4 and 2 with float
+# payoffs (floatJ) and the five-arm exact delays (1,2,3,3,4) and (2,3,3,3,4) (exactJ), each
+# permuted by substream(seed, "perfbench", "floatJ" or "exactJ"); seeds 1 and 2 draw the same
+# exact1 order
+BENCH_DELAYS = {
+    "s0-float0": [1, 1, 4, 4, 5, 1, 6], "s0-float1": [2, 2, 4, 6, 2, 5, 4],
+    "s0-exact0": [2, 3, 4, 1, 3], "s0-exact1": [4, 2, 3, 3, 3],
+    "s1-float0": [5, 1, 1, 4, 1, 4, 6], "s1-float1": [5, 4, 2, 4, 2, 6, 2],
+    "s1-exact0": [4, 1, 3, 2, 3], "s1-exact1": [2, 4, 3, 3, 3],
+    "s2-float0": [6, 1, 1, 4, 1, 4, 5], "s2-float1": [4, 5, 2, 4, 6, 2, 2],
+    "s2-exact0": [3, 4, 1, 2, 3], "s2-exact1": [2, 4, 3, 3, 3],
+}
+for _name, _ds in BENCH_DELAYS.items():
+    _like = INSTANCES["float0" if "float" in _name else "exact0"]
+    INSTANCES[_name] = dict(_like, k=len(_ds), mu=_like["mu"][:len(_ds)], d=_ds)
 
 MANIFEST = [
     (("oracle", "--instance", "exact0"),
@@ -84,14 +99,67 @@ MANIFEST = [
      "0b2048249541f7d929ee496af3aedb3606d5636b1d9abf3dd142cc581643ba2d"),
     (("rank", "--instance", "exact1"),
      "0b2048249541f7d929ee496af3aedb3606d5636b1d9abf3dd142cc581643ba2d"),
-    # one error line and exit code 2 each; argparse rejects a fractional horizon with its
-    # usage lines
+    (("rank", "--instance", "exact0", "--d0", "9"),
+     "84bbbda38133f2b59c66701b350874ea00cc9ca9e5acb9a53286d91aaf2c6de7"),
+    # the pull cap stops the ranker before its order is complete: exit code 1
+    (("rank", "--instance", "exact0", "--pull-cap", "5000"),
+     "7bcc8bfe1e078dc0f5d5bd269b237622909efa2a7c7d477fef3c7fc8cffadeb7"),
+    # T_5 = 9,492 at this horizon needs the stage sizes in exact integers
+    (("learn", "--instance", "exact0", "-T", "12753"),
+     "5a485b7995d0d80c76125e904e257b0b8990ddbf65ffd9acafb3f8d6ababbc07"),
+    (("ghost", "--instance", "float0"),
+     "89d44b4b12f4f1f751440aa5cd63af0f6d5ea9f71a08f11edde3ea549e9c5463"),
+    (("ghost", "--instance", "float1"),
+     "36cf90b070e83dd06954366acb0a33c2b166c638203ff0862b4c0e0db0112c44"),
+    (("learn", "--instance", "float0", "-T", "5000"),
+     "477b74f46b2349dbbc4be795d8645c6925f9dcd1760d492a46da0929832046c5"),
+    (("learn", "--instance", "float1", "-T", "5000"),
+     "2957c1c29e68b3a9104f3888cff645293212d1f0b62aa5dd8f24916d920b1ece"),
+    (("rank", "--instance", "float0"),
+     "0b2048249541f7d929ee496af3aedb3606d5636b1d9abf3dd142cc581643ba2d"),
+    (("rank", "--instance", "float1"),
+     "0b2048249541f7d929ee496af3aedb3606d5636b1d9abf3dd142cc581643ba2d"),
+    # the oracle benchmark workload's instances
+    (("oracle", "--instance", "s0-float0"),
+     "b87de9b37b37d6b3e2b9ee52073278bd0768b05f2204a097208f3e20697e1f95"),
+    (("oracle", "--instance", "s0-float1"),
+     "1ed24fc2a09d3df896fd054606b8b0d0cc5b770067a2080c59bac2ee5dff1590"),
+    (("oracle", "--instance", "s0-exact0"),
+     "59e94af572a210a8581064ddd2ba037740ee1e68b15b091e740975bd5baa6412"),
+    (("oracle", "--instance", "s0-exact1"),
+     "4f49d306125bf71275b854c66ffa76be71afbba347ae1d950c0fbd1d915f7c66"),
+    (("oracle", "--instance", "s1-float0"),
+     "6c8869ab398c8d72e646d8fe20c9f078ebeedf5367e8a3e871667c32d18b4944"),
+    (("oracle", "--instance", "s1-float1"),
+     "97d6b571aa84aba282042fb46372c819b79933d8da7466a56ac8a3a35edeb806"),
+    (("oracle", "--instance", "s1-exact0"),
+     "6b3bfa0acf0dcb110898cc01c56669bc7640a00748d543878b2249358f54f466"),
+    (("oracle", "--instance", "s1-exact1"),
+     "15262cadc573780916205bdaead5bccce457806e6a65f170781fdaf983934795"),
+    (("oracle", "--instance", "s2-float0"),
+     "db8535781e6ec9abeb1b9295e740d9e751d111c171c9377e09efac4a72155758"),
+    (("oracle", "--instance", "s2-float1"),
+     "20ffb1a6fb6c921f0f049e1992aa125abaf4e361cde37199ff5abe1e1d2a6867"),
+    (("oracle", "--instance", "s2-exact0"),
+     "7afa193f7717978d274bee56601d361c799a705c29033f2c85c2fbee7d2a4b23"),
+    (("oracle", "--instance", "s2-exact1"),
+     "15262cadc573780916205bdaead5bccce457806e6a65f170781fdaf983934795"),
+    # repeated intervals: three infeasible, the last feasible
+    (("pmsp", "--intervals", "10,10,24,24,24,24,35,42"),
+     "848147229f8052cc720796b36f2b83048e7f96c13edd740b0edc7654552fccd1"),
+    (("pmsp", "--intervals", "12,12,12,21,21,21,21,35,35,35,36,36,36"),
+     "0a080d9e1dafa041df137c8d4b7023e9df776683a647d4a37dc3f71508a4ca83"),
+    (("pmsp", "--intervals", "12,12,12,12,12,28,28,28,35,35,35,35"),
+     "97e57ea108ad94c7ba1cf5a5b52afea8bea9e1e22a0c5114c67111c9e75a29da"),
+    (("pmsp", "--intervals", "14,14,14,28,28,28,28,40,40"),
+     "e2c1f11e07b6b2b671451e246dc342247a03a2da6606fc1a06621bda37bdfe17"),
+    # one error line and exit code 2 each, argparse's rejection of a fractional horizon too
     (("learn", "--instance", "exact0", "-T", "100", "--seed", str(2**64)),
      "4408389eb5786f8b45c1c6ded9d5657fc9e081532f64ebc8930d8948839ba1c6"),
     (("learn", "--instance", "exact0", "-T", "100", "--delta", "1"),
      "8baea9c9ac50b03546f20a5ebc89ff25089f6d092394f3891514e687990b2099"),
     (("experiment", "--preset", "fig2", "-T", "11.5"),
-     "9e3f1c7808a2cb491e344f4dddbb141352f9380d851bd5ecb450383a0e9b8de2"),
+     "e50d12d1f52ee02e7473d91687a53c3ef938b1a69fadc1c101756fa1963b5a2b"),
     (("ghost", "--instance", "nomu"),
      "a976480c6e421eca4c0e8489ab03db74f7118dde3ab6d2ef0edd564ade65569d"),
 ]
@@ -177,6 +245,39 @@ WRITES = [
         "greedy_seed0.csv": "da5cd5b41c43e732d1e693d94365f5f393b83910f1683741927fa56368b1c884",
         "metadata.json": "58c6e348e30f0eb29226997f553f91f32308b5643ff9cfb869e26b27f7d2e021",
     }),
+    (("experiment", "--preset", "fig3-cost", "-T", "300", "--seeds", "0,1", "--full-curves",
+      "--out", "out"), {
+        "stdout": "2d9bfbd17292536e07edee957eaee74caca0a72c082c7a7017f6a41f13fe258d",
+        "low_agg.csv": "5fb58866bef1175c95db79956616c82b8267a930a0c59e6ff1f40ef0800ec6d0",
+        "low_seed0.csv": "63d00cb72105baea3d0e3e285d592346b44491d14894c78e0e01a3c782861c6b",
+        "low_seed1.csv": "8e4b92435a18f253af2f0f1fb779b3e3617db78da7029d510e244dd87ecd12ba",
+        "metadata.json": "76fea431f20504bcc6889161d3520e1922aee8d5f08d7ed1cb7c282b8900195e",
+        "ucb_agg.csv": "c982343674ed9423a2a84f795ec70bb9b6c3a5a17ce62e1c1d87c9df41449dea",
+        "ucb_seed0.csv": "05bbea9b1915e0e11c265c4883ef47d5702eee504de3b38f53d156148b2d8025",
+        "ucb_seed1.csv": "841530f7d6907c015770e8c4d5360621b76135c29ec27964bb4f27e552ed5ff5",
+    }),
+    (("experiment", "--instance", "exact1", "--algos", "greedy,ghost,low,ucb", "-T", "300",
+      "--out", "out"), {
+        "stdout": "0e50c55ca4b764890f5972647bf80d57a8ac02cc396db84f2976ea5d118b92cc",
+        "ghost_agg.csv": "73d6bd6e33ebe89ae675083313e6bd8f6344e4536f70c48bd0e550468c8594cd",
+        "ghost_seed0.csv": "7fe1fe168490b2ab5b3c679af423518144007dc860634bb88ab6760026d3589c",
+        "greedy_agg.csv": "e46219bb40dfb893f0a73659018b1768f29d50e5badd3355b9d9383e4b0c7dab",
+        "greedy_seed0.csv": "a8648a40c533aeb905c09892975fecbcfd7c19fd2e32a0f39c1f9c72b6a8d8fd",
+        "low_agg.csv": "45e0ee9285293e7341dd4b20dbdd12745cf84ea7efcf0f2be73aaf88a0de6cb0",
+        "low_seed0.csv": "155483d7327fbfff7a0b5fdc0ac745da039f054ba6dfa33a78f60df4686c4fb1",
+        "metadata.json": "36feeea400c38d56d9e910fc6257787bb1b83529e73655bf5bd2b108e8723ec1",
+        "ucb_agg.csv": "1c9ed5d7bf1897f81bf04459a7178d1df824826033d3e2fa99889d564dff32e5",
+        "ucb_seed0.csv": "72113ff27fc2a91ca563b508aec8a6513c4cce05d4532f4ee5a6ca1efe0791cf",
+    }),
+    # the fig2 preset's own horizon, T = 2e5: 14,520 UCB selections
+    (("experiment", "--preset", "fig2", "--seeds", "1", "--out", "out"), {
+        "stdout": "1b6b1b09e476be99ef59937bc590ca1ed45a31d576a094bbdffb7e7edae48be9",
+        "low_agg.csv": "a79db63d19a11e96599c2666ce57560f394a19d38988a85d7e5a0644cb98cc23",
+        "low_seed1.csv": "e2dfcd8c690f78a143ae2aa167982f2fc766a5d542341df090d3a2c284790303",
+        "metadata.json": "df9d88679dab1e842a35b4eaa0638e8290acbad1c71aabe1865b2fd3eaf36cff",
+        "ucb_agg.csv": "13b9aad3951eb0600c977abf3648185c0eb4fcf3cb73480596745941e6663a4b",
+        "ucb_seed1.csv": "6ff3f0993ba7a9c9dabea7a6cd2d819d172c324c8d3874afcf1041689d75a054",
+    }),
 ]
 
 SLOW = [
@@ -188,14 +289,10 @@ SLOW = [
 
 
 def digest(argv) -> str:
-    """sha256 of repr((exit code, stdout, stderr)) of one in-process CLI call. argparse
-    exits through SystemExit and wraps its usage lines at $COLUMNS, fixed here."""
+    """sha256 of repr((exit code, stdout, stderr)) of one in-process CLI call."""
     out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err), mock.patch.dict(os.environ, COLUMNS="100"):
-        try:
-            code = cli.main(list(argv))
-        except SystemExit as exc:
-            code = exc.code
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(list(argv))
     return hashlib.sha256(repr((code, out.getvalue(), err.getvalue())).encode()).hexdigest()
 
 

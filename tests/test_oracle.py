@@ -119,8 +119,8 @@ class TestStateGraph:
         inst = make_instance([1 - F(i, 66) for i in range(65)], [1] * 65,
                              Discount.constant(F(1, 2)))
         assert math.prod(d + 1 for d in inst.ds) >= 2**63
-        graph, want = build_state_graph(inst), build_state_graph_by_queue(inst)
-        assert graph.n_nodes == 66
+        graph, want = build_state_graph(inst, cap=66), build_state_graph_by_queue(inst)
+        assert graph.n_nodes == 66      # 1 + sum(d_i): the early cap check's bound is met
         assert graph.nodes == want.nodes and graph.succ == want.succ
         _same_cycle(optimal_average(inst)[1], max_mean_cycle_by_fractions(want))
 
