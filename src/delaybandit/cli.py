@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import argparse
+import functools
+import os
 import sys
 from dataclasses import replace
 
@@ -85,7 +87,8 @@ def _cmd_pmsp(args) -> int:
     pmsp = PmspInstance(intervals)
     verdict = pmsp_feasible(pmsp, cap=args.cap)
     threshold = pmsp_threshold(pmsp)
-    rho = optimal_average(pmsp_to_bandit(pmsp))[0] if args.check_reduction else None
+    rho = (optimal_average(pmsp_to_bandit(pmsp), cap=args.state_cap)[0]
+           if args.check_reduction else None)
     print(f"feasible: {verdict.feasible}")
     print(f"period: {verdict.period}")
     if verdict.feasible:
@@ -142,7 +145,12 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built at its first use and reused by every later `main` call.
+
+    Reuse is safe: `parse_args` fills a fresh namespace per call, and each command's
+    `func` looks its library calls up in this module's globals when it runs."""
     parser = _Parser(
         prog="delaybandit",
         description="Delay-dependent bandit laboratory: oracles, learners, experiments.",
@@ -177,9 +185,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pmsp", help="periodic maintenance feasibility and reduction")
     p.add_argument("--intervals", required=True, help="comma-separated service intervals")
-    p.add_argument("--cap", type=int, default=10**4)
+    p.add_argument("--cap", type=int, default=10**4,
+                   help="largest period lcm(intervals) to search")
     p.add_argument("--check-reduction", action="store_true",
                    help="also solve the reduced bandit instance")
+    p.add_argument("--state-cap", type=int, default=10**6,
+                   help="most delay states the reduction's solve may reach")
     p.set_defaults(func=_cmd_pmsp)
 
     p = sub.add_parser("experiment", help="run a preset or custom experiment")
@@ -200,11 +211,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one command. A rejected option or input prints one `error:` line and returns 2;
-    `--help` exits 0 through argparse."""
+    """Run one command and return its exit status: 0 on success, 1 for a `rank` stopped
+    by its pull cap, 2 for a rejected option or input (one `error:` line on stderr), 141
+    (128 + SIGPIPE) for a closed stdout, with nothing on stderr. `--help` exits 0 through
+    argparse. The parser is built once per process."""
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()      # a closed pipe fails here, not in the interpreter's exit flush
+        return code
+    except BrokenPipeError:
+        # the exit flush would fail again on what is still buffered: send it to devnull
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -2,18 +2,21 @@
 
 This is the one place a CLI byte is pinned. It covers `oracle` on the five exact fig2 delay
 draws, their float copies and the oracle benchmark workload's instances at seeds 0-2;
-`oracle`'s `--cap` error; `pmsp --check-reduction` on small reductions and `pmsp` on four
-repeated-interval sets; `ghost`, `learn` and `rank` on fig2 draws 0 and 1, exact and float;
-`experiment` on each preset, at the fig2 preset's own horizon, and on custom runs; and the
-`error:` paths that exit 2. An `experiment` run writes into a relative `--out`, and every
-file it writes is pinned too. Instance files are written from the fixed documents below. A
-pin changes only with a change that means to change that output.
+`oracle`'s `--cap` error; `pmsp --check-reduction` on small reductions and its
+`--state-cap` error; `pmsp` on four repeated-interval sets; `ghost`, `learn` and `rank` on
+fig2 draws 0 and 1, exact and float; `experiment` on each preset, at the fig2 preset's own
+horizon, and on custom runs; and the `error:` paths that exit 2. An `experiment` run writes
+into a relative `--out`, and every file it writes is pinned too. Instance files are written
+from the fixed documents below. A pin changes only with a change that means to change that
+output. `cli.main` reuses one parser per process, so the last tests run commands back to
+back and check that one call leaves nothing behind for the next.
 
 SLOW holds larger reductions kept out of the suite. Run them, as CI does after the suite,
 with `PYTHONPATH=src timeout 120 python tests/test_cli_manifest.py`: it prints each command
 whose pin changed and exits 1 if any did.
 """
 
+import argparse
 import hashlib
 import io
 import json
@@ -162,6 +165,10 @@ MANIFEST = [
      "e50d12d1f52ee02e7473d91687a53c3ef938b1a69fadc1c101756fa1963b5a2b"),
     (("ghost", "--instance", "nomu"),
      "a976480c6e421eca4c0e8489ab03db74f7118dde3ab6d2ef0edd564ade65569d"),
+    # the reduction's own state cap: (7,)x7 reaches 37,634 states, so
+    # past 1,000 it ends as oracle's --cap does
+    (("pmsp", "--intervals", "7,7,7,7,7,7,7", "--check-reduction", "--state-cap", "1000"),
+     "b061d8b37951180838487723a61ee9eaee192af67743c33fac05b8c9a94f1d3e"),
 ]
 
 # experiment runs that write files: the pin of (exit code, stdout, stderr) under "stdout",
@@ -318,6 +325,11 @@ def resolve(argv, directory) -> list:
     return argv
 
 
+PINS = dict(MANIFEST)
+RANK = ("rank", "--instance", "exact0")
+RANK_D0 = ("rank", "--instance", "exact0", "--d0", "9")
+
+
 @pytest.fixture(scope="module")
 def instance_dir(tmp_path_factory):
     directory = tmp_path_factory.mktemp("instances")
@@ -337,6 +349,29 @@ def test_cli_files_are_pinned(argv, pins, instance_dir, tmp_path, monkeypatch):
     got = {"stdout": digest(resolve(argv, instance_dir))}
     got.update(file_digests(tmp_path / argv[argv.index("--out") + 1]))
     assert got == pins
+
+
+def test_parser_is_built_once(instance_dir, monkeypatch):
+    added = []
+    add_argument = argparse.ArgumentParser.add_argument
+
+    def counted(self, *args, **kwargs):
+        added.append(args)
+        return add_argument(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "add_argument", counted)
+    ghost = ("ghost", "--instance", "exact0")
+    digest(resolve(ghost, instance_dir))     # builds the parser unless an earlier call did
+    first = len(added)
+    assert digest(resolve(ghost, instance_dir)) == PINS[ghost]
+    assert len(added) == first
+
+
+@pytest.mark.parametrize("order", [(RANK_D0, RANK), (RANK, RANK_D0)])
+def test_one_command_leaves_no_option_to_the_next(order, instance_dir):
+    # rank --d0 9 then plain rank: the second must not keep the first's --d0
+    for argv in order:
+        assert digest(resolve(argv, instance_dir)) == PINS[argv]
 
 
 if __name__ == "__main__":

@@ -2,14 +2,18 @@ import csv
 import filecmp
 import json
 import os
+import subprocess
+import sys
 import time
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction as F
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import delaybandit
 from delaybandit import (
     Discount,
     PolicyTrace,
@@ -337,6 +341,22 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
+
+    def test_closed_stdout_is_status_141_and_silent(self):
+        # period 65,536: the schedule line outlasts the pipe buffer, so the reader's
+        # close lands while the command is still writing
+        intervals = ",".join(str(2**i) for i in range(1, 17)) + ",65536"
+        src = str(Path(delaybandit.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        with subprocess.Popen(
+                [sys.executable, "-m", "delaybandit.cli", "pmsp", "--cap", "100000",
+                 "--intervals", intervals],
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+            assert proc.stdout.read(100).startswith(b"feasible: True")
+            proc.stdout.close()
+            assert proc.wait(timeout=60) == 141
+            assert proc.stderr.read() == b""
 
     def test_help_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exc:
