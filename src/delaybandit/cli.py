@@ -87,8 +87,7 @@ def _cmd_pmsp(args) -> int:
     pmsp = PmspInstance(intervals)
     verdict = pmsp_feasible(pmsp, cap=args.cap)
     threshold = pmsp_threshold(pmsp)
-    rho = (optimal_average(pmsp_to_bandit(pmsp), cap=args.state_cap)[0]
-           if args.check_reduction else None)
+    rho = optimal_average(pmsp_to_bandit(pmsp))[0] if args.check_reduction else None
     print(f"feasible: {verdict.feasible}")
     print(f"period: {verdict.period}")
     if verdict.feasible:
@@ -185,12 +184,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pmsp", help="periodic maintenance feasibility and reduction")
     p.add_argument("--intervals", required=True, help="comma-separated service intervals")
-    p.add_argument("--cap", type=int, default=10**4,
-                   help="largest period lcm(intervals) to search")
+    p.add_argument("--cap", type=int, default=10**4)
     p.add_argument("--check-reduction", action="store_true",
                    help="also solve the reduced bandit instance")
-    p.add_argument("--state-cap", type=int, default=10**6,
-                   help="most delay states the reduction's solve may reach")
     p.set_defaults(func=_cmd_pmsp)
 
     p = sub.add_parser("experiment", help="run a preset or custom experiment")
