@@ -50,6 +50,7 @@ CSV_HEADER = ["t", "algo", "seed", "cum_expected", "cum_realized", "switches", "
 AGG_HEADER = ["t", "algo", "mean_regret", "std_regret", "n_runs"]
 
 MAX_CURVE_POINTS = 2000
+CSV_CHUNK_ROWS = 1024
 
 
 # -- instance (de)serialization ---------------------------------------------
@@ -153,6 +154,12 @@ class ExperimentConfig:
                 raise ValueError(f"need at least one {kind}")
         if not math.isfinite(self.switch_cost) or self.switch_cost < 0:
             raise ValueError(f"switch cost must be a finite number >= 0, got {self.switch_cost}")
+        # a regret lies in [-T, T (1 + cost)]; the seeds' spread, squared and summed, must be
+        # a finite float (float products reach inf where int ones would not)
+        spread = self.horizon * (2.0 + self.switch_cost)
+        if not math.isfinite(len(self.seeds) * spread * spread):
+            raise ValueError(f"switch cost {self.switch_cost} can overflow the regret at "
+                             f"T={self.horizon} over {len(self.seeds)} seeds")
         _check_delta(self.delta)
         for algo in self.algorithms:
             if algo not in ALGORITHMS:
@@ -308,17 +315,34 @@ def run_algorithm(name: str, instance: BanditInstance, T: int, delta: float, see
     raise ValueError(f"unknown algorithm {name!r}")
 
 
+def _run_cells(column: np.ndarray) -> np.ndarray:
+    """`str` of each value of a numeric column, called once per run of equal values.
+
+    Floats compare by bit pattern, so 0.0 and -0.0 stay apart and a NaN never
+    splits a run.
+    """
+    keys = column.view(f"i{column.itemsize}") if column.dtype.kind == "f" else column
+    starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+    cells = np.array(list(map(str, column[starts].tolist())), dtype=object)
+    return np.repeat(cells, np.diff(starts, append=len(column)))
+
+
 def _write_csv(path: str, header, columns):
     """One row per element of the array columns; any other column repeats its value.
 
     A cell is `str` of a Python value: ints without a decimal point, floats as
-    their shortest round-trip repr.
+    their shortest round-trip repr. Rows are rendered CSV_CHUNK_ROWS at a
+    time, and `str` runs once per run of equal values down a column within a
+    chunk, so the cost follows the distinct values written and memory holds
+    one chunk of rows, whatever the row count.
     """
-    cells = [map(str, c.tolist()) if isinstance(c, np.ndarray) else repeat(str(c))
-             for c in columns]
+    n = min(len(c) for c in columns if isinstance(c, np.ndarray))
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        fh.writelines(",".join(row) + "\n" for row in zip(*cells))
+        for lo in range(0, n, CSV_CHUNK_ROWS):
+            cells = [_run_cells(c[lo:lo + CSV_CHUNK_ROWS]) if isinstance(c, np.ndarray)
+                     else repeat(str(c)) for c in columns]
+            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
 @dataclass

@@ -3,6 +3,7 @@
 import math
 from dataclasses import dataclass
 from fractions import Fraction as F
+from itertools import repeat
 
 import networkx as nx
 import numpy as np
@@ -570,3 +571,13 @@ def rank_arms_by_scan(sampler, k, delta, pull_cap=10**7):
     final_means = {i: sums[i] / (elim_round[i] or r) for i in range(k)} if r else {}
     perm = tuple(_in_order(root, lambda a: (-final_means.get(a, 0.0), a)))
     return RankingOutcome(perm, r, pulls, elim_round, len(active) <= 1, final_means)
+
+
+def write_csv_by_row(path: str, header, columns):
+    """Reference CSV writer: `str` of every cell, one row at a time. `harness._write_csv`
+    must write the same bytes."""
+    cells = [map(str, c.tolist()) if isinstance(c, np.ndarray) else repeat(str(c))
+             for c in columns]
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.writelines(",".join(row) + "\n" for row in zip(*cells))

@@ -260,6 +260,18 @@ WRITES = [
         "ucb_seed0.csv": "05bbea9b1915e0e11c265c4883ef47d5702eee504de3b38f53d156148b2d8025",
         "ucb_seed1.csv": "841530f7d6907c015770e8c4d5360621b76135c29ec27964bb4f27e552ed5ff5",
     }),
+    # the fig3-full benchmark workload's shape: 20,000 rows a file, many chunks of the writer
+    (("experiment", "--preset", "fig3-cost", "--full-curves", "-T", "20000", "--seeds", "0,1",
+      "--out", "out"), {
+        "stdout": "b8d58ddf696ab8bc3ef0c854c9e230e02b212f7f3e8dbb552ca24f9edaca968e",
+        "low_agg.csv": "5dc6e230dd99c0cf8b2835f40d67164d280ee5896e45e91d9b8d803cedec54a1",
+        "low_seed0.csv": "010dacc2074bf224829fb5e384389c63ade983f485a9393ea69655c0020036f4",
+        "low_seed1.csv": "a6ff5e8ac98bcd6fe68c3fc3146b9c20ac699efa580917967af2d9b0209f3f90",
+        "metadata.json": "9d64f0390798fecf75e609ce230cabb1325a6d46a1b0ae55193e0ac47d09dca6",
+        "ucb_agg.csv": "6ade8eaa6d75a6af3748dc11a59c741fe3e2a0e99f586c4995258dbd543879c1",
+        "ucb_seed0.csv": "0f16cf62ae637083182d7e1f6081d5c0684295fe04bd9d4ad6604502dafbb220",
+        "ucb_seed1.csv": "5301c5781474d04e8574cc61d690709fd28877a3c669d1a434a7e1a30d3d44a9",
+    }),
     (("experiment", "--instance", "exact1", "--algos", "greedy,ghost,low,ucb", "-T", "300",
       "--out", "out"), {
         "stdout": "0e50c55ca4b764890f5972647bf80d57a8ac02cc396db84f2976ea5d118b92cc",

@@ -1,17 +1,21 @@
 import csv
 import filecmp
 import json
+import math
 import os
 import subprocess
 import sys
 import time
 import tracemalloc
+import warnings
 from dataclasses import replace
 from fractions import Fraction as F
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import delaybandit
 from delaybandit import (
@@ -30,7 +34,8 @@ from delaybandit import (
     run_experiment,
 )
 from delaybandit.cli import main
-from helpers import fig3_instance
+from delaybandit.harness import CSV_CHUNK_ROWS, CSV_HEADER, _write_csv
+from helpers import fig3_instance, write_csv_by_row
 
 
 class TestInstanceIO:
@@ -246,6 +251,76 @@ class TestRunExperiment:
         assert peak(tuple(range(8))) - peak((0,)) < 2 * 2**20
 
 
+# cell values whose text is easy to get wrong: signed zeros, NaNs of other bit patterns
+# (all written "nan"), infinities, subnormals, and ints past 2**53
+FLOAT_BITS = np.array([0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324,
+                       2.2e-308, 0.1, 1.5, 2.0**53 + 2, -7.25], np.float64).view(np.int64)
+FLOAT_BITS = np.append(FLOAT_BITS, 0x7FF8000000000001)      # a NaN with a payload
+INTS = np.array([0, 1, -1, 7, 2**53, 2**53 + 1, -(2**53) - 1, 2**63 - 1, -(2**63)], np.int64)
+LENGTHS = [1, CSV_CHUNK_ROWS - 1, CSV_CHUNK_ROWS, CSV_CHUNK_ROWS + 1, 3 * CSV_CHUNK_ROWS + 5]
+
+
+@st.composite
+def run_columns(draw, n):
+    """A float64 or int64 column of n values laid out in runs, some longer than a chunk."""
+    pool = draw(st.sampled_from([FLOAT_BITS, INTS]))
+    runs = draw(st.lists(st.tuples(st.integers(0, len(pool) - 1),
+                                   st.integers(1, 2 * CSV_CHUNK_ROWS)), min_size=1, max_size=8))
+    idx, lengths = zip(*runs)
+    column = np.resize(np.repeat(pool[list(idx)], lengths), n)
+    return column.view(np.float64) if pool is FLOAT_BITS else column
+
+
+@st.composite
+def tables(draw):
+    n = draw(st.sampled_from(LENGTHS))
+    scalars = st.one_of(st.sampled_from(["low", "ucb"]), st.integers(-(2**70), 2**70),
+                        st.floats(allow_nan=True, allow_infinity=True))
+    columns = draw(st.lists(st.one_of(run_columns(n), scalars), min_size=1, max_size=6))
+    return columns + [draw(run_columns(n))]
+
+
+def write_both(directory, columns):
+    header = [f"c{i}" for i in range(len(columns))]
+    _write_csv(str(directory / "chunked.csv"), header, columns)
+    write_csv_by_row(str(directory / "by_row.csv"), header, columns)
+    return (directory / "chunked.csv").read_bytes(), (directory / "by_row.csv").read_bytes()
+
+
+class TestWriteCsv:
+    @settings(max_examples=60, deadline=None)
+    @given(columns=tables())
+    def test_bytes_equal_the_row_by_row_writer(self, columns, tmp_path_factory):
+        got, want = write_both(tmp_path_factory.mktemp("csv"), columns)
+        assert got == want
+
+    def test_signed_zeros_and_nans_keep_their_text(self, tmp_path):
+        # bit-pattern runs: -0.0 is not merged into 0.0's run, NaNs of any pattern read "nan"
+        column = np.repeat(FLOAT_BITS[[0, 1, 0, 2, 3, 12]].view(np.float64), CSV_CHUNK_ROWS // 2)
+        got, want = write_both(tmp_path, [column, "low"])
+        assert got == want
+        assert got.split()[CSV_CHUNK_ROWS // 2 + 1] == b"-0.0,low"
+
+    @pytest.mark.parametrize("rows", [20_000, 200_000])
+    def test_memory_is_one_chunk_whatever_the_row_count(self, tmp_path, rows):
+        # a fig3-cost --full-curves -T 20000 cell's columns, tiled to the row count
+        res = run_experiment(replace(preset_fig3(), algorithms=("ucb",), horizon=20_000,
+                                     seeds=(0,), full_curves=True))
+        c = res.curves[("ucb", 0)]
+        reps = rows // len(c.t)
+        columns = [np.arange(1, rows + 1), "ucb", 0] + [
+            np.tile(x, reps) for x in (c.cum_expected, c.cum_realized, c.cum_switches, c.regret)]
+        path = str(tmp_path / "cell.csv")
+        _write_csv(path, CSV_HEADER, columns)   # warm-up: first-call caches are not the write's
+        tracemalloc.start()
+        try:
+            _write_csv(path, CSV_HEADER, columns)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+
 class TestCli:
     def write_fig3(self, tmp_path):
         path = tmp_path / "fig3.json"
@@ -301,6 +376,8 @@ class TestCli:
          "algorithm 'greedy' is repeated"),
         (["--instance", "FIG3", "--switch-cost", "nan", "-T", "50"], "switch cost"),
         (["--instance", "FIG3", "--switch-cost", "inf", "-T", "50"], "switch cost"),
+        (["--preset", "fig3-cost", "--switch-cost", "1e308", "-T", "50"],
+         "switch cost 1e+308 can overflow the regret at T=50 over 10 seeds"),
         (["--instance", "FIG3", "--algos", "ucb", "--delta", "7", "-T", "50"], "delta"),
         (["--instance", "FIG3", "--algos", "ghost", "--delta", "nan", "-T", "50"], "delta"),
         (["--preset", "fig3-cost", "--algos", "greedy", "-T", "50"],
@@ -325,6 +402,33 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("error:") and message in err
         assert not out_dir.exists()
+
+    def test_largest_accepted_switch_cost_runs_clean(self, tmp_path, capsys):
+        # fig3-cost runs 10 seeds; at T = 50 the seeds' regret spread, squared and summed,
+        # stays finite up to a cost near sqrt(max float / 10) / 50, about 8.5e151
+        def accepted(cost):
+            try:
+                replace(preset_fig3(), horizon=50, switch_cost=cost)
+            except ValueError:
+                return False
+            return True
+
+        cost, rejected = 0.0, 1e308         # bisect down to two adjacent floats
+        assert accepted(cost) and not accepted(rejected)
+        while math.nextafter(cost, rejected) < rejected:
+            mid = max(cost / 2 + rejected / 2, math.nextafter(cost, rejected))
+            cost, rejected = (mid, rejected) if accepted(mid) else (cost, mid)
+        assert cost > 1e151
+        argv = ["experiment", "--preset", "fig3-cost", "-T", "50", "--switch-cost"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(argv + [repr(cost), "--out", str(tmp_path / "ok")]) == 0
+            assert main(argv + [repr(rejected), "--out", str(tmp_path / "bad")]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "can overflow the regret" in err
+        assert not (tmp_path / "bad").exists()
+        for path in (tmp_path / "ok").glob("*.csv"):
+            assert b"inf" not in path.read_bytes() and b"nan" not in path.read_bytes()
 
     @pytest.mark.parametrize("argv", [
         ["experiment", "--preset", "fig2", "-T", "11.5"],
