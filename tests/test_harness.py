@@ -376,8 +376,6 @@ class TestCli:
          "algorithm 'greedy' is repeated"),
         (["--instance", "FIG3", "--switch-cost", "nan", "-T", "50"], "switch cost"),
         (["--instance", "FIG3", "--switch-cost", "inf", "-T", "50"], "switch cost"),
-        (["--preset", "fig3-cost", "--switch-cost", "1e308", "-T", "50"],
-         "switch cost 1e+308 can overflow the regret at T=50 over 10 seeds"),
         (["--instance", "FIG3", "--algos", "ucb", "--delta", "7", "-T", "50"], "delta"),
         (["--instance", "FIG3", "--algos", "ghost", "--delta", "nan", "-T", "50"], "delta"),
         (["--preset", "fig3-cost", "--algos", "greedy", "-T", "50"],
@@ -393,6 +391,8 @@ class TestCli:
         (["--instance", "FIG3", "--algos", "", "-T", "50"], "at least one algorithm"),
         (["--instance", "FIG3", "-T", "100", "--seeds", f"0,{2**64}"],
          f"seed must lie in [0, 2**64), got {2**64}"),
+        (["--preset", "fig3-cost", "--switch-cost", "1e308", "-T", "50"],
+         "switch cost 1e+308 can overflow the regret at T=50 over 10 seeds"),
     ])
     def test_bad_experiment_is_one_error_line(self, tmp_path, capsys, args, message):
         fig3 = self.write_fig3(tmp_path)
