@@ -19,7 +19,7 @@ from .harness import (
 from .low_switch import run_pi_low
 from .oracle import PmspInstance, optimal_average, pmsp_feasible, pmsp_threshold, pmsp_to_bandit
 from .policies import ghost_summary
-from .ranker import calibrated_sampler, rank_arms
+from .ranker import baseline_pulls, calibrated_sampler, rank_arms
 
 
 def _add_instance_arg(p):
@@ -53,7 +53,10 @@ def _cmd_rank(args) -> int:
     if d0 >= args.pull_cap >= 1:    # a cap below 1 is rank_arms' own error
         raise ValueError(f"d0 must be below the pull cap, got d0={d0} and pull cap "
                          f"{args.pull_cap}: a round pulls at least d0 + 1 times")
-    env = Environment(instance, substream(args.seed, "rank"))
+    # a real run spreads around the baseline run's pulls (146k to 160k against 148k on the
+    # fig2 draws), so the buffer gets a quarter more and rarely grows
+    expect = baseline_pulls(instance, d0, args.delta, args.pull_cap)
+    env = Environment(instance, substream(args.seed, "rank"), capacity=expect + expect // 4)
     outcome = rank_arms(calibrated_sampler(env, d0), instance.k, args.delta,
                         pull_cap=args.pull_cap)
     print(f"permutation: {' '.join(map(str, outcome.permutation))}")

@@ -33,6 +33,9 @@ __all__ = [
 
 # pull_cycles runs a block of at most len(prefix) + _SCALAR_SLACK pulls one by one
 _SCALAR_SLACK = 64
+# pulls per window wherever a derivation runs over the whole log (`Environment.windows`,
+# `pull_cycles`' long tail, the ghost reference), so its memory does not grow with T
+_WINDOW_PULLS = 1 << 14
 
 
 def substream(seed: int, *keys) -> np.random.Generator:
@@ -239,6 +242,43 @@ def _aged(state, ds) -> tuple:
     return tuple(0 if tau == 0 or tau >= d else tau + 1 for tau, d in zip(state, ds))
 
 
+def _spans(t: int, size: int = 0):
+    """[lo, hi) of each window of `size` pulls (default _WINDOW_PULLS) over t pulls, in
+    order; one empty window when t = 0."""
+    size = size or _WINDOW_PULLS
+    return ((lo, min(lo + size, t)) for lo in range(0, max(t, 1), size))
+
+
+def _running_sums(windows, ts, starts) -> list:
+    """Each series' running sum at the 1-based times `ts` (ascending, at most the series'
+    length), read window by window: `windows` yields one tuple of equal-length arrays per
+    window, a slice of each series, and `starts` holds each sum's start, which also sets its
+    dtype. A window's sums continue from the last one's carry, which adds in the same
+    sequential order as one `np.cumsum` over the whole series, so the sums are bit-identical
+    to it; a float sum starts at -0.0, which leaves every first term as it is, -0.0 too.
+    Memory holds one window and the grid.
+    """
+    idx = np.asarray(ts, np.int64) - 1
+    if len(idx) and (idx[0] < 0 or np.any(idx[1:] < idx[:-1])):
+        raise ValueError("times must be ascending and at least 1")
+    carry = [np.array(s) for s in starts]
+    sums = [np.empty(len(idx), c.dtype) for c in carry]
+    lo = j = 0
+    for series in windows:
+        hi = lo + len(series[0])
+        stop = int(np.searchsorted(idx, hi))
+        at = idx[j:stop] - lo
+        for c, (x, out) in enumerate(zip(series, sums)):
+            if len(x):
+                run = np.cumsum(np.concatenate((carry[c].reshape(1), x)), dtype=out.dtype)[1:]
+                out[j:stop] = run[at]
+                carry[c] = run[-1]
+        lo, j = hi, stop
+    if j < len(idx):
+        raise ValueError(f"time {idx[j] + 1} is past the series' end at {lo}")
+    return sums
+
+
 class Environment:
     """Sequential sampler over an instance; owns its RNG stream and pull log.
 
@@ -418,52 +458,93 @@ class Environment:
                 arm = prefix[i - m]
                 pay.append(self._row(arm, t0 + i, last[arm])[1])
                 last[arm] = t0 + i
-            lo = max(rf, m)
-            pay = np.resize(np.roll(pay, -lo), n - lo)
-            ret_sum += int(np.count_nonzero(self._u[t0 + lo:t0 + n] < pay))
+            # position i >= m of the block pays pay[i % m]; the retained tail is counted a
+            # window at a time against one window's worth of tiled payoffs
+            lo, us = max(rf, m), self._u[t0:t0 + n]
+            pay = np.resize(pay, min(n - lo, _WINDOW_PULLS) + m)
+            for a, b in _spans(n - lo):
+                a, b = a + lo, b + lo
+                ret_sum += int(np.count_nonzero(us[a:b] < pay[a % m:a % m + b - a]))
             self.t = t0 + n
         return float(ret_sum), n - rf
 
-    def columns(self) -> dict:
-        """The seven pull-log columns, derived from the blocks and uniforms in one pass.
+    def switches(self) -> int:
+        """Policy-id changes between consecutive pulls, counted off the blocks: a block holds
+        one policy id and `log_blocks` logs no empty block, so a switch is a change between
+        consecutive blocks."""
+        policy = np.frombuffer(self._blocks, np.int64)[2::4]
+        return int(np.count_nonzero(policy[1:] != policy[:-1]))
 
-        Arms, policy ids and retained flags expand the blocks; gap is t minus
-        the arm's previous position (-1 at its first pull); tau is the gap
-        capped at d (0 past it or at a first pull); expected is a payoff-table
-        gather; realized is u[t] < expected[t].
+    def columns(self) -> dict:
+        """The seven pull-log columns of the whole log: `windows` with one window."""
+        return next(self.windows(max(self.t, 1)))
+
+    def windows(self, size: int = 0):
+        """The seven pull-log columns, derived from the blocks and uniforms one window of
+        `size` pulls (default _WINDOW_PULLS) at a time, as dicts in pull order.
+
+        A window expands the blocks it meets (found by a binary search over their ends)
+        into arms, policy ids and retained flags; gap is t minus the arm's previous
+        position (-1 at its first pull), carried across windows as each arm's last pull;
+        tau is the gap capped at d (0 past it or at a first pull); expected is a gather
+        from the arm's payoff row, filled only as far as that arm's taus reach; realized
+        is u[t] < expected[t]. Memory holds one window, the blocks' ends (8 B a block) and
+        the payoff rows. The windows cover the log as it stands when the first one is made.
         """
-        t = self.t
-        n, cycle, policy, rf = np.array(self._blocks, np.int64).reshape(-1, 4).T
+        t, k = self.t, self.k
+        ends = np.cumsum(np.frombuffer(self._blocks, np.int64)[::4])
         cycles = list(self._cycle_ids)
-        size = np.array([len(c) for c in cycles], np.int32)
+        sizes = np.array([len(c) for c in cycles], np.int64)
+        offsets = np.cumsum(sizes) - sizes
         flat = np.array([a for c in cycles for a in c], np.int32)
-        i = np.arange(t, dtype=np.int32)    # pull time, then index within the block
-        i -= np.repeat((np.cumsum(n) - n).astype(np.int32), n)
-        retained = i >= np.repeat(rf.astype(np.int32), n)
-        i %= np.repeat(size[cycle], n)
-        i += np.repeat((np.cumsum(size) - size).astype(np.int32)[cycle], n)
-        arms = flat[i]
-        del i
-        gaps = np.full(t, -1, np.int64)
-        for a in range(self.k):
-            pos = np.flatnonzero(arms == a)
-            gaps[pos[1:]] = np.diff(pos)
-        taus = gaps.astype(np.int32)
-        # a gap is below t, so capping d at t keeps every comparison and fits int32
-        taus[taus > np.array([min(d, t) for d in self._ds], np.int32)[arms]] = 0
-        np.maximum(taus, 0, out=taus)
-        top = int(taus.max(initial=0))
-        rows = [self._payoffs(a, min(d, top)) for a, d in enumerate(self._ds)]
-        table = np.zeros((self.k, max(map(len, rows))))
-        for a, row in enumerate(rows):
-            table[a, :len(row)] = row
-        expected = table[arms, taus]
-        return {
-            "arms": arms,
-            "taus": taus,
-            "gaps": gaps,
-            "expected": expected,
-            "realized": (self._u[:t] < expected).astype(np.int8),
-            "policy": np.repeat(policy.astype(np.int32), n),
-            "retained": retained,
-        }
+        dcap = [min(d, t) for d in self._ds]    # a gap is below t, so this caps as d does
+        last = [-1] * k             # each arm's last pull before the window
+        # each arm's payoffs over capped tau, filled up to the largest tau its pulls reached;
+        # capacity doubles (up to the widest tau possible), so an entry is copied O(1) times
+        pay, filled = [np.empty(0)] * k, [0] * k
+        for lo, hi in _spans(t, size):
+            b0 = int(np.searchsorted(ends, lo, "right"))
+            b1 = int(np.searchsorted(ends, hi - 1, "right")) + 1 if hi > lo else b0
+            rows = np.frombuffer(self._blocks[4 * b0:4 * b1], np.int64).reshape(-1, 4)
+            n, cycle, policy, rf = rows.T
+            start = ends[b0:b1] - n
+            seg = np.minimum(ends[b0:b1], hi) - np.maximum(start, lo)   # its pulls in the window
+            i = np.arange(lo, hi) - np.repeat(start, seg)   # index within the block
+            retained = i >= np.repeat(rf, seg)
+            i %= np.repeat(sizes[cycle], seg)
+            i += np.repeat(offsets[cycle], seg)
+            arms = flat[i]
+            del i
+            gaps = np.empty(hi - lo, np.int64)
+            taus = np.empty(hi - lo, np.int32)
+            expected = np.empty(hi - lo)
+            for a in range(k):
+                pos = np.flatnonzero(arms == a)
+                if not len(pos):
+                    continue
+                gap = np.empty(len(pos), np.int64)
+                gap[1:] = np.diff(pos)
+                gap[0] = lo + pos[0] - last[a] if last[a] >= 0 else -1
+                last[a] = lo + int(pos[-1])
+                gaps[pos] = gap
+                gap[(gap < 0) | (gap > dcap[a])] = 0        # now the capped tau
+                top = int(gap.max())
+                if top >= filled[a]:
+                    row = self._payoffs(a, top)
+                    if len(row) > len(pay[a]):
+                        grown = np.empty(max(len(row), min(2 * len(pay[a]), dcap[a] + 1)))
+                        grown[:filled[a]] = pay[a][:filled[a]]
+                        pay[a] = grown
+                    pay[a][filled[a]:len(row)] = row[filled[a]:]
+                    filled[a] = len(row)
+                taus[pos] = gap
+                expected[pos] = pay[a][gap]
+            yield {
+                "arms": arms,
+                "taus": taus,
+                "gaps": gaps,
+                "expected": expected,
+                "realized": (self._u[lo:hi] < expected).astype(np.int8),
+                "policy": np.repeat(policy.astype(np.int32), seg),
+                "retained": retained,
+            }

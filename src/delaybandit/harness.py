@@ -24,9 +24,9 @@ import numpy as np
 
 from . import __version__
 from .core import (BanditInstance, Discount, _check_delta, _check_horizon, _check_seed,
-                   _param_name, make_instance, substream)
+                   _param_name, _running_sums, _spans, make_instance, substream)
 from .low_switch import run_pi_low, stage_schedule
-from .policies import GreedyPolicy, PolicyTrace, RankingPolicy, ghost_summary, orbit, rollout
+from .policies import GreedyPolicy, RankingPolicy, ghost_summary, orbit, rollout, running_totals
 from .ucb import run_ucb_rankings
 
 __all__ = [
@@ -152,7 +152,12 @@ class ExperimentConfig:
         for kind, values in (("algorithm", self.algorithms), ("seed", self.seeds)):
             if not values:
                 raise ValueError(f"need at least one {kind}")
-        if not math.isfinite(self.switch_cost) or self.switch_cost < 0:
+        try:
+            finite = math.isfinite(self.switch_cost)
+        except OverflowError:
+            raise ValueError("switch cost must be a finite number >= 0, got an int past the "
+                             "float range") from None
+        if not finite or self.switch_cost < 0:
             raise ValueError(f"switch cost must be a finite number >= 0, got {self.switch_cost}")
         # a regret lies in [-T, T (1 + cost)]; the seeds' spread, squared and summed, must be
         # a finite float (float products reach inf where int ones would not)
@@ -188,16 +193,22 @@ def materialize_instance(spec: dict, seed: int) -> BanditInstance:
 # -- reference and regret ----------------------------------------------------
 
 
-def ghost_reference(instance: BanditInstance, T: int) -> np.ndarray:
-    """Cumulative expected reward of the best ranking policy over T pulls.
+def ghost_reference(instance: BanditInstance, T: int, ts=None) -> np.ndarray:
+    """Cumulative expected reward of the best ranking policy over T pulls, at the 1-based
+    times `ts` (ascending; default every t = 1..T).
 
     Deterministic: the policy's orbit (a first cycle from the all-zero state
-    at the raw baselines, then the steady cycle) tiled to T pulls.
+    at the raw baselines, then the steady cycle) tiled to T pulls, summed a window at a
+    time with the carry rule a log's running sums use, so memory follows the window and
+    `ts`, not T.
     """
     T = _check_horizon(T)
     r = ghost_summary(instance).r_star
-    first, steady = (np.array(part, float) for part in orbit(instance, RankingPolicy(r)))
-    return np.cumsum(np.concatenate([first, np.tile(steady, T // len(steady) + 1)])[:T])
+    first, steady = orbit(instance, RankingPolicy(r))
+    pay, head, period = np.array(first + steady, float), len(first), len(steady)
+    windows = ((pay[np.where(p < head, p, head + (p - head) % period)],)
+               for p in (np.arange(lo, hi) for lo, hi in _spans(T)))
+    return _running_sums(windows, np.arange(1, T + 1) if ts is None else ts, (-0.0,))[0]
 
 
 @dataclass
@@ -217,22 +228,23 @@ def _downsample_grid(T: int, full: bool) -> np.ndarray:
     return np.unique(np.linspace(1, T, MAX_CURVE_POINTS).round().astype(np.int64))
 
 
-def regret_vs_ghost(trace: PolicyTrace, instance: BanditInstance, switch_cost: float,
+def regret_vs_ghost(log, instance: BanditInstance, switch_cost: float,
                     ts=None, ghost_cum=None) -> RegretCurve:
-    """Expectation-channel regret against the ghost rollout, pointwise in t."""
-    T = len(trace)
+    """Expectation-channel regret against the ghost rollout at the 1-based times `ts`
+    (ascending; default every pull).
+
+    `log` is a PolicyTrace or a Run, read by `running_totals`, so a Run's curve costs a
+    window and the grid, not its length. `ghost_cum` holds the ghost reference at each
+    time in `ts` (default `ghost_reference` at them).
+    """
+    T = len(log)
+    ts = np.arange(1, T + 1) if ts is None else np.asarray(ts, np.int64)
     if ghost_cum is None:
-        ghost_cum = ghost_reference(instance, T)
-    if len(ghost_cum) != T:
-        raise ValueError("ghost reference and trace lengths differ")
-    if ts is None:
-        ts = np.arange(1, T + 1)
-    ts = np.asarray(ts, np.int64)
-    idx = ts - 1
-    ce = trace.cum_expected[idx]
-    cr = trace.cum_realized[idx]
-    cs = trace.cum_switches[idx]
-    regret = ghost_cum[idx] - (ce - switch_cost * cs)
+        ghost_cum = ghost_reference(instance, T, ts)
+    if len(ghost_cum) != len(ts):
+        raise ValueError("ghost reference and grid lengths differ")
+    ce, cr, cs = running_totals(log, ts)
+    regret = ghost_cum - (ce - switch_cost * cs)
     return RegretCurve(ts, ce, cr, cs, regret)
 
 
@@ -292,7 +304,8 @@ def preset_fig3(cost: bool = True) -> ExperimentConfig:
 
 
 def run_algorithm(name: str, instance: BanditInstance, T: int, delta: float, seed: int):
-    """Run one cell; returns (trace, info dict for metadata)."""
+    """Run one cell; returns (run, info dict for metadata). The run holds its pull log,
+    `run.env`, and builds its full trace only when `run.trace` is read."""
     if name == "low":
         run = run_pi_low(instance, T, delta, rng=substream(seed, "env"))
         info = {
@@ -301,14 +314,13 @@ def run_algorithm(name: str, instance: BanditInstance, T: int, delta: float, see
             "tail_pulls": run.tail_pulls,
             "stages": [rec.to_dict() for rec in run.stages],
         }
-        return run.trace, info
+        return run, info
     if name == "ucb":
         run = run_ucb_rankings(instance, T, rng=substream(seed, "env"))
         info = {"switches": run.total_switches, "selections": run.selections}
-        return run.trace, info
+        return run, info
     if name == "greedy":
-        trace = rollout(instance, GreedyPolicy(instance), T, substream(seed, "env"))
-        return trace, {}
+        return rollout(instance, GreedyPolicy(instance), T, substream(seed, "env")), {}
     if name == "ghost":
         r = ghost_summary(instance).r_star
         return rollout(instance, RankingPolicy(r), T, substream(seed, "env"), policy_id=r), {}
@@ -358,9 +370,10 @@ class ExperimentResult:
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Run every (algorithm, seed) cell, write per-run and aggregate CSVs.
 
-    One pass over the seeds: a seed's ghost reference lives while that seed's
-    cells run, and each cell's trace lives until it is cut down to its curve,
-    so memory holds one cell's full-length arrays, not one set per seed.
+    One pass over the seeds: a seed's ghost reference, at the grid's points, is
+    computed once, after that seed's first run, and each cell's pull log (its uniforms,
+    8 B a pull, and its blocks) lives until its curve is read off it a window at
+    a time, so memory holds one cell's log and the curves, not one set per seed.
     Identical configs produce byte-identical outputs: all randomness flows
     through per-(seed, purpose) substreams and floats are written with repr.
     """
@@ -382,11 +395,13 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     curves = {}
     run_infos = {}
     for seed, inst in instances.items():
-        ghost_cum = ghost_reference(inst, T)
+        ghost_cum = None
         for algo in config.algorithms:
-            trace, run_infos[(algo, seed)] = run_algorithm(algo, inst, T, config.delta, seed)
-            curve = regret_vs_ghost(trace, inst, config.switch_cost, ts=grid, ghost_cum=ghost_cum)
-            del trace   # only the curve outlives its cell
+            run, run_infos[(algo, seed)] = run_algorithm(algo, inst, T, config.delta, seed)
+            if ghost_cum is None:   # after a run, whose T uniforms fail at once if T is too large
+                ghost_cum = ghost_reference(inst, T, grid)
+            curve = regret_vs_ghost(run, inst, config.switch_cost, ts=grid, ghost_cum=ghost_cum)
+            del run     # only the curve outlives its cell
             curves[(algo, seed)] = curve
             if outdir:
                 _write_csv(output(f"{algo}_seed{seed}.csv"), CSV_HEADER,

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 from .core import BanditInstance, Environment, _check_delta, _check_horizon, substream
-from .policies import PolicyTrace
+from .policies import Run
 
 __all__ = [
     "LowSwitchRun",
@@ -112,18 +112,14 @@ class StageRecord:
 
 
 @dataclass
-class LowSwitchRun:
-    """Full run output: trace, per-stage records, survivors, switch count."""
+class LowSwitchRun(Run):
+    """Full run output: pull log (`env`, with `trace` built on first read), per-stage
+    records, survivors and the exploitation tail's length."""
 
-    trace: PolicyTrace
     schedule: StageSchedule
     stages: list
     survivors: tuple
     tail_pulls: int
-
-    @property
-    def total_switches(self) -> int:
-        return self.trace.total_switches
 
 
 def run_pi_low(instance: BanditInstance, T: int, delta: float, seed: int = 0,
@@ -170,5 +166,4 @@ def run_pi_low(instance: BanditInstance, T: int, delta: float, seed: int = 0,
         best = records[-1].best
         tail = T - env.t
         env.pull_cycles(range(best), tail, policy=best, retain_from=tail)
-    trace = PolicyTrace.from_env(env)
-    return LowSwitchRun(trace, sched, records, tuple(active), tail)
+    return LowSwitchRun(env, sched, records, tuple(active), tail)

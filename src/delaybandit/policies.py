@@ -10,26 +10,28 @@ the ghost reference and the oracle's periodic values are read off it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cached_property
 from numbers import Rational
 
 import numpy as np
 
-from .core import (BanditInstance, Environment, _check_horizon, advance_state, expected_payoff,
-                   initial_state)
+from .core import (BanditInstance, Environment, _check_horizon, _running_sums, advance_state,
+                   expected_payoff, initial_state)
 
 __all__ = [
     "GhostSummary",
     "GreedyPolicy",
     "PolicyTrace",
     "RankingPolicy",
+    "Run",
     "g_value",
     "ghost_summary",
     "greedy_arm",
     "orbit",
     "rollout",
+    "running_totals",
 ]
 
 
@@ -158,7 +160,8 @@ class PolicyTrace:
     """Columnar pull log: expectation and realized channels plus policy ids.
 
     `policy` holds the ranking-policy cutoff executing each pull (-1 when not
-    applicable); `retained` marks pulls that fed a learner's estimates.
+    applicable); `retained` marks pulls that fed a learner's estimates. Its running
+    sums are `running_totals` over its one window.
     """
 
     arms: np.ndarray
@@ -177,33 +180,81 @@ class PolicyTrace:
         return len(self.arms)
 
     @cached_property
+    def _totals(self) -> list:
+        return running_totals(self, np.arange(1, len(self) + 1))
+
+    @property
     def cum_expected(self) -> np.ndarray:
-        return np.cumsum(self.expected)
+        return self._totals[0]
 
-    @cached_property
+    @property
     def cum_realized(self) -> np.ndarray:
-        return np.cumsum(self.realized.astype(np.int64))
+        return self._totals[1]
 
-    @cached_property
+    @property
     def cum_switches(self) -> np.ndarray:
         """Policy-id changes up to each pull (the first pull never counts)."""
-        flags = np.zeros(len(self), np.int64)
-        flags[1:] = self.policy[1:] != self.policy[:-1]
-        return np.cumsum(flags)
+        return self._totals[2]
 
     @property
     def total_switches(self) -> int:
         return int(self.cum_switches[-1]) if len(self) else 0
 
 
+def _log_series(windows):
+    # per window of log columns: expected, realized and the switch flags, a flag being a
+    # policy-id change from the pull before (so the first pull never counts)
+    prev = None
+    for cols in windows:
+        policy = cols["policy"]
+        before = np.concatenate((policy[:1] if prev is None else prev, policy[:-1]))
+        if len(policy):
+            prev = policy[-1:]
+        yield cols["expected"], cols["realized"], policy != before
+
+
+def running_totals(log, ts) -> list:
+    """Cumulative expected reward, realized reward and policy switches of a pull log at the
+    1-based times `ts` (ascending, within the log), as float64, int64 and int64 arrays.
+
+    A Run's log is read a window at a time (`Environment.windows`), a PolicyTrace as one
+    window; the sums carry across windows bit for bit, so both give one whole-array
+    `np.cumsum`'s values, and a Run's cost follows a window and the grid, not its length.
+    """
+    if isinstance(log, Run):
+        windows = log.env.windows()
+    else:
+        windows = ({f.name: getattr(log, f.name) for f in fields(log)},)
+    return _running_sums(_log_series(windows), ts, (-0.0, 0, 0))
+
+
+@dataclass
+class Run:
+    """A play's pull log: the environment it ran in. Its switch count comes off the log's
+    blocks, and its full `PolicyTrace` is built only when something reads `trace`."""
+
+    env: Environment
+
+    def __len__(self) -> int:
+        return self.env.t
+
+    @cached_property
+    def trace(self) -> PolicyTrace:
+        return PolicyTrace.from_env(self.env)
+
+    @property
+    def total_switches(self) -> int:
+        return self.env.switches()
+
+
 def rollout(instance: BanditInstance, policy, horizon: int, rng: np.random.Generator,
-            policy_id: int = -1) -> PolicyTrace:
+            policy_id: int = -1) -> Run:
     """Play the block rule policy(state) -> arms for `horizon` pulls from the all-zero state.
 
     The rule sees the delay state alone, so its whole play is decided up front:
     its orbit, played no further than the horizon, as the prefix and then the
     cycle tiled, logged by one `log_blocks` call. Deterministic given (instance,
-    policy, horizon, stream state); the trace records both channels at every
+    policy, horizon, stream state); the log records both channels at every
     pull and equals pulling the same arms one at a time, bit for bit.
     """
     horizon = _check_horizon(horizon)
@@ -213,4 +264,4 @@ def rollout(instance: BanditInstance, policy, horizon: int, rng: np.random.Gener
         blocks.append((tuple(cycle), horizon - len(head), policy_id, 0))
     env = Environment(instance, rng, capacity=max(horizon, 1))
     env.log_blocks(blocks)
-    return PolicyTrace.from_env(env)
+    return Run(env)

@@ -34,6 +34,7 @@ from .core import BanditInstance, Discount, Environment, _check_delta
 
 __all__ = [
     "RankingOutcome",
+    "baseline_pulls",
     "calibrated_sample_round",
     "calibrated_sampler",
     "epsilon_r",
@@ -223,7 +224,7 @@ def iid_bernoulli_sampler(mus, rng: np.random.Generator):
     return _sampler(Environment(inst, rng), lambda active: [(tuple(active), len(active), -1, 0)])
 
 
-def _round_plan(env: Environment, active: list, d0: int) -> list:
+def _round_plan(instance: BanditInstance, active: list, d0: int) -> list:
     """One calibrated round over `active`, as `log_blocks` blocks.
 
     Active arms are split into groups of exactly d0 slots; a group's block pulls its cycle
@@ -237,13 +238,13 @@ def _round_plan(env: Environment, active: list, d0: int) -> list:
     """
     if not active:
         raise ValueError("need at least one active arm")
-    if d0 <= max(env.instance.ds):
+    if d0 <= max(instance.ds):
         raise ValueError("d0 must exceed every delay parameter")
-    removed = sorted(set(range(env.k)) - set(active))
+    removed = sorted(set(range(instance.k)) - set(active))
     blocks = []
     if len(active) < d0 and not removed:
         for x in active:
-            others = [a for a in range(env.k) if a != x]
+            others = [a for a in range(instance.k) if a != x]
             fillers = tuple(others[j % len(others)] for j in range(d0))
             blocks.append((fillers + (x,), d0 + 1, -1, d0))
         return blocks
@@ -260,7 +261,38 @@ def _round_plan(env: Environment, active: list, d0: int) -> list:
 def calibrated_sampler(env: Environment, d0: int):
     """Adapter so rank_arms can run against a delay environment: `_sampler` over `env`,
     each round planned by `_round_plan`."""
-    return _sampler(env, lambda active: _round_plan(env, active, d0))
+    return _sampler(env, lambda active: _round_plan(env.instance, active, d0))
+
+
+def baseline_pulls(instance: BanditInstance, d0: int, delta: float, pull_cap: int) -> int:
+    """The pulls `rank_arms` over `calibrated_sampler(env, d0)` makes on `instance` if every
+    running mean sits on its arm's baseline, at most `pull_cap`: an arm leaves at the first
+    round r at which 2 `epsilon_r` falls below its gap to each active neighbour, and until
+    then every round costs its `_round_plan`'s pulls. `rank` sizes its uniform buffer by
+    it, so the buffer follows the pulls a call makes rather than doubling its way there.
+    Inputs `rank_arms` or the sampler reject give 0."""
+    if not 0 < delta < 1 or d0 <= max(instance.ds):
+        return 0
+    k, mus = instance.k, instance.mus
+    active = sorted(range(k), key=lambda a: (-mus[a], a))
+    r = pulls = 0
+    while len(active) > 1 and pulls < pull_cap:
+        gaps = [min(mus[active[j - 1]] - mus[a] if j else math.inf,
+                    mus[a] - mus[active[j + 1]] if j + 1 < len(active) else math.inf)
+                for j, a in enumerate(active)]
+        widest = float(max(gaps))
+        if widest <= 0:
+            return pull_cap
+        lo, hi = r, max(2 * r, 1)   # the least round past r with 2 eps below the widest gap
+        while 2 * epsilon_r(k, hi, delta) >= widest:
+            lo, hi = hi, 2 * hi
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if 2 * epsilon_r(k, mid, delta) < widest else (mid, hi)
+        pulls += (hi - r) * sum(block[1] for block in _round_plan(instance, sorted(active), d0))
+        r, eps = hi, epsilon_r(k, hi, delta)
+        active = [a for a, gap in zip(active, gaps) if gap <= 2 * eps]
+    return min(pulls, pull_cap)
 
 
 def calibrated_sample_round(env: Environment, active_arms, d0: int):

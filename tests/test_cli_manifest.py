@@ -4,12 +4,13 @@ This is the one place a CLI byte is pinned. It covers `oracle` on the five exact
 draws, their float copies and the oracle benchmark workload's instances at seeds 0-2;
 `oracle`'s `--cap` error; `pmsp --check-reduction` on small reductions and `pmsp` on four
 repeated-interval sets; `ghost`, `learn` and `rank` on fig2 draws 0 and 1, exact and float;
-`experiment` on each preset, at the fig2 preset's own horizon, and on custom runs; and the
-`error:` paths that exit 2. An `experiment` run writes into a relative `--out`, and every
-file it writes is pinned too. Instance files are written from the fixed documents below. A
-pin changes only with a change that means to change that output. The cases run in order in
-one process, on the one parser `cli.main` keeps, so an option one call leaves behind shows
-in a later pin: `rank --pull-cap 5000` follows `rank --d0 9` on the same instance.
+`experiment` on each preset, at the fig2 preset's own horizon, and on custom runs, one of
+them at T = 2e6; and the `error:` paths that exit 2. An `experiment` run writes into a
+relative `--out`, and every file it writes is pinned too. Instance files are written from
+the fixed documents below. A pin changes only with a change that means to change that
+output. The cases run in order in one process, on the one parser `cli.main` keeps, so an
+option one call leaves behind shows in a later pin: `rank --pull-cap 5000` follows
+`rank --d0 9` on the same instance.
 
 SLOW holds larger reductions kept out of the suite. Run them, as CI does after the suite,
 with `PYTHONPATH=src timeout 120 python tests/test_cli_manifest.py`: it prints each command
@@ -293,6 +294,20 @@ WRITES = [
         "metadata.json": "df9d88679dab1e842a35b4eaa0638e8290acbad1c71aabe1865b2fd3eaf36cff",
         "ucb_agg.csv": "13b9aad3951eb0600c977abf3648185c0eb4fcf3cb73480596745941e6663a4b",
         "ucb_seed1.csv": "6ff3f0993ba7a9c9dabea7a6cd2d819d172c324c8d3874afcf1041689d75a054",
+    }),
+    # T = 2e6, one seed of each algorithm: each curve is read off its log a window at a time
+    (("experiment", "--instance", "exact0", "--algos", "greedy,ghost,low,ucb", "-T", "2000000",
+      "--out", "out"), {
+        "stdout": "cebefa3d89f5e2d827be07eadd60bd5177b6715abcc7eaf47749e07a10b047c0",
+        "ghost_agg.csv": "e566102a3aa519b6e6f2ae2ce46553b8f710d1af682fa7168bc5e193b0fa33c0",
+        "ghost_seed0.csv": "5fac0b2fb61a17da6272dba7ca61347bc55d7df6aaeb455dcd0aeb7741df99d1",
+        "greedy_agg.csv": "0d8c3bbc58d0217f9c52ce2bfbf4c9f08d589b4993b06180c29d20b0e0395da8",
+        "greedy_seed0.csv": "74fc67e958ea680254292334d8b192d4784671963b11263dae805b19129efc12",
+        "low_agg.csv": "d76c6697be0f55d0eb1332167759c3ac0d7b16feaa4c81032ac7f502f44e5ac0",
+        "low_seed0.csv": "43bb3565191dba82823e5167652d7a496fd0c3ffe7e15e61c67889948a77b16e",
+        "metadata.json": "d03c24cdafb06aaecb77b3f3aff5484e4f170f069dbbc85a8b7470a5c18d33cd",
+        "ucb_agg.csv": "e2fa091cccbd674ae08a3a5b61f38e6922558ef61a38b3913d92e6586206a5d7",
+        "ucb_seed0.csv": "570ada8fe2ad12881ad9a8344ea436fc54608f5c6146522d10a0093f0a72d3a3",
     }),
 ]
 

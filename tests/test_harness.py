@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 import delaybandit
 from delaybandit import (
     Discount,
+    Environment,
     PolicyTrace,
     dump_instance,
     g_value,
@@ -109,6 +110,12 @@ class TestPresets:
         with pytest.raises(ValueError, match="at least one algorithm"):
             replace(cfg, algorithms=())
 
+    @pytest.mark.parametrize("cost", [10**400, -(10**400)])
+    def test_switch_cost_past_the_float_range_is_a_value_error(self, cost):
+        # math.isfinite raises OverflowError on such an int; the config rejects it itself
+        with pytest.raises(ValueError, match="switch cost .* past the float range"):
+            replace(preset_fig3(), switch_cost=cost)
+
     def test_non_integer_horizon_is_rejected(self):
         with pytest.raises(ValueError, match="horizon T must be an integer, got 1000.5"):
             replace(preset_fig3(), horizon=1000.5)
@@ -135,8 +142,8 @@ class TestRegret:
         inst = fig3_instance()
         from delaybandit.harness import run_algorithm
 
-        trace, _ = run_algorithm("ghost", inst, 500, 0.1, 0)
-        curve = regret_vs_ghost(trace, inst, 0.0)
+        run, _ = run_algorithm("ghost", inst, 500, 0.1, 0)
+        curve = regret_vs_ghost(run, inst, 0.0)
         assert np.allclose(curve.regret, 0.0, atol=1e-9)
 
     def test_switch_cost_charged_once_per_switch(self):
@@ -162,9 +169,9 @@ class TestRegret:
         inst = fig3_instance()
         from delaybandit.harness import run_algorithm
 
-        trace, _ = run_algorithm("ghost", inst, 10, 0.1, 0)
+        run, _ = run_algorithm("ghost", inst, 10, 0.1, 0)
         with pytest.raises(ValueError):
-            regret_vs_ghost(trace, inst, 0.0, ghost_cum=np.zeros(5))
+            regret_vs_ghost(run, inst, 0.0, ghost_cum=np.zeros(5))
 
 
 class TestRunExperiment:
@@ -236,7 +243,7 @@ class TestRunExperiment:
             assert len(list(csv.reader(fh))) == 2501
 
     def test_memory_does_not_grow_with_seed_count(self):
-        # one cell's full-length arrays and one seed's reference are alive at a time
+        # one cell's log and one seed's reference at the grid are alive at a time
         cfg = replace(preset_fig3(), algorithms=("ghost", "greedy"), horizon=50_000)
 
         def peak(seeds):
@@ -249,6 +256,33 @@ class TestRunExperiment:
 
         peak((0,))   # warm-up: first-call caches are not part of a run's cost
         assert peak(tuple(range(8))) - peak((0,)) < 2 * 2**20
+
+    def test_memory_follows_the_grid_not_the_horizon(self, tmp_path):
+        # ghost, greedy, low and ucb on one seed at T = 2e6, in a fresh interpreter: a cell
+        # holds its 16 MB of uniforms and its blocks, and its curve is read off them a window
+        # at a time (whole-log columns and cumulative sums took this command to 201 MB)
+        path = tmp_path / "fig2-draw0.json"
+        path.write_text(json.dumps(dump_instance(materialize_instance(preset_fig2().instance, 0))))
+        src = str(Path(delaybandit.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        # the command runs in a fork of the child: an exec'd process keeps its parent's max RSS
+        # (here the test runner's), while a forked one starts its own count
+        code = ("import os, resource, sys\n"
+                "if os.fork() == 0:\n"
+                "    from delaybandit.cli import main\n"
+                "    status = main(sys.argv[1:])\n"
+                "    rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+                "    print(status, rss, flush=True)\n"
+                "    os._exit(0)\n"
+                "os.wait()\n")
+        argv = ["experiment", "--instance", str(path), "--algos", "ghost,greedy,low,ucb",
+                "-T", "2000000", "--out", str(tmp_path / "out")]
+        done = subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True,
+                              text=True, timeout=120, check=True)
+        status, max_rss_kib = map(int, done.stdout.splitlines()[-1].split())
+        assert status == 0 and len(list((tmp_path / "out").iterdir())) == 9
+        assert max_rss_kib < 110 * 1024
 
 
 # cell values whose text is easy to get wrong: signed zeros, NaNs of other bit patterns
@@ -490,6 +524,21 @@ class TestCli:
         path = tmp_path / "fig2-draw0.json"
         path.write_text(json.dumps(dump_instance(materialize_instance(preset_fig2().instance, 0))))
         return str(path)
+
+    def test_rank_sizes_its_buffer_once(self, tmp_path, capsys, monkeypatch):
+        # sized from a baseline run's 147,882 pulls and a quarter more, the buffer holds the
+        # 154,238 pulls on fig2 draw 0 without growing (from 1,024 slots it doubled 8 times)
+        grown, reserve = [], Environment._reserve
+
+        def counted(env, upto):
+            have = len(env._u)
+            reserve(env, upto)
+            grown.append(len(env._u) > have)
+
+        monkeypatch.setattr(Environment, "_reserve", counted)
+        assert main(["rank", "--instance", self.write_fig2_draw0(tmp_path)]) == 0
+        assert "pulls: 154238" in capsys.readouterr().out.splitlines()
+        assert grown and not any(grown)
 
     @pytest.mark.parametrize("delays, args", [
         (None, ["--d0", "100000", "--pull-cap", "100"]),

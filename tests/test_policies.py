@@ -149,8 +149,8 @@ class TestRollout:
 
     def test_deterministic(self):
         inst = fig3_instance()
-        t1 = rollout(inst, RankingPolicy(2), 500, substream(5, "r"))
-        t2 = rollout(inst, RankingPolicy(2), 500, substream(5, "r"))
+        t1 = rollout(inst, RankingPolicy(2), 500, substream(5, "r")).trace
+        t2 = rollout(inst, RankingPolicy(2), 500, substream(5, "r")).trace
         assert np.array_equal(t1.realized, t2.realized)
         assert np.array_equal(t1.expected, t2.expected)
 
@@ -158,7 +158,7 @@ class TestRollout:
         # greedy locks onto the top arm: 1 followed by (T-1) halves
         inst = section3_example()
         T = 101
-        trace = rollout(inst, GreedyPolicy(inst), T, substream(0, "r"))
+        trace = rollout(inst, GreedyPolicy(inst), T, substream(0, "r")).trace
         assert trace.cum_expected[-1] == pytest.approx(1 + (T - 1) / 2, abs=1e-9)
 
     def test_ranking_closed_form(self):
@@ -169,16 +169,16 @@ class TestRollout:
             gs = ghost_summary(inst)
             r = gs.r_star
             c = 6
-            trace = rollout(inst, RankingPolicy(r), c * r, substream(1, "r"))
+            trace = rollout(inst, RankingPolicy(r), c * r, substream(1, "r")).trace
             first = sum(expected_payoff(inst, j, 0) for j in range(r))
             expect = first + (c - 1) * r * g_value(inst, r)
             assert trace.cum_expected[-1] == pytest.approx(float(expect), abs=1e-9)
 
     def test_switch_series(self):
         inst = fig3_instance()
-        trace = rollout(inst, RankingPolicy(1), 10, substream(0, "r"), policy_id=1)
-        assert trace.total_switches == 0
-        assert trace.cum_switches[-1] == 0
+        run = rollout(inst, RankingPolicy(1), 10, substream(0, "r"), policy_id=1)
+        assert run.total_switches == run.trace.total_switches == 0
+        assert run.trace.cum_switches[-1] == 0
 
     def test_cost_stops_at_the_horizon(self):
         # greedy alternates arms 1 and 2 for 10^6 rounds before its state repeats; 1,000
@@ -186,7 +186,7 @@ class TestRollout:
         inst = make_instance([1, 0.5, 0.49], [1_000_000, 1, 1], Discount.constant(0.9))
         tracemalloc.start()
         try:
-            trace = rollout(inst, GreedyPolicy(inst), 1000, substream(0, "r"))
+            trace = rollout(inst, GreedyPolicy(inst), 1000, substream(0, "r")).trace
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

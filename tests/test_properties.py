@@ -1,12 +1,14 @@
 """Property tests: batching never changes a trace; the derived pull log equals a per-pull
 loop; the greedy rollout's block path, the block calibrated rounds, and the neighbour
 separation test and chunked rounds in `rank_arms` match their one-at-a-time references; the
-ghost reference is the ghost run; the oracle's layered state graph equals a breadth-first
+ghost reference is the ghost run; running sums and switch counts read a window at a time
+equal whole-array sums of the per-pull log; the oracle's layered state graph equals a breadth-first
 queue's; the oracle's optimum bounds every ranking and alternation value and matches cycle
 enumeration; the low-switch schedule covers T in O(ln ln T) stages."""
 
 import math
 from fractions import Fraction as F
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from delaybandit import (
     Environment,
     GreedyPolicy,
     PmspInstance,
+    RankingPolicy,
     alternation_value,
     build_state_graph,
     calibrated_sample_round,
@@ -37,8 +40,10 @@ from delaybandit import (
     stage_schedule,
     substream,
 )
-from delaybandit.core import _SCALAR_SLACK
+from delaybandit import core
+from delaybandit.core import _SCALAR_SLACK, _WINDOW_PULLS
 from delaybandit.harness import run_algorithm
+from delaybandit.policies import Run, running_totals
 from delaybandit.oracle import _certify, _evaluate_policy, _weight_tables
 from helpers import (assert_same_columns, bernoulli_rounds, brute_force_max_mean,
                      build_state_graph_by_queue, by_round, log_blocks_by_block,
@@ -199,7 +204,7 @@ def _greedy_horizon(inst):
 
 
 def _greedy_rollout_equals_step_loop(inst, T, seed):
-    fast = rollout(inst, GreedyPolicy(inst), T, substream(seed, "env"), policy_id=2)
+    fast = rollout(inst, GreedyPolicy(inst), T, substream(seed, "env"), policy_id=2).trace
     loop = step_rollout(inst, lambda s: greedy_arm(inst, s), T, substream(seed, "env"), policy_id=2)
     assert_same_columns(vars(fast), vars(loop))
     return fast
@@ -328,9 +333,9 @@ def test_chunked_calibrated_ranking_equals_rounds_by_round(instance_seed, data):
 
 
 def _assert_ghost_reference_is_ghost_run(inst, T):
-    trace, _ = run_algorithm("ghost", inst, T, 0.1, 0)
+    run, _ = run_algorithm("ghost", inst, T, 0.1, 0)
     ref = ghost_reference(inst, T)
-    assert ref.tobytes() == np.cumsum(trace.expected).tobytes()
+    assert ref.tobytes() == np.cumsum(run.trace.expected).tobytes()
 
 
 @settings(max_examples=40, deadline=None)
@@ -345,6 +350,60 @@ def test_ghost_reference_matches_ghost_run(instance_seed, exact, T):
     rng = np.random.default_rng(instance_seed)
     inst = random_exact_instance(rng, kmax=5, dmax=4) if exact else random_float_instance(rng, kmax=5)
     _assert_ghost_reference_is_ghost_run(inst, T)
+
+
+def _logged_run(source, inst, T, seed):
+    """A Run of T pulls (at least k for low) from one of the experiment's algorithms, or
+    `rank` on the calibrated sampler with its pull cap at T."""
+    if source != "rank":
+        return run_algorithm(source, inst, max(T, inst.k) if source == "low" else T, 0.1, seed)[0]
+    env = Environment(inst, substream(seed, "rank"))
+    rank_arms(calibrated_sampler(env, max(inst.ds) + 1), inst.k, 0.1, max(T, 1))
+    return Run(env)
+
+
+def _assert_windowed_totals_equal_whole_arrays(inst, run, ts):
+    """`running_totals`, the switch count off the blocks and the ghost reference at ts equal
+    np.cumsum over the per-pull reference log, bit for bit."""
+    env = run.env
+    prefixes = list(env._cycle_ids)
+    rows = np.frombuffer(env._blocks, np.int64).reshape(-1, 4).tolist()
+    want = step_columns(inst, [(prefixes[c], n, p, rf) for n, c, p, rf in rows], env._u)
+    flags = want["policy"][1:] != want["policy"][:-1]
+    switches = np.concatenate((np.zeros(min(env.t, 1), np.int64), np.cumsum(flags)))
+    first, steady = (np.array(part, float) for part in
+                     orbit(inst, RankingPolicy(ghost_summary(inst).r_star)))
+    ghost = np.concatenate([first, np.tile(steady, env.t // len(steady) + 1)])[:env.t]
+    idx = ts - 1
+    got = [*running_totals(run, ts), ghost_reference(inst, env.t, ts)]
+    wants = [np.cumsum(want["expected"]), np.cumsum(want["realized"].astype(np.int64)), switches,
+             np.cumsum(ghost)]
+    for name, g, w in zip(("expected", "realized", "switches", "ghost"), got, wants):
+        assert g.dtype == w.dtype and g.tobytes() == w[idx].tobytes(), name
+    assert run.total_switches == (int(switches[-1]) if env.t else 0)
+
+
+@settings(max_examples=50, deadline=None)
+@given(ds=fig2_delays, source=st.sampled_from(["ghost", "greedy", "low", "ucb", "rank"]),
+       window=st.sampled_from([1, 7, _WINDOW_PULLS]), T=st.integers(0, 600),
+       seed=st.integers(0, 2**16), data=st.data())
+def test_windowed_totals_equal_the_whole_array_reference(ds, source, window, T, seed, data):
+    # the run too is made at the drawn window, which low's long tail blocks count hits by
+    inst = fig2_instance(ds)
+    with mock.patch.object(core, "_WINDOW_PULLS", window):
+        run = _logged_run(source, inst, T, seed)
+        n = run.env.t
+        ts = sorted(data.draw(st.sets(st.integers(1, n), max_size=40)) | {n}) if n else []
+        _assert_windowed_totals_equal_whole_arrays(inst, run, np.array(ts, np.int64))
+
+
+@pytest.mark.parametrize("source", ["ghost", "greedy", "low", "ucb", "rank"])
+def test_default_windows_join_bit_for_bit(source):
+    # past two default windows, at every pull; float payoffs keep the per-pull reference quick
+    inst = load_instance(dict(FIG2, mu=[float(F(m)) for m in FIG2["mu"]], d=[4, 3, 3, 6, 4, 3, 4],
+                              discount={"kind": "geometric", "gamma": 0.999}))
+    run = _logged_run(source, inst, 2 * _WINDOW_PULLS + 123, 3)
+    _assert_windowed_totals_equal_whole_arrays(inst, run, np.arange(1, run.env.t + 1))
 
 
 def _assert_optimum_bounds_ranking_and_alternation(inst, tol):
