@@ -525,9 +525,11 @@ class TestCli:
         path.write_text(json.dumps(dump_instance(materialize_instance(preset_fig2().instance, 0))))
         return str(path)
 
-    def test_rank_sizes_its_buffer_once(self, tmp_path, capsys, monkeypatch):
-        # sized from a baseline run's 147,882 pulls and a quarter more, the buffer holds the
-        # 154,238 pulls on fig2 draw 0 without growing (from 1,024 slots it doubled 8 times)
+    @pytest.mark.parametrize("seed, pulls", [(0, 154238), (4, 190442)])
+    def test_rank_sizes_its_buffer_once(self, tmp_path, capsys, monkeypatch, seed, pulls):
+        # sized at twice a baseline run's 147,882 pulls, the buffer holds the pulls on fig2
+        # draw 0 without growing, so its size does not hang on the seed (from 1,024 slots it
+        # doubled 8 times; a quarter above the baseline, seed 4 grew it once)
         grown, reserve = [], Environment._reserve
 
         def counted(env, upto):
@@ -536,8 +538,9 @@ class TestCli:
             grown.append(len(env._u) > have)
 
         monkeypatch.setattr(Environment, "_reserve", counted)
-        assert main(["rank", "--instance", self.write_fig2_draw0(tmp_path)]) == 0
-        assert "pulls: 154238" in capsys.readouterr().out.splitlines()
+        assert main(["rank", "--instance", self.write_fig2_draw0(tmp_path),
+                     "--seed", str(seed)]) == 0
+        assert f"pulls: {pulls}" in capsys.readouterr().out.splitlines()
         assert grown and not any(grown)
 
     @pytest.mark.parametrize("delays, args", [
