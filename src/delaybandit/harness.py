@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import repeat
 from numbers import Real
+from typing import NamedTuple
 
 import numpy as np
 
@@ -357,12 +358,21 @@ def _write_csv(path: str, header, columns):
             fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
+class CellRegret(NamedTuple):
+    """One cell's regret on the experiment's output grid `t`; `regret` is a row of the
+    algorithm's seeds x grid array."""
+
+    t: np.ndarray
+    regret: np.ndarray
+
+
 @dataclass
 class ExperimentResult:
-    """In-memory mirror of what run_experiment wrote to disk."""
+    """In-memory mirror of what run_experiment wrote to disk: each cell's regret row (its
+    cumulative columns are in its CSV only) and each algorithm's mean final regret."""
 
     config: ExperimentConfig
-    curves: dict            # (algo, seed) -> RegretCurve
+    curves: dict            # (algo, seed) -> CellRegret
     mean_final_regret: dict  # algo -> float
     files: list = field(default_factory=list)
 
@@ -373,7 +383,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     One pass over the seeds: a seed's ghost reference, at the grid's points, is
     computed once, after that seed's first run, and each cell's pull log (its uniforms,
     8 B a pull, and its blocks) lives until its curve is read off it a window at
-    a time, so memory holds one cell's log and the curves, not one set per seed.
+    a time. The cell writes its CSV, copies its regret into its seed's row of the
+    algorithm's seeds x grid array, and drops the curve, so memory holds one cell's log
+    and curve plus those arrays (8 B per seed and grid point), which the aggregates read.
     Identical configs produce byte-identical outputs: all randomness flows
     through per-(seed, purpose) substreams and floats are written with repr.
     """
@@ -392,26 +404,28 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         files.append(os.path.join(outdir, name))
         return files[-1]
 
+    regrets = {algo: np.empty((len(config.seeds), len(grid))) for algo in config.algorithms}
     curves = {}
     run_infos = {}
-    for seed, inst in instances.items():
+    for row, (seed, inst) in enumerate(instances.items()):
         ghost_cum = None
         for algo in config.algorithms:
             run, run_infos[(algo, seed)] = run_algorithm(algo, inst, T, config.delta, seed)
             if ghost_cum is None:   # after a run, whose T uniforms fail at once if T is too large
                 ghost_cum = ghost_reference(inst, T, grid)
             curve = regret_vs_ghost(run, inst, config.switch_cost, ts=grid, ghost_cum=ghost_cum)
-            del run     # only the curve outlives its cell
-            curves[(algo, seed)] = curve
+            del run
             if outdir:
                 _write_csv(output(f"{algo}_seed{seed}.csv"), CSV_HEADER,
                            [curve.t, algo, seed, curve.cum_expected, curve.cum_realized,
                             curve.cum_switches, curve.regret])
+            regrets[algo][row] = curve.regret
+            curves[(algo, seed)] = CellRegret(grid, regrets[algo][row])
+            del curve   # only the regret row outlives its cell
     mean_final = {}
-    for algo in config.algorithms:
-        stack = np.stack([curves[(algo, seed)].regret for seed in config.seeds])
-        mean = stack.mean(axis=0)
-        std = stack.std(axis=0)
+    for algo, per_seed in regrets.items():
+        mean = per_seed.mean(axis=0)
+        std = per_seed.std(axis=0)
         mean_final[algo] = float(mean[-1])
         if outdir:
             _write_csv(output(f"{algo}_agg.csv"), AGG_HEADER,

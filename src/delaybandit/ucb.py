@@ -16,6 +16,8 @@ from .policies import Run
 
 __all__ = ["UcbRun", "run_ucb_rankings", "ucb_index"]
 
+LOG_EVERY = 4096    # picks held between `log_blocks` calls
+
 
 def ucb_index(mean: float, n_m: int, n: int) -> float:
     """UCB1 index; unplayed policies get +inf so every policy is tried once."""
@@ -46,7 +48,8 @@ def run_ucb_rankings(instance: BanditInstance, T: int, seed: int = 0, rng=None) 
 
     Every gap in cutoff m's second roll-out is m, whatever came before, so arm j pays
     expected_payoff(instance, j, m) there: a pick counts the hits of its own uniforms against
-    those payoffs, and the picks are logged in one `log_blocks` call, as if pulled.
+    those payoffs, and the picks are logged through `log_blocks` every LOG_EVERY picks, as if
+    pulled: the uniforms are reserved up to T, so logging moves only the clock.
     """
     k = instance.k
     T = _check_horizon(T)
@@ -56,7 +59,13 @@ def run_ucb_rankings(instance: BanditInstance, T: int, seed: int = 0, rng=None) 
     u = memoryview(env._u)      # the run's uniforms, reserved up to T
     prefixes, pays = [()], [[]]     # per 1-based cutoff, built at its first pick
     counts, means = [0] * (k + 1), [0.0] * (k + 1)
-    picks = array("q")     # (cutoff, pulls) per selection
+    picks = array("q")     # (cutoff, pulls) per selection since the last log
+
+    def log_picks():
+        ms = picks[::2]
+        env.log_blocks(zip(map(prefixes.__getitem__, ms), picks[1::2], ms, ms))
+        del picks[:]
+
     n = t = 0
     while t < T:
         # ucb_index(means[c], counts[c], n) for every cutoff, with the log hoisted
@@ -87,9 +96,9 @@ def run_ucb_rankings(instance: BanditInstance, T: int, seed: int = 0, rng=None) 
             pulls = T - t
         picks.extend((m, pulls))
         t += pulls
-    ms, sizes = picks[::2], picks[1::2]
-    del picks   # 16 B a pick, freed before the log grows by 32 B a block
-    env.log_blocks(zip(map(prefixes.__getitem__, ms), sizes, ms, ms))
+        if not n % LOG_EVERY:
+            log_picks()
+    log_picks()
     return UcbRun(
         env,
         n,

@@ -129,7 +129,8 @@ def log_blocks_by_block(env, blocks, repeat: int = 1) -> None:
 def ucb_reference(inst, T, seed):
     """Reference UCB1 over the cutoffs: each pick scored by `ucb_index` per cutoff and
     pulled as one `pull_cycles` pair, its estimate read off that call's retained reward.
-    Returns (selections, selection counts, means, the seven log columns)."""
+    Returns (selections, selection counts, means, the Environment it logged, one block a
+    pick)."""
     k = inst.k
     env = Environment(inst, substream(seed, "ucb"), capacity=max(T, 1))
     counts, means = [0] * (k + 1), [0.0] * (k + 1)
@@ -146,7 +147,7 @@ def ucb_reference(inst, T, seed):
         if pulls == 2 * m:
             means[m] = (means[m] * counts[m] + ret_sum / m) / (counts[m] + 1)
             counts[m] += 1
-    return n, dict(enumerate(counts[1:], 1)), dict(enumerate(means[1:], 1)), env.columns()
+    return n, dict(enumerate(counts[1:], 1)), dict(enumerate(means[1:], 1)), env
 
 
 def delay_vector(inst, arms, t):

@@ -35,7 +35,7 @@ from delaybandit import (
     run_experiment,
 )
 from delaybandit.cli import main
-from delaybandit.harness import CSV_CHUNK_ROWS, CSV_HEADER, _write_csv
+from delaybandit.harness import CSV_CHUNK_ROWS, CSV_HEADER, _write_csv, run_algorithm
 from helpers import fig3_instance, write_csv_by_row
 
 
@@ -140,8 +140,6 @@ class TestGhostReference:
 class TestRegret:
     def test_ghost_vs_itself_is_zero(self):
         inst = fig3_instance()
-        from delaybandit.harness import run_algorithm
-
         run, _ = run_algorithm("ghost", inst, 500, 0.1, 0)
         curve = regret_vs_ghost(run, inst, 0.0)
         assert np.allclose(curve.regret, 0.0, atol=1e-9)
@@ -167,11 +165,23 @@ class TestRegret:
 
     def test_length_mismatch(self):
         inst = fig3_instance()
-        from delaybandit.harness import run_algorithm
-
         run, _ = run_algorithm("ghost", inst, 10, 0.1, 0)
         with pytest.raises(ValueError):
             regret_vs_ghost(run, inst, 0.0, ghost_cum=np.zeros(5))
+
+
+def peak_growth_to_eight_seeds(cfg):
+    """tracemalloc peak of `run_experiment` at seeds 0-7 minus its peak at seed 0."""
+    def peak(seeds):
+        tracemalloc.start()
+        try:
+            run_experiment(replace(cfg, seeds=seeds))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak((0,))   # warm-up: first-call caches are not part of a run's cost
+    return peak(tuple(range(8))) - peak((0,))
 
 
 class TestRunExperiment:
@@ -222,8 +232,10 @@ class TestRunExperiment:
     def test_reward_never_exceeds_best_baseline(self, tmp_path):
         cfg = self.make_config(tmp_path)
         res = run_experiment(cfg)
-        for (algo, seed), curve in res.curves.items():
-            assert curve.cum_expected[-1] <= cfg.horizon * 1.0 + 1e-9
+        for algo, seed in res.curves:
+            with open(os.path.join(cfg.outdir, f"{algo}_seed{seed}.csv")) as fh:
+                *_, last = csv.DictReader(fh)
+            assert float(last["cum_expected"]) <= cfg.horizon * 1.0 + 1e-9
 
     def test_metadata_contents(self, tmp_path):
         cfg = self.make_config(tmp_path)
@@ -245,17 +257,15 @@ class TestRunExperiment:
     def test_memory_does_not_grow_with_seed_count(self):
         # one cell's log and one seed's reference at the grid are alive at a time
         cfg = replace(preset_fig3(), algorithms=("ghost", "greedy"), horizon=50_000)
+        assert peak_growth_to_eight_seeds(cfg) < 2 * 2**20
 
-        def peak(seeds):
-            tracemalloc.start()
-            try:
-                run_experiment(replace(cfg, seeds=seeds))
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-
-        peak((0,))   # warm-up: first-call caches are not part of a run's cost
-        assert peak(tuple(range(8))) - peak((0,)) < 2 * 2**20
+    def test_full_curves_memory_grows_by_the_regret_rows(self):
+        # a cell's cumulative columns die with it: seven more seeds add their regret rows,
+        # 8 B per algorithm and pull each, and nothing else that grows with the seeds
+        cfg = replace(preset_fig3(), algorithms=("ghost", "greedy"), horizon=50_000,
+                      full_curves=True)
+        rows = 7 * len(cfg.algorithms) * cfg.horizon * 8
+        assert peak_growth_to_eight_seeds(cfg) < rows + 2 * 2**20
 
     def test_memory_follows_the_grid_not_the_horizon(self, tmp_path):
         # ghost, greedy, low and ucb on one seed at T = 2e6, in a fresh interpreter: a cell
@@ -338,9 +348,9 @@ class TestWriteCsv:
     @pytest.mark.parametrize("rows", [20_000, 200_000])
     def test_memory_is_one_chunk_whatever_the_row_count(self, tmp_path, rows):
         # a fig3-cost --full-curves -T 20000 cell's columns, tiled to the row count
-        res = run_experiment(replace(preset_fig3(), algorithms=("ucb",), horizon=20_000,
-                                     seeds=(0,), full_curves=True))
-        c = res.curves[("ucb", 0)]
+        inst = fig3_instance()
+        run, _ = run_algorithm("ucb", inst, 20_000, 0.1, 0)
+        c = regret_vs_ghost(run, inst, 1.0)
         reps = rows // len(c.t)
         columns = [np.arange(1, rows + 1), "ucb", 0] + [
             np.tile(x, reps) for x in (c.cum_expected, c.cum_realized, c.cum_switches, c.regret)]

@@ -16,8 +16,10 @@ from delaybandit import (
     run_ucb_rankings,
     ucb_index,
 )
-from helpers import (assert_same_columns, fig3_instance, random_exact_instance,
-                     random_float_instance, ucb_reference)
+from delaybandit.core import Environment, substream
+from delaybandit.ucb import LOG_EVERY
+from helpers import (assert_same_columns, fig3_instance, log_blocks_by_block,
+                     random_exact_instance, random_float_instance, ucb_reference)
 
 
 class TestUcbIndex:
@@ -106,8 +108,9 @@ class TestRunUcb:
 def assert_run_equals_reference(inst, T, seed):
     # selections, counts, means and all seven log columns, bit for bit
     run = run_ucb_rankings(inst, T, seed=seed)
-    n, counts, means, cols = ucb_reference(inst, T, seed)
+    n, counts, means, env = ucb_reference(inst, T, seed)
     assert (run.selections, run.selection_counts, run.means) == (n, counts, means)
+    cols = env.columns()
     assert_same_columns({name: getattr(run.trace, name) for name in cols}, cols)
 
 
@@ -130,6 +133,19 @@ class TestMatchesPerSelectionReference:
     def test_many_arms(self, k, d):
         for T in (0, 2 * k - 1, 2 * k, 20000):
             assert_run_equals_reference(many_arms(k, d), T, seed=8)
+
+
+def test_chunked_log_equals_block_by_block():
+    # the picks are logged LOG_EVERY at a time: the blocks, prefix ids and clock equal
+    # logging the reference's picks one block at a time
+    inst, T = fig3_instance(), 50_000
+    run = run_ucb_rankings(inst, T, seed=7)
+    assert run.selections > 3 * LOG_EVERY
+    ref = ucb_reference(inst, T, 7)[3]
+    picks = np.frombuffer(ref._blocks, np.int64).reshape(-1, 4)[:, [0, 2]].tolist()
+    env = Environment(inst, substream(7, "ucb"), capacity=T)
+    log_blocks_by_block(env, [(tuple(range(m)), pulls, m, m) for pulls, m in picks])
+    assert (run.env._blocks, run.env._cycle_ids, run.env.t) == (env._blocks, env._cycle_ids, T)
 
 
 def many_arms(k, d):
