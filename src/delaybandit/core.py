@@ -304,9 +304,11 @@ class Environment:
         self._ds, self._dmax = instance.ds, max(instance.ds)
         self.t = 0
         self._u = rng.random(max(int(capacity), 16))   # uniform t is pull t's
-        # payoff lookup per arm over capped tau = 0, 1, ..., plain lists for the scalar
-        # path; a row holds the taus read so far, so it costs what the pulls reach
-        self._ptable: list = [[] for _ in range(self.k)]
+        # one float64 payoff row per arm over capped tau = 0, 1, ..., shared by the pull loop
+        # and `windows`; a row is filled up to the largest tau read so far (its fill count),
+        # so it costs 8 B a tau the pulls reach, not d
+        self._ptable: list = [np.empty(0)] * self.k
+        self._filled = [0] * self.k
         self._cycle_ids: dict = {}     # each distinct prefix, numbered by first use
         self._blocks = array("q")      # per block: n, cycle id, policy, retain_from
 
@@ -320,11 +322,19 @@ class Environment:
             self._rng.random(out=grown[have:])
             self._u = grown
 
-    def _payoffs(self, arm: int, top: int) -> list:
-        # the arm's payoff row, extended to cover capped tau = 0..top
-        row = self._ptable[arm]
-        row.extend(float(expected_payoff(self.instance, arm, tau))
-                   for tau in range(len(row), top + 1))
+    def _payoffs(self, arm: int, top: int) -> np.ndarray:
+        # the arm's payoff row, filled to cover capped tau = 0..top; its capacity doubles, up
+        # to d + 1 entries, so an entry is copied O(1) times
+        row, filled = self._ptable[arm], self._filled[arm]
+        if top >= filled:
+            if top >= len(row):
+                grown = np.empty(max(top + 1, min(2 * len(row), self._ds[arm] + 1)))
+                grown[:filled] = row[:filled]
+                self._ptable[arm] = row = grown
+            row[filled:top + 1] = np.fromiter(
+                (expected_payoff(self.instance, arm, tau) for tau in range(filled, top + 1)),
+                float, top + 1 - filled)
+            self._filled[arm] = top + 1
         return row
 
     def _uniform(self) -> float:
@@ -359,10 +369,9 @@ class Environment:
         # capped tau at time t since the arm's last pull at `last` (None if none), and its
         # expected payoff
         tau = t - last if last is not None and t - last <= self._ds[arm] else 0
-        try:
-            return tau, self._ptable[arm][tau]
-        except IndexError:      # a tau this arm has not reached before
-            return tau, self._payoffs(arm, tau)[tau]
+        if tau >= self._filled[arm]:    # a tau this arm has not reached before
+            self._payoffs(arm, tau)
+        return tau, self._ptable[arm].item(tau)
 
     # -- pulling -----------------------------------------------------------
 
@@ -487,9 +496,10 @@ class Environment:
         into arms, policy ids and retained flags; gap is t minus the arm's previous
         position (-1 at its first pull), carried across windows as each arm's last pull;
         tau is the gap capped at d (0 past it or at a first pull); expected is a gather
-        from the arm's payoff row, filled only as far as that arm's taus reach; realized
-        is u[t] < expected[t]. Memory holds one window, the blocks' ends (8 B a block) and
-        the payoff rows. The windows cover the log as it stands when the first one is made.
+        from the arm's payoff row, the one the pull loop reads, filled only as far as that
+        arm's taus reach; realized is u[t] < expected[t]. Memory holds one window and the
+        blocks' ends (8 B a block) besides the environment's own payoff rows. The windows
+        cover the log as it stands when the first one is made.
         """
         t, k = self.t, self.k
         ends = np.cumsum(np.frombuffer(self._blocks, np.int64)[::4])
@@ -497,11 +507,7 @@ class Environment:
         sizes = np.array([len(c) for c in cycles], np.int64)
         offsets = np.cumsum(sizes) - sizes
         flat = np.array([a for c in cycles for a in c], np.int32)
-        dcap = [min(d, t) for d in self._ds]    # a gap is below t, so this caps as d does
         last = [-1] * k             # each arm's last pull before the window
-        # each arm's payoffs over capped tau, filled up to the largest tau its pulls reached;
-        # capacity doubles (up to the widest tau possible), so an entry is copied O(1) times
-        pay, filled = [np.empty(0)] * k, [0] * k
         for lo, hi in _spans(t, size):
             b0 = int(np.searchsorted(ends, lo, "right"))
             b1 = int(np.searchsorted(ends, hi - 1, "right")) + 1 if hi > lo else b0
@@ -527,18 +533,9 @@ class Environment:
                 gap[0] = lo + pos[0] - last[a] if last[a] >= 0 else -1
                 last[a] = lo + int(pos[-1])
                 gaps[pos] = gap
-                gap[(gap < 0) | (gap > dcap[a])] = 0        # now the capped tau
-                top = int(gap.max())
-                if top >= filled[a]:
-                    row = self._payoffs(a, top)
-                    if len(row) > len(pay[a]):
-                        grown = np.empty(max(len(row), min(2 * len(pay[a]), dcap[a] + 1)))
-                        grown[:filled[a]] = pay[a][:filled[a]]
-                        pay[a] = grown
-                    pay[a][filled[a]:len(row)] = row[filled[a]:]
-                    filled[a] = len(row)
+                gap[(gap < 0) | (gap > self._ds[a])] = 0     # now the capped tau
                 taus[pos] = gap
-                expected[pos] = pay[a][gap]
+                expected[pos] = self._payoffs(a, int(gap.max()))[gap]
             yield {
                 "arms": arms,
                 "taus": taus,

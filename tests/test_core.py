@@ -415,6 +415,22 @@ class TestEnvironment:
             tracemalloc.stop()
         assert peak < 4 * 2**20
 
+    def test_windows_gather_from_the_one_payoff_row(self):
+        # arm 0's tau reaches 2^17 + 1: its one float64 row (8 B a tau, about 1 MiB) is all
+        # the payoff memory windows() holds besides one window; a list row beside a numpy
+        # copy peaked at 6.6 MiB
+        inst = make_instance([0.9, 0.5], [10**6, 1], Discount.geometric(0.999))
+        env = Environment(inst, substream(0, "env"), capacity=2**18)
+        env.log_blocks([((0,), 1, -1, 0), ((1,), 2**17, -1, 0), ((0,), 1, -1, 0)])
+        tracemalloc.start()
+        try:
+            for _ in env.windows():
+                pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 2**20
+
     def test_payoff_rows_cost_what_the_pulls_reach(self, monkeypatch):
         # back-to-back pulls of one arm read tau 0 and 1 only, so at most two exact payoffs
         # are computed, however far the buffer and the delay reach
@@ -435,12 +451,27 @@ class TestEnvironment:
                                               substream(6, "env").random(5000)))
 
     def test_large_delay_past_the_start_buffer_equals_stepwise(self):
-        # tau reaches 301, past the 16-slot start buffer, so the table grows with it
+        # tau reaches 301, past the 16-slot start buffer, so the table grows with it. In the
+        # second input pull_cycles and windows() take turns growing arm 0's row: windows() is
+        # drained after every block and a block that retains nothing reads no payoff, so arm
+        # 0's taus 31 and 301 are first read by pull_cycles, 101 and 601 by windows()
         inst = make_instance([0.9, 0.6], [10**6, 10**6], Discount.geometric(0.999))
-        blocks = [((0,), 1, -1, 0), ((1,), 300, -1, 0), ((0, 1), 40, -1, 0)]
-        env = Environment(inst, substream(5, "env"), capacity=16)
-        for prefix, n, policy, retain_from in blocks:
-            env.pull_cycles(prefix, n, policy, retain_from)
-        got = env.columns()
-        assert got["taus"].max() == 301
-        assert_same_columns(got, step_columns(inst, blocks, substream(5, "env").random(env.t)))
+        turns = [((0,), 1, -1, 0)]
+        for n, retain_from in zip((30, 100, 300, 600), (0, 1, 0, 1)):
+            turns += [((1,), n, -1, 0), ((0,), 1, -1, retain_from)]
+        for blocks, drain in (([((0,), 1, -1, 0), ((1,), 300, -1, 0), ((0, 1), 40, -1, 0)], False),
+                              (turns, True)):
+            env = Environment(inst, substream(5, "env"), capacity=16)
+            fills = []      # arm 0's fill count after each of its blocks
+            for block in blocks:
+                env.pull_cycles(*block)
+                if drain:
+                    for _ in env.windows():
+                        pass
+                    if block[0] == (0,):
+                        fills.append(env._filled[0])
+            got = env.columns()
+            assert got["taus"].max() == (601 if drain else 301)
+            assert fills == ([1, 32, 102, 302, 602] if drain else [])
+            assert_same_columns(got, step_columns(inst, blocks,
+                                                  substream(5, "env").random(env.t)))
