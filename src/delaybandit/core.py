@@ -285,15 +285,16 @@ class Environment:
     The log is the block sequence plus the uniforms it consumed: pull t reads uniform t of
     the stream, and from the all-zero start the arms fix every other column, which
     `columns` derives on demand. Every block is logged by `log_blocks`: `pull_cycles` logs
-    its block there and then reads the block's reward, and a caller that decided its
-    blocks already logs them all in one call (UCB its run, the ranker a chunk of equal
-    rounds as one round's blocks repeated). A logged block costs a prefix lookup, a row
-    append and the clock move, under 1 us, one rule for one block or thousands; the uniform
-    buffer grows as reserving block by block would, and a block size or retain_from that is
-    not an integer raises. The log is the only pull state: a pull reads each arm's last
-    pull off it from its end, no further back than the largest delay (an older pull pays
-    the baseline, as no pull does), so it reads at most the last max d pulls. The realized
-    channel depends only on the stream and the pull sequence, not on how pulls are batched.
+    its block there and then reads the block's reward, and a caller that decides its
+    blocks itself logs them in one call (UCB its run, yielded pick by pick, the ranker a
+    chunk of equal rounds as one round's blocks repeated). A logged block costs a prefix
+    lookup, a row append and the clock move, under 1 us, one rule for one block or
+    thousands; the uniform buffer grows as reserving block by block would, and a block size
+    or retain_from that is not an integer raises. The log is the only pull state: a pull
+    reads each arm's last pull off it from its end, no further back than the largest delay
+    (an older pull pays the baseline, as no pull does), so it reads at most the last max d
+    pulls. The realized channel depends only on the stream and the pull sequence, not on
+    how pulls are batched.
     """
 
     def __init__(self, instance: BanditInstance, rng: np.random.Generator,
@@ -383,15 +384,18 @@ class Environment:
     def log_blocks(self, blocks, repeat: int = 1) -> None:
         """Log decided blocks, each (prefix, n, policy, retain_from) with a tuple prefix, in
         order and exactly as `pull_cycles` logs its own block, but compute no reward:
-        `columns` derives the realized channel from the uniforms.
+        `columns` derives the realized channel from the uniforms. `blocks` is any iterable,
+        consumed one block at a time, so a generator may decide each block once the blocks
+        before it are logged (UCB's run is one).
 
         Per block: a new prefix is checked and numbered, the block is appended (none for
         n <= 0 pulls; retain_from clipped to [0, n]) and the clock moves to the block's end;
         the uniform buffer grows only when the clock passes its end, to the size reserving
         block by block would give. A logged block costs one prefix lookup, one row append
         and the clock move, under 1 us. A bad prefix, or an n or retain_from that is not an
-        integer (2.7 pulls is an error, not 2), raises before its block is logged; the
-        blocks before it stay logged and the clock stands at their end.
+        integer (2.7 pulls is an error, not 2), raises before its block is logged, as does
+        an error raised by the iterable itself; the blocks before it stay logged and the
+        clock stands at their end.
 
         `repeat` logs the whole list that many times, as `blocks * repeat` would: the first
         copy as above, each further copy as the same rows, so the clock moves on by

@@ -173,9 +173,11 @@ class ExperimentConfig:
         for seed in self.seeds:
             _check_seed(seed)
         for kind, values in (("algorithm", self.algorithms), ("seed", self.seeds)):
-            for i, value in enumerate(values):
-                if value in values[:i]:
+            seen = set()
+            for value in values:
+                if value in seen:
                     raise ValueError(f"{kind} {value!r} is repeated")
+                seen.add(value)
 
 
 def materialize_instance(spec: dict, seed: int) -> BanditInstance:

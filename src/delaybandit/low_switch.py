@@ -165,5 +165,5 @@ def run_pi_low(instance: BanditInstance, T: int, delta: float, seed: int = 0,
         # budget left after the final scheduled stage, which finished: exploit its best
         best = records[-1].best
         tail = T - env.t
-        env.pull_cycles(range(best), tail, policy=best, retain_from=tail)
+        env.log_blocks(((tuple(range(best)), tail, best, tail),))
     return LowSwitchRun(env, sched, records, tuple(active), tail)

@@ -8,15 +8,12 @@ the classic mean + sqrt(2 ln n / n_m) with n counting selections.
 from __future__ import annotations
 
 import math
-from array import array
 from dataclasses import dataclass
 
 from .core import BanditInstance, Environment, _check_horizon, expected_payoff, substream
 from .policies import Run
 
 __all__ = ["UcbRun", "run_ucb_rankings", "ucb_index"]
-
-LOG_EVERY = 4096    # picks held between `log_blocks` calls
 
 
 def ucb_index(mean: float, n_m: int, n: int) -> float:
@@ -48,7 +45,7 @@ def run_ucb_rankings(instance: BanditInstance, T: int, seed: int = 0, rng=None) 
 
     Every gap in cutoff m's second roll-out is m, whatever came before, so arm j pays
     expected_payoff(instance, j, m) there: a pick counts the hits of its own uniforms against
-    those payoffs, and the picks are logged through `log_blocks` every LOG_EVERY picks, as if
+    those payoffs and is yielded to the run's one `log_blocks` call as it is decided, as if
     pulled: the uniforms are reserved up to T, so logging moves only the clock.
     """
     k = instance.k
@@ -59,46 +56,42 @@ def run_ucb_rankings(instance: BanditInstance, T: int, seed: int = 0, rng=None) 
     u = memoryview(env._u)      # the run's uniforms, reserved up to T
     prefixes, pays = [()], [[]]     # per 1-based cutoff, built at its first pick
     counts, means = [0] * (k + 1), [0.0] * (k + 1)
-    picks = array("q")     # (cutoff, pulls) per selection since the last log
+    n = 0
 
-    def log_picks():
-        ms = picks[::2]
-        env.log_blocks(zip(map(prefixes.__getitem__, ms), picks[1::2], ms, ms))
-        del picks[:]
+    def picks():
+        nonlocal n
+        t = 0
+        while t < T:
+            # ucb_index(means[c], counts[c], n) for every cutoff, with the log hoisted
+            two_ln = 2.0 * math.log(n) if n else 0.0
+            best_val = -math.inf
+            for c in range(1, k + 1):
+                if not counts[c]:
+                    m = c       # index +inf: no later cutoff beats it under the strict >
+                    break
+                val = means[c] + math.sqrt(two_ln / counts[c])
+                if val > best_val:
+                    best_val = val
+                    m = c
+            n += 1
+            if m == len(pays):      # unplayed cutoffs are picked in order
+                prefixes.append(tuple(range(m)))
+                pays.append([float(expected_payoff(instance, j, m)) for j in range(m)])
+            pulls = 2 * m
+            if t + pulls <= T:
+                hits, i = 0, t + m      # the second roll-out's first pull
+                for p in pays[m]:
+                    if u[i] < p:
+                        hits += 1
+                    i += 1
+                means[m] = (means[m] * counts[m] + hits / m) / (counts[m] + 1)
+                counts[m] += 1
+            else:
+                pulls = T - t
+            yield prefixes[m], pulls, m, m
+            t += pulls
 
-    n = t = 0
-    while t < T:
-        # ucb_index(means[c], counts[c], n) for every cutoff, with the log hoisted
-        two_ln = 2.0 * math.log(n) if n else 0.0
-        best_val = -math.inf
-        for c in range(1, k + 1):
-            if not counts[c]:
-                m = c       # index +inf: no later cutoff beats it under the strict >
-                break
-            val = means[c] + math.sqrt(two_ln / counts[c])
-            if val > best_val:
-                best_val = val
-                m = c
-        n += 1
-        if m == len(pays):      # unplayed cutoffs are picked in order
-            prefixes.append(tuple(range(m)))
-            pays.append([float(expected_payoff(instance, j, m)) for j in range(m)])
-        pulls = 2 * m
-        if t + pulls <= T:
-            hits, i = 0, t + m      # the second roll-out's first pull
-            for p in pays[m]:
-                if u[i] < p:
-                    hits += 1
-                i += 1
-            means[m] = (means[m] * counts[m] + hits / m) / (counts[m] + 1)
-            counts[m] += 1
-        else:
-            pulls = T - t
-        picks.extend((m, pulls))
-        t += pulls
-        if not n % LOG_EVERY:
-            log_picks()
-    log_picks()
+    env.log_blocks(picks())
     return UcbRun(
         env,
         n,

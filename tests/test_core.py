@@ -243,6 +243,20 @@ class TestEnvironment:
         assert env.t == 2 and env.columns()["arms"].tolist() == [0, 0]
         assert env._last_pulls() == [1, None]
 
+    def test_bulk_logging_stops_where_its_iterable_raises(self):
+        # blocks are consumed lazily (UCB's run is a generator): an error inside the
+        # iterable propagates, and the blocks it yielded before stay logged
+        def blocks():
+            yield (0,), 2, -1, 0
+            raise RuntimeError("decided no further")
+
+        inst = make_instance([0.9, 0.6], [1, 1], Discount.constant(0.5))
+        env = Environment(inst, substream(0, "bad"))
+        with pytest.raises(RuntimeError, match="decided no further"):
+            env.log_blocks(blocks())
+        assert env.t == 2 and env.columns()["arms"].tolist() == [0, 0]
+        assert env._last_pulls() == [1, None]
+
     @pytest.mark.parametrize("repeat", [1, 2, 1000])
     def test_repeated_blocks_log_as_the_repeated_list(self, repeat):
         # a block shorter than its prefix, an empty block, a clipped retain_from; arm 3 was

@@ -110,6 +110,15 @@ class TestPresets:
         with pytest.raises(ValueError, match="at least one algorithm"):
             replace(cfg, algorithms=())
 
+    def test_repeat_check_is_one_pass(self):
+        # the repeat check is linear in the seed count, and it names the first value that
+        # repeats an earlier one
+        start = time.perf_counter()
+        replace(preset_fig3(), seeds=tuple(range(50_000)), horizon=50)
+        assert time.perf_counter() - start < 1.0
+        with pytest.raises(ValueError, match="seed 5 is repeated"):
+            replace(preset_fig3(), seeds=(0, 5, 1, 5))
+
     @pytest.mark.parametrize("cost", [10**400, -(10**400)])
     def test_switch_cost_past_the_float_range_is_a_value_error(self, cost):
         # math.isfinite raises OverflowError on such an int; the config rejects it itself

@@ -17,7 +17,6 @@ from delaybandit import (
     ucb_index,
 )
 from delaybandit.core import Environment, substream
-from delaybandit.ucb import LOG_EVERY
 from helpers import (assert_same_columns, fig3_instance, log_blocks_by_block,
                      random_exact_instance, random_float_instance, ucb_reference)
 
@@ -136,13 +135,13 @@ class TestMatchesPerSelectionReference:
 
 
 def test_chunked_log_equals_block_by_block():
-    # the picks are logged LOG_EVERY at a time: the blocks, prefix ids and clock equal
-    # logging the reference's picks one block at a time
+    # the picks are logged as they are decided, by one `log_blocks` call over the run: the
+    # blocks, prefix ids and clock equal logging the reference's 16,757 picks one at a time
     inst, T = fig3_instance(), 50_000
     run = run_ucb_rankings(inst, T, seed=7)
-    assert run.selections > 3 * LOG_EVERY
     ref = ucb_reference(inst, T, 7)[3]
     picks = np.frombuffer(ref._blocks, np.int64).reshape(-1, 4)[:, [0, 2]].tolist()
+    assert run.selections == len(picks) == 16_757
     env = Environment(inst, substream(7, "ucb"), capacity=T)
     log_blocks_by_block(env, [(tuple(range(m)), pulls, m, m) for pulls, m in picks])
     assert (run.env._blocks, run.env._cycle_ids, run.env.t) == (env._blocks, env._cycle_ids, T)
