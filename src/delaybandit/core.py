@@ -305,11 +305,10 @@ class Environment:
         self._ds, self._dmax = instance.ds, max(instance.ds)
         self.t = 0
         self._u = rng.random(max(int(capacity), 16))   # uniform t is pull t's
-        # one float64 payoff row per arm over capped tau = 0, 1, ..., shared by the pull loop
-        # and `windows`; a row is filled up to the largest tau read so far (its fill count),
-        # so it costs 8 B a tau the pulls reach, not d
-        self._ptable: list = [np.empty(0)] * self.k
-        self._filled = [0] * self.k
+        # per arm, tau -> float payoff for each (arm, tau) pair read so far: the pull loop,
+        # `windows`, UCB and the ranker read payoffs only through `_payoff`, so a run costs
+        # one `expected_payoff` call per pair it reads, however large d is
+        self._pay = [{} for _ in range(self.k)]
         self._cycle_ids: dict = {}     # each distinct prefix, numbered by first use
         self._blocks = array("q")      # per block: n, cycle id, policy, retain_from
 
@@ -323,20 +322,13 @@ class Environment:
             self._rng.random(out=grown[have:])
             self._u = grown
 
-    def _payoffs(self, arm: int, top: int) -> np.ndarray:
-        # the arm's payoff row, filled to cover capped tau = 0..top; its capacity doubles, up
-        # to d + 1 entries, so an entry is copied O(1) times
-        row, filled = self._ptable[arm], self._filled[arm]
-        if top >= filled:
-            if top >= len(row):
-                grown = np.empty(max(top + 1, min(2 * len(row), self._ds[arm] + 1)))
-                grown[:filled] = row[:filled]
-                self._ptable[arm] = row = grown
-            row[filled:top + 1] = np.fromiter(
-                (expected_payoff(self.instance, arm, tau) for tau in range(filled, top + 1)),
-                float, top + 1 - filled)
-            self._filled[arm] = top + 1
-        return row
+    def _payoff(self, arm: int, tau: int) -> float:
+        # the arm's expected payoff at delay tau as a float, computed at the pair's first read
+        pay = self._pay[arm]
+        p = pay.get(tau)
+        if p is None:
+            p = pay[tau] = float(expected_payoff(self.instance, arm, tau))
+        return p
 
     def _uniform(self) -> float:
         # the next pull's uniform (reserved by the caller); the clock moves on
@@ -368,11 +360,9 @@ class Environment:
 
     def _row(self, arm: int, t: int, last) -> tuple:
         # capped tau at time t since the arm's last pull at `last` (None if none), and its
-        # expected payoff
+        # expected payoff from the cache
         tau = t - last if last is not None and t - last <= self._ds[arm] else 0
-        if tau >= self._filled[arm]:    # a tau this arm has not reached before
-            self._payoffs(arm, tau)
-        return tau, self._ptable[arm].item(tau)
+        return tau, self._payoff(arm, tau)
 
     # -- pulling -----------------------------------------------------------
 
@@ -500,10 +490,10 @@ class Environment:
         into arms, policy ids and retained flags; gap is t minus the arm's previous
         position (-1 at its first pull), carried across windows as each arm's last pull;
         tau is the gap capped at d (0 past it or at a first pull); expected is a gather
-        from the arm's payoff row, the one the pull loop reads, filled only as far as that
-        arm's taus reach; realized is u[t] < expected[t]. Memory holds one window and the
-        blocks' ends (8 B a block) besides the environment's own payoff rows. The windows
-        cover the log as it stands when the first one is made.
+        from a lookup of the arm's distinct taus in the window, filled from the payoff cache
+        the pull loop reads; realized is u[t] < expected[t]. Memory holds one window, an
+        arm's lookup up to its largest tau there, and the blocks' ends (8 B a block) besides
+        the cache's pairs. The windows cover the log as it stands when the first one is made.
         """
         t, k = self.t, self.k
         ends = np.cumsum(np.frombuffer(self._blocks, np.int64)[::4])
@@ -539,7 +529,10 @@ class Environment:
                 gaps[pos] = gap
                 gap[(gap < 0) | (gap > self._ds[a])] = 0     # now the capped tau
                 taus[pos] = gap
-                expected[pos] = self._payoffs(a, int(gap.max()))[gap]
+                seen = np.flatnonzero(np.bincount(gap))   # the window's distinct taus
+                pay = np.empty(seen[-1] + 1)
+                pay[seen] = [self._payoff(a, tau) for tau in seen.tolist()]
+                expected[pos] = pay[gap]
             yield {
                 "arms": arms,
                 "taus": taus,

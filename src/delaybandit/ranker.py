@@ -199,7 +199,7 @@ def _sampler(env: Environment, round_blocks):
                 t += n
             if kept != list(active):
                 raise RuntimeError(f"a round over {list(active)} retains pulls of {kept}")
-            pay = np.array([float(env.instance.mus[a]) for a in active])
+            pay = np.array([env._payoff(a, 0) for a in active])
             plan = list(active), blocks, t, offsets, pay
         _, blocks, length, offsets, pay = plan
         t = env.t

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import BanditInstance, Environment, _check_horizon, expected_payoff, substream
+from .core import BanditInstance, Environment, _check_horizon, substream
 from .policies import Run
 
 __all__ = ["UcbRun", "run_ucb_rankings", "ucb_index"]
@@ -44,9 +44,10 @@ def run_ucb_rankings(instance: BanditInstance, T: int, seed: int = 0, rng=None) 
     lower cutoff, so the unplayed cutoffs (index +inf) go first, in order.
 
     Every gap in cutoff m's second roll-out is m, whatever came before, so arm j pays
-    expected_payoff(instance, j, m) there: a pick counts the hits of its own uniforms against
-    those payoffs and is yielded to the run's one `log_blocks` call as it is decided, as if
-    pulled: the uniforms are reserved up to T, so logging moves only the clock.
+    expected_payoff(instance, j, m) there, read once from the environment's payoff cache: a
+    pick counts the hits of its own uniforms against those payoffs and is yielded to the
+    run's one `log_blocks` call as it is decided, as if pulled: the uniforms are reserved up
+    to T, so logging moves only the clock.
     """
     k = instance.k
     T = _check_horizon(T)
@@ -76,7 +77,7 @@ def run_ucb_rankings(instance: BanditInstance, T: int, seed: int = 0, rng=None) 
             n += 1
             if m == len(pays):      # unplayed cutoffs are picked in order
                 prefixes.append(tuple(range(m)))
-                pays.append([float(expected_payoff(instance, j, m)) for j in range(m)])
+                pays.append([env._payoff(j, m) for j in range(m)])
             pulls = 2 * m
             if t + pulls <= T:
                 hits, i = 0, t + m      # the second roll-out's first pull

@@ -418,7 +418,8 @@ class TestEnvironment:
         assert_same_columns(env.columns(), want)
 
     def test_construction_cost_does_not_grow_with_delay(self):
-        # a payoff row holds only the taus pulls have read, so a new environment holds none
+        # the payoff cache holds only the (arm, tau) pairs pulls have read, so a new
+        # environment holds none
         inst = make_instance([0.9], [10**6], Discount.geometric(0.999))
         rng = substream(0, "env")
         tracemalloc.start()
@@ -430,9 +431,10 @@ class TestEnvironment:
         assert peak < 4 * 2**20
 
     def test_windows_gather_from_the_one_payoff_row(self):
-        # arm 0's tau reaches 2^17 + 1: its one float64 row (8 B a tau, about 1 MiB) is all
-        # the payoff memory windows() holds besides one window; a list row beside a numpy
-        # copy peaked at 6.6 MiB
+        # arm 0's tau reaches 2^17 + 1: windows() reads its three taus from the payoff cache
+        # through a lookup up to that tau (8 B a tau, about 1 MiB, freed with the window), so
+        # its payoff memory is a window's worth; a list row beside a numpy copy peaked at
+        # 6.6 MiB
         inst = make_instance([0.9, 0.5], [10**6, 1], Discount.geometric(0.999))
         env = Environment(inst, substream(0, "env"), capacity=2**18)
         env.log_blocks([((0,), 1, -1, 0), ((1,), 2**17, -1, 0), ((0,), 1, -1, 0)])
@@ -446,29 +448,36 @@ class TestEnvironment:
         assert peak <= 4 * 2**20
 
     def test_payoff_rows_cost_what_the_pulls_reach(self, monkeypatch):
-        # back-to-back pulls of one arm read tau 0 and 1 only, so at most two exact payoffs
-        # are computed, however far the buffer and the delay reach
-        inst = make_instance([F(7, 10)], [5000], Discount.geometric(F(999, 1000)))
-        computed = []
+        # a payoff is computed once per (arm, tau) pair the pulls read, however far the buffer
+        # and the delay reach: back-to-back pulls of one arm read tau 0 and 1 only, and a
+        # gap of 10^5 + 1 under a delay of 10^6 reads arm 0 at taus 0 and 100001 and arm 1 at
+        # 0 and 1, four pairs, not every tau up to 100001
+        exact = make_instance([F(7, 10)], [5000], Discount.geometric(F(999, 1000)))
+        wide = make_instance([0.9, 0.5], [10**6, 1], Discount.geometric(0.999))
+        for inst, blocks, most in (
+                (exact, [((0,), 5000, -1, 0)], 2),
+                (wide, [((0,), 1, -1, 0), ((1,), 10**5, -1, 0), ((0,), 1, -1, 0)], 4)):
+            computed = []
 
-        def counted(instance, arm, tau):
-            computed.append(tau)
-            return expected_payoff(instance, arm, tau)
+            def counted(instance, arm, tau):
+                computed.append((arm, tau))
+                return expected_payoff(instance, arm, tau)
 
-        monkeypatch.setattr("delaybandit.core.expected_payoff", counted)
-        env = Environment(inst, substream(6, "env"))
-        env.pull_cycles((0,), 5000)
-        got = env.columns()
-        assert len(computed) <= 2
-        monkeypatch.undo()
-        assert_same_columns(got, step_columns(inst, [((0,), 5000, -1, 0)],
-                                              substream(6, "env").random(5000)))
+            monkeypatch.setattr("delaybandit.core.expected_payoff", counted)
+            env = Environment(inst, substream(6, "env"))
+            for block in blocks:
+                env.pull_cycles(*block)
+            got = env.columns()
+            assert len(computed) <= most
+            monkeypatch.undo()
+            assert_same_columns(got, step_columns(inst, blocks,
+                                                  substream(6, "env").random(env.t)))
 
     def test_large_delay_past_the_start_buffer_equals_stepwise(self):
-        # tau reaches 301, past the 16-slot start buffer, so the table grows with it. In the
-        # second input pull_cycles and windows() take turns growing arm 0's row: windows() is
-        # drained after every block and a block that retains nothing reads no payoff, so arm
-        # 0's taus 31 and 301 are first read by pull_cycles, 101 and 601 by windows()
+        # tau reaches 301, past the 16-slot start buffer. In the second input pull_cycles and
+        # windows() take turns adding arm 0's taus to the payoff cache: windows() is drained
+        # after every block and a block that retains nothing reads no payoff, so arm 0's taus
+        # 31 and 301 are first read by pull_cycles, 101 and 601 by windows()
         inst = make_instance([0.9, 0.6], [10**6, 10**6], Discount.geometric(0.999))
         turns = [((0,), 1, -1, 0)]
         for n, retain_from in zip((30, 100, 300, 600), (0, 1, 0, 1)):
@@ -476,16 +485,17 @@ class TestEnvironment:
         for blocks, drain in (([((0,), 1, -1, 0), ((1,), 300, -1, 0), ((0, 1), 40, -1, 0)], False),
                               (turns, True)):
             env = Environment(inst, substream(5, "env"), capacity=16)
-            fills = []      # arm 0's fill count after each of its blocks
+            cached = []     # arm 0's cached taus after each of its blocks
             for block in blocks:
                 env.pull_cycles(*block)
                 if drain:
                     for _ in env.windows():
                         pass
                     if block[0] == (0,):
-                        fills.append(env._filled[0])
+                        cached.append(sorted(env._pay[0]))
             got = env.columns()
             assert got["taus"].max() == (601 if drain else 301)
-            assert fills == ([1, 32, 102, 302, 602] if drain else [])
+            assert cached == ([[0], [0, 31], [0, 31, 101], [0, 31, 101, 301],
+                               [0, 31, 101, 301, 601]] if drain else [])
             assert_same_columns(got, step_columns(inst, blocks,
                                                   substream(5, "env").random(env.t)))

@@ -717,3 +717,21 @@ class TestCli:
         assert captured.out == ""
         assert captured.err.count("\n") == 1
         assert captured.err.startswith("error: reduction needs every interval >= 2")
+
+
+def test_every_name_the_benchmark_patches_exists():
+    # perfbench/tracer.py wraps each name in its patch table where the caller looks it up; a
+    # change to src/ that drops one breaks every traced benchmark run. The check runs as the
+    # benchmark does: from the repository root, importing delaybandit from the checkout's src/
+    code = ("import sys\n"
+            "sys.path.insert(0, 'perfbench')\n"
+            "import bootstrap\n"
+            "bootstrap.use_checkout_src()\n"
+            "import tracer\n"
+            "missing = [f'{getattr(owner, \"__name__\", owner)}.{attr}'\n"
+            "           for owner, attr, _ in tracer.patch_table() if attr not in owner.__dict__]\n"
+            "sys.exit(f'not found: {missing}' if missing else 0)\n")
+    root = Path(__file__).resolve().parents[1]
+    done = subprocess.run([sys.executable, "-c", code], cwd=root, capture_output=True,
+                          text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
