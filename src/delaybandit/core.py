@@ -290,11 +290,11 @@ class Environment:
     chunk of equal rounds as one round's blocks repeated). A logged block costs a prefix
     lookup, a row append and the clock move, under 1 us, one rule for one block or
     thousands; the uniform buffer grows as reserving block by block would, and a block size
-    or retain_from that is not an integer raises. The log is the only pull state: a pull
-    reads each arm's last pull off it from its end, no further back than the largest delay
-    (an older pull pays the baseline, as no pull does), so it reads at most the last max d
-    pulls. The realized channel depends only on the stream and the pull sequence, not on
-    how pulls are batched.
+    or retain_from that is not an integer raises. The log is the only pull state: only a
+    retained pull in a block's first cycle reads each arm's last pull off it, from its end
+    and no further back than the largest delay (an older pull pays the baseline), and no
+    lab path retains one. The realized channel depends only on the stream and the pull
+    sequence, not on how pulls are batched.
     """
 
     def __init__(self, instance: BanditInstance, rng: np.random.Generator,
@@ -431,40 +431,39 @@ class Environment:
 
         The call is logged as one block by `log_blocks`; pulls with index >= retain_from
         are flagged retained, and the return is the realized-reward sum and count over
-        them. Any cycle works, repeated arms included. Short blocks (at most
-        len(prefix) + 64 pulls) run pull by pull. A longer block runs its first cycle pull
-        by pull too; a payoff depends only on the gap since the arm's last pull, so from
-        the second cycle on every position pays what it pays in the second cycle, whose
-        payoffs `_row` computes and the tail tiles. Either way pull t reads uniform t of
-        the stream.
+        them. Any cycle works, repeated arms included. One loop runs the block pull by pull:
+        all of it if it has at most len(prefix) + 64 pulls, else at most its first two
+        cycles. A payoff depends only on the gap since the arm's last pull, so every later
+        position pays what it pays in the second cycle, which the tail tiles. Only a retained
+        first-cycle pull reads the log before the block (`_last_pulls`): each later gap lies
+        inside it, and a pull that is not retained reads no payoff unless the tail tiles it.
+        In the loop and the tail alike, pull t reads uniform t of the stream.
         """
         prefix = tuple(prefix)
-        t0, last = self.t, self._last_pulls(self.t - self._dmax)   # gaps from earlier pulls
+        m, t0 = len(prefix), self.t
+        last = self._last_pulls(t0 - self._dmax) if retain_from < m else [None] * self.k
         self.log_blocks(((prefix, n_pulls, policy, retain_from),))
         n = self.t - t0
         rf = self._blocks[-1] if n else 0
         if rf == n:     # nothing retained, so no reward to read
             return 0.0, 0
-        m = len(prefix)
-        head = n if n <= m + _SCALAR_SLACK else m
+        loop = n if n <= m + _SCALAR_SLACK else min(n, 2 * m)
+        read = min(rf, m) if loop < n else rf   # the tiled tail needs the second cycle's payoffs
         self.t = t0     # the reward pass replays the logged block; `_uniform` moves the clock on
-        ret_sum = 0
-        for i in range(head):
+        ret_sum, pay = 0, []
+        for i in range(loop):
             arm = prefix[i % m]
             u = self._uniform()
-            if i >= rf and u < self._row(arm, t0 + i, last[arm])[1]:
-                ret_sum += 1
-            last[arm] = t0 + i
-        if head < n:
-            pay = []
-            for i in range(m, 2 * m):      # the second cycle, possibly past the block's end
-                arm = prefix[i - m]
+            if i >= read:
                 pay.append(self._row(arm, t0 + i, last[arm])[1])
-                last[arm] = t0 + i
-            # position i >= m of the block pays pay[i % m]; the retained tail is counted a
+                if i >= rf and u < pay[-1]:
+                    ret_sum += 1
+            last[arm] = t0 + i
+        if loop < n:
+            # position i >= 2m pays the second cycle's pay[i % m]; the retained tail is counted a
             # window at a time against one window's worth of tiled payoffs
-            lo, us = max(rf, m), self._u[t0:t0 + n]
-            pay = np.resize(pay, min(n - lo, _WINDOW_PULLS) + m)
+            lo, us = max(rf, loop), self._u[t0:t0 + n]
+            pay = np.resize(pay[-m:], min(n - lo, _WINDOW_PULLS) + m)
             for a, b in _spans(n - lo):
                 a, b = a + lo, b + lo
                 ret_sum += int(np.count_nonzero(us[a:b] < pay[a % m:a % m + b - a]))

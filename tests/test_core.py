@@ -394,8 +394,8 @@ class TestEnvironment:
 
     @pytest.mark.parametrize("n, retain_from", [(180, 0), (199, 150), (165, 40)])
     def test_long_block_under_two_cycles_equals_stepwise(self, n, retain_from):
-        # m = 100 > 64 with repeats and m + 64 < n < 2m: the second cycle's payoff loop
-        # runs past the block's end, and the block after it reads every arm's last pull
+        # m = 100 > 64 with repeats and m + 64 < n < 2m: one loop runs the whole block,
+        # reading no payoff past its end, and the block after it reads every arm's last pull
         inst = make_instance([0.9, 0.7, 0.5, 0.3, 0.1], [3, 5, 2, 7, 4], Discount.geometric(0.6))
         prefix = tuple(int(a) for a in np.random.default_rng(8).integers(0, 5, size=100))
         env = Environment(inst, substream(4, "env"))
@@ -451,12 +451,16 @@ class TestEnvironment:
         # a payoff is computed once per (arm, tau) pair the pulls read, however far the buffer
         # and the delay reach: back-to-back pulls of one arm read tau 0 and 1 only, and a
         # gap of 10^5 + 1 under a delay of 10^6 reads arm 0 at taus 0 and 100001 and arm 1 at
-        # 0 and 1, four pairs, not every tau up to 100001
+        # 0 and 1, four pairs, not every tau up to 100001. A block of 170 pulls over 100 arms
+        # reads its 170 pairs and none of the 30 second-cycle pairs past its end
         exact = make_instance([F(7, 10)], [5000], Discount.geometric(F(999, 1000)))
         wide = make_instance([0.9, 0.5], [10**6, 1], Discount.geometric(0.999))
+        many = make_instance([1 - i / 101 for i in range(100)], [150] * 100,
+                             Discount.geometric(0.99))
         for inst, blocks, most in (
                 (exact, [((0,), 5000, -1, 0)], 2),
-                (wide, [((0,), 1, -1, 0), ((1,), 10**5, -1, 0), ((0,), 1, -1, 0)], 4)):
+                (wide, [((0,), 1, -1, 0), ((1,), 10**5, -1, 0), ((0,), 1, -1, 0)], 4),
+                (many, [(tuple(range(100)), 170, -1, 0)], 170)):
             computed = []
 
             def counted(instance, arm, tau):

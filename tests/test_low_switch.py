@@ -6,9 +6,12 @@ import pytest
 
 from delaybandit import (
     Discount,
+    Environment,
     g_value,
+    load_instance,
     make_instance,
     plays_per_policy,
+    preset_fig2,
     run_pi_low,
     stage_schedule,
 )
@@ -147,6 +150,22 @@ class TestRunPiLow:
         mask = tr.retained
         assert mask.sum() > 0
         assert np.array_equal(tr.gaps[mask], tr.policy[mask])
+
+    def test_no_log_walk_for_pulls_their_block_fixes(self, monkeypatch):
+        # every retained pull sits at gap m inside its own cutoff-m block, so no block of the
+        # run reads the log before it (fig2 draw 0 runs 17 blocks)
+        inst = load_instance(dict(preset_fig2().instance, d=[4, 3, 3, 6, 4, 3, 4]))
+        walks = []
+        last_pulls = Environment._last_pulls
+
+        def counted(env, since=0):
+            walks.append(since)
+            return last_pulls(env, since)
+
+        monkeypatch.setattr(Environment, "_last_pulls", counted)
+        run = run_pi_low(inst, 200000, 0.1, seed=0)
+        assert len(run.trace) == 200000
+        assert walks == []
 
     def test_exploitation_tail(self):
         # the four scheduled stages finish two pulls short of T = 9,061: the
