@@ -13,9 +13,10 @@ form) solves it on those arrays in O(nk) memory, in double precision with a
 1e-12 switching tolerance. When the instance is exact, the iteration
 continues from the float policy in Python ints: every weight is scaled by
 D, the lcm of the distinct payoffs' denominators, and every gain and bias by
-D and the lcm of the policy-cycle lengths seen so far. The optimum is then
-certified exactly: the optimality conditions are checked on every edge, and
-the witness cycle's mean must equal it.
+D and the lcm of the policy-cycle lengths seen so far. The exact leg's own
+stopping test certifies the optimum: at tolerance 0 it stops only when every
+edge meets the multichain optimality conditions, so no second pass checks
+them. The witness cycle's mean must equal the optimum.
 
 Also here: long-run values of fixed periodic arm patterns (used for the
 two-policy alternation bonus) and of delay-feedback policies, each the mean of
@@ -241,6 +242,10 @@ def _improve_policy(nxt, wts, policy, eta, h, tol) -> bool:
     when there is none of those either are means within tol taken as equal:
     two float cycles of one mean can differ in the last bit, and exact
     equality alone would hide the edges between them and stop short.
+    At tol 0, False is the multichain optimality condition on every edge: eta
+    never rises along an edge, and between nodes of equal eta
+    h(u) >= w - eta(u) + h(v). Summed around any cycle, these bound its mean
+    by the eta of its nodes, so no cycle reachable from a node beats its eta.
     """
     reach = eta[nxt]
     switch = reach.max(axis=1) > eta + tol
@@ -260,7 +265,8 @@ def _howard(nxt, wts, policy, tol, scale=0):
 
     nxt and wts are n x k arrays of successors and weights: float weights in
     float64 (scale 0), or integer weights in object arrays from scale 1, the
-    exact leg. Returns eta, h, their scale and the weights at that scale.
+    exact leg. Returns eta, h and their scale. The exact leg stops at tol 0, so
+    its stop certifies eta as the optimum (see `_improve_policy`).
     """
     h = [0] * len(nxt)
     scaled = wts
@@ -269,23 +275,8 @@ def _howard(nxt, wts, policy, tol, scale=0):
         if grown != scale:
             scaled, scale = wts * grown, grown
         if not _improve_policy(nxt, scaled, policy, eta, h, tol):
-            return eta, h, scale, scaled
+            return eta, h, scale
     raise RuntimeError(f"policy iteration did not settle in {MAX_POLICY_ITERATIONS} rounds")
-
-
-def _certify(nxt, wts, eta, h) -> None:
-    """Raise unless (eta, h) meet the multichain optimality conditions on every edge.
-
-    eta never rises along an edge, and between nodes of equal eta
-    h(u) >= w - eta(u) + h(v). Summed around any cycle, these bound its mean
-    by the eta of its nodes, so no cycle reachable from a node beats its eta.
-    The weights must be at the scale of eta and h.
-    """
-    reach, here = eta[nxt], eta[:, None]
-    bad = (reach > here) | ((reach == here) & (wts - here + h[nxt] > h[:, None]))
-    if bad.any():
-        u, j = np.argwhere(bad)[0]
-        raise RuntimeError(f"optimality certificate fails on edge {u} -> {nxt[u, j]}")
 
 
 def _weight_tables(graph: StateGraph):
@@ -312,16 +303,16 @@ def max_mean_cycle(graph: StateGraph) -> OptimalCycle:
 
     Howard policy iteration in floats from the greedy policy. For an exact
     graph it continues from the float policy in Python ints, every weight
-    scaled by one common denominator, and certifies the result exactly; the
-    witness is the policy cycle the start state runs into.
+    scaled by one common denominator, until its tol-0 stopping test certifies
+    the result exactly; the witness is the policy cycle the start state runs
+    into, and its mean must equal the optimum.
     """
     n, nxt = graph.n_nodes, graph.nxt
     wts, ints, denom = _weight_tables(graph)
     policy = wts.argmax(axis=1)
     _howard(nxt, wts, policy, max(FLOAT_TOL, 4.0 * n * 1e-16))
     if graph.exact:
-        eta, h, scale, scaled = _howard(nxt, ints, policy, 0, 1)
-        _certify(nxt, scaled, eta, h)
+        eta, _, scale = _howard(nxt, ints, policy, 0, 1)
     policy = policy.tolist()
     seen, u = {}, graph.start
     while u not in seen:

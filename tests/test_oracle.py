@@ -33,6 +33,7 @@ from delaybandit import (
 )
 from delaybandit.harness import load_instance, materialize_instance, preset_fig2
 from helpers import (
+    _certify_by_fractions,
     brute_force_max_mean,
     build_state_graph_by_queue,
     evaluate_policy_by_fractions,
@@ -134,6 +135,19 @@ class TestStateGraph:
         finally:
             tracemalloc.stop()
         assert graph.n_nodes == 37634
+        assert peak <= 20 * 2**20
+
+    def test_solve_memory_on_the_seven_machine_reduction(self):
+        # a second pass over every edge, checking the conditions the exact leg's tol-0 stop
+        # has just checked, peaked at 30.2 MiB on its object temporaries
+        graph = build_state_graph(pmsp_to_bandit(PmspInstance((7,) * 7)))
+        tracemalloc.start()
+        try:
+            cycle = max_mean_cycle(graph)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert cycle.mean == 1
         assert peak <= 20 * 2**20
 
 
@@ -282,7 +296,7 @@ class TestExactLeg:
                 scale, rounds = grown, rounds + 1
                 if not oracle._improve_policy(nxt, ints * scale, policy, eta, h, 0):
                     break
-            oracle._certify(nxt, ints * scale, eta, h)
+            _certify_by_fractions(nxt, fracs, eta_ref, h_ref)
             assert F(eta[graph.start], denom * scale) == max_mean_cycle_by_fractions(graph).mean
             assert rounds >= 3
         assert rescaled > 0

@@ -4,7 +4,8 @@ separation test and chunked rounds in `rank_arms` match their one-at-a-time refe
 ghost reference is the ghost run; running sums and switch counts read a window at a time
 equal whole-array sums of the per-pull log; the oracle's layered state graph equals a breadth-first
 queue's; the oracle's optimum bounds every ranking and alternation value and matches cycle
-enumeration; the low-switch schedule covers T in O(ln ln T) stages."""
+enumeration, and its exact leg stops only on a certified optimum; the low-switch schedule
+covers T in O(ln ln T) stages."""
 
 import math
 from fractions import Fraction as F
@@ -44,11 +45,12 @@ from delaybandit import core
 from delaybandit.core import _SCALAR_SLACK, _WINDOW_PULLS
 from delaybandit.harness import run_algorithm
 from delaybandit.policies import Run, running_totals
-from delaybandit.oracle import _certify, _evaluate_policy, _weight_tables
-from helpers import (assert_same_columns, bernoulli_rounds, brute_force_max_mean,
-                     build_state_graph_by_queue, by_round, log_blocks_by_block,
-                     random_exact_instance, random_float_instance, rank_arms_by_round,
-                     rank_arms_by_scan, step_columns, step_rollout)
+from delaybandit.oracle import (FLOAT_TOL, _evaluate_policy, _howard, _improve_policy,
+                                _weight_tables)
+from helpers import (_certify_by_fractions, assert_same_columns, bernoulli_rounds,
+                     brute_force_max_mean, build_state_graph_by_queue, by_round,
+                     log_blocks_by_block, random_exact_instance, random_float_instance,
+                     rank_arms_by_round, rank_arms_by_scan, step_columns, step_rollout)
 
 FIG2 = preset_fig2().instance
 fig2_delays = st.lists(st.integers(1, 6), min_size=7, max_size=7)
@@ -485,8 +487,32 @@ def test_certificate_rejects_a_suboptimal_policy(instance_seed, data):
     eta, h, scale = _evaluate_policy(nxt, wts, policy, [0] * graph.n_nodes, 1)
     rho, _ = optimal_average(inst)
     assume(F(eta[graph.start], denom * scale) < rho)
-    with pytest.raises(RuntimeError):
-        _certify(nxt, wts * scale, eta, h)
+    # the exact leg cannot stop on it: its tol-0 stopping test finds an edge to switch
+    assert _improve_policy(nxt, wts * scale, policy.copy(), eta, h, 0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(instance_seed=st.integers(0, 2**32 - 1), constant=st.none() | st.integers(0, 10),
+       data=st.data())
+def test_exact_leg_stops_on_a_certified_optimum(instance_seed, constant, data):
+    # the exact leg's final gains and biases, as Fractions, meet the optimality conditions
+    # on every edge by the Fraction reference's own check, from the float leg's policy (as
+    # `max_mean_cycle` runs it) and from an arbitrary one (so that it takes several rounds)
+    inst = random_exact_instance(np.random.default_rng(instance_seed), kmax=4, dmax=3)
+    if constant is not None:   # many cycles of equal mean, so ties between biases decide
+        inst = make_instance(inst.mus, inst.ds, Discount.constant(F(constant, 10)))
+    graph = build_state_graph(inst)
+    n, nxt = graph.n_nodes, graph.nxt
+    floats, ints, denom = _weight_tables(graph)
+    fracs = np.array([[F(w) for _, w in row] for row in graph.succ], object)
+    greedy = floats.argmax(axis=1)
+    _howard(nxt, floats, greedy, max(FLOAT_TOL, 4.0 * n * 1e-16))
+    drawn = np.array(data.draw(st.lists(st.integers(0, inst.k - 1), min_size=n, max_size=n)))
+    for policy in (greedy, drawn):
+        eta, h, scale = _howard(nxt, ints, policy, 0, 1)
+        unit = denom * scale
+        _certify_by_fractions(nxt, fracs, [F(e, unit) for e in eta], [F(b, unit) for b in h])
+        assert F(eta[graph.start], unit) == optimal_average(inst)[0]
 
 
 def test_seven_arms_at_delay_five_solve_under_the_default_cap():

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction as F
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from delaybandit import (
     stage_schedule,
     substream,
 )
-from delaybandit.ranker import _sampler, _slack_radii
+from delaybandit.ranker import _sampler, _slack_radii, baseline_pulls
 from helpers import assert_same_columns, bernoulli_rounds, by_round, rank_arms_by_round
 
 
@@ -267,6 +268,27 @@ class TestCalibratedSampling:
             out = rank_arms(calibrated_sampler(env, 3), 3, 0.1)
             correct += out.permutation == (0, 1, 2)
         assert correct >= 8
+
+
+class TestBaselinePulls:
+    """`baseline_pulls`, which sizes `rank`'s uniform buffer, on fig2 draw 0 (d 4 3 3 6 4 3 4)."""
+
+    def test_fig2_draw0(self):
+        inst = materialize_instance(preset_fig2().instance, 0)
+        assert baseline_pulls(inst, 7, 0.1, 10**7) == 147_882   # the README's figure
+        assert baseline_pulls(inst, 7, 0.1, 1000) == 1000
+
+    @pytest.mark.parametrize("d0, delta", [(6, 0.1), (7, 1.0)])
+    def test_rejected_inputs_give_zero(self, d0, delta):
+        # d0 = 6 is not above the largest delay, and delta = 1 is out of range
+        inst = materialize_instance(preset_fig2().instance, 0)
+        assert baseline_pulls(inst, d0, delta, 10**7) == 0
+
+    def test_tied_arms_run_to_the_cap(self):
+        # arms 1 and 2 never separate, so the baseline run is the cap
+        inst = make_instance([F(1), F(1, 2), F(1, 2)], [1, 1, 1], Discount.constant(F(1, 2)),
+                             relaxed=True)
+        assert baseline_pulls(inst, 2, 0.1, 10**6) == 10**6
 
 
 class TestChunkedRounds:
