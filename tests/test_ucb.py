@@ -133,6 +133,18 @@ class TestMatchesPerSelectionReference:
         for T in (0, 2 * k - 1, 2 * k, 20000):
             assert_run_equals_reference(many_arms(k, d), T, seed=8)
 
+    def test_fig2_benchmark_horizon(self):
+        # 443 of its 18,340 scored picks fall back to a full scan and rebuild the index bounds
+        assert_run_equals_reference(materialize_instance(preset_fig2().instance, 0), 200_000, seed=0)
+
+    @pytest.mark.parametrize("T", [1000, 50_000])
+    def test_all_indices_tied(self, T):
+        # every payoff is 1 at every delay: equal counts mean equal indices, so the lowest
+        # cutoff wins each tie, near scan or full, and the counts stay level
+        inst = make_instance([1, 1, 1, 1], [1, 1, 1, 1], Discount.constant(0), relaxed=True)
+        assert_run_equals_reference(inst, T, seed=0)
+        assert run_ucb_rankings(inst, T, seed=0).selection_counts == dict.fromkeys(range(1, 5), T // 20)
+
 
 def test_chunked_log_equals_block_by_block():
     # the picks are logged as they are decided, by one `log_blocks` call over the run: the
@@ -168,6 +180,16 @@ def test_many_arms_memory_stays_near_the_log():
 @given(instance_seed=st.integers(0, 2**32 - 1), exact=st.booleans(),
        T=st.integers(0, 500), seed=st.integers(0, 2**32 - 1))
 def test_run_equals_per_selection_reference(instance_seed, exact, T, seed):
+    rng = np.random.default_rng(instance_seed)
+    draw = random_exact_instance if exact else random_float_instance
+    assert_run_equals_reference(draw(rng, kmax=6, dmax=8), T, seed)
+
+
+@settings(max_examples=15, deadline=None)
+@given(instance_seed=st.integers(0, 2**32 - 1), exact=st.booleans(),
+       T=st.integers(1_000, 20_000), seed=st.integers(0, 2**32 - 1))
+def test_long_run_equals_per_selection_reference(instance_seed, exact, T, seed):
+    # long enough for the index bounds to run out and be rebuilt many times
     rng = np.random.default_rng(instance_seed)
     draw = random_exact_instance if exact else random_float_instance
     assert_run_equals_reference(draw(rng, kmax=6, dmax=8), T, seed)
