@@ -8,7 +8,7 @@ import os
 import sys
 from dataclasses import replace
 
-from .core import Environment, substream
+from .core import substream
 from .harness import (
     ExperimentConfig,
     load_instance,
@@ -19,7 +19,7 @@ from .harness import (
 from .low_switch import run_pi_low
 from .oracle import PmspInstance, optimal_average, pmsp_feasible, pmsp_threshold, pmsp_to_bandit
 from .policies import ghost_summary
-from .ranker import baseline_pulls, calibrated_sampler, rank_arms
+from .ranker import calibrated_sampler, rank_arms
 
 
 def _add_instance_arg(p):
@@ -53,16 +53,8 @@ def _cmd_rank(args) -> int:
     if d0 >= args.pull_cap >= 1:    # a cap below 1 is rank_arms' own error
         raise ValueError(f"d0 must be below the pull cap, got d0={d0} and pull cap "
                          f"{args.pull_cap}: a round pulls at least d0 + 1 times")
-    # a real run spreads around the baseline run's pulls: on permuted fig2 draws, 4,000 calls
-    # made 0.94 to 1.83 times them, one in ten above 1.25. The buffer gets twice the baseline,
-    # so it does not grow and its size (and a process's peak memory) does not hang on the
-    # seed; a capped run stops within a round of the cap, so the headroom needs no more than
-    # a quarter of it
-    expect = baseline_pulls(instance, d0, args.delta, args.pull_cap)
-    env = Environment(instance, substream(args.seed, "rank"),
-                      capacity=expect + min(expect, args.pull_cap // 4))
-    outcome = rank_arms(calibrated_sampler(env, d0), instance.k, args.delta,
-                        pull_cap=args.pull_cap)
+    outcome = rank_arms(calibrated_sampler(instance, substream(args.seed, "rank"), d0),
+                        instance.k, args.delta, pull_cap=args.pull_cap)
     print(f"permutation: {' '.join(map(str, outcome.permutation))}")
     print(f"rounds: {outcome.rounds}")
     print(f"pulls: {outcome.pulls}")

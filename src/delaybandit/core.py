@@ -159,9 +159,8 @@ class BanditInstance:
     """Baseline means `mus`, delay parameters `ds` and the shared discount.
 
     The constructor enforces strictly decreasing baselines. Pass relaxed=True
-    to skip that check (ties, zero baselines); the scheduling reduction and the
-    iid ranking sampler (whose means come in any order) need it, nothing else
-    should.
+    to skip that check (ties, zero baselines); the scheduling reduction needs
+    it, nothing else should.
     """
 
     __slots__ = ("mus", "ds", "discount")
@@ -179,8 +178,7 @@ class BanditInstance:
                 raise ValueError(f"delay parameter must be an integer >= 1, got {d}")
         if not relaxed and not all(a > b for a, b in zip(mus, mus[1:])):
             raise ValueError("baselines must be strictly decreasing; "
-                             "use relaxed=True only for the scheduling reduction "
-                             "or the iid sampler")
+                             "use relaxed=True only for the scheduling reduction")
         self.mus = mus
         self.ds = tuple(int(d) for d in ds)
         self.discount = discount
@@ -286,15 +284,14 @@ class Environment:
     the stream, and from the all-zero start the arms fix every other column, which
     `columns` derives on demand. Every block is logged by `log_blocks`: `pull_cycles` logs
     its block there and then reads the block's reward, and a caller that decides its
-    blocks itself logs them in one call (UCB its run, yielded pick by pick, the ranker a
-    chunk of equal rounds as one round's blocks repeated). A logged block costs a prefix
-    lookup, a row append and the clock move, under 1 us, one rule for one block or
-    thousands; the uniform buffer grows as reserving block by block would, and a block size
-    or retain_from that is not an integer raises. The log is the only pull state: only a
-    retained pull in a block's first cycle reads each arm's last pull off it, from its end
-    and no further back than the largest delay (an older pull pays the baseline), and no
-    lab path retains one. The realized channel depends only on the stream and the pull
-    sequence, not on how pulls are batched.
+    blocks itself logs them in one call (UCB its run, yielded pick by pick). A logged
+    block costs a prefix lookup, a row append and the clock move, under 1 us, one rule for
+    one block or thousands; the uniform buffer grows as reserving block by block would, and
+    a block size or retain_from that is not an integer raises. The log is the only pull
+    state: only a retained pull in a block's first cycle reads each arm's last pull off it,
+    from its end and no further back than the largest delay (an older pull pays the
+    baseline), and no lab path retains one. The realized channel depends only on the
+    stream and the pull sequence, not on how pulls are batched.
     """
 
     def __init__(self, instance: BanditInstance, rng: np.random.Generator,
@@ -306,8 +303,8 @@ class Environment:
         self.t = 0
         self._u = rng.random(max(int(capacity), 16))   # uniform t is pull t's
         # per arm, tau -> float payoff for each (arm, tau) pair read so far: the pull loop,
-        # `windows`, UCB and the ranker read payoffs only through `_payoff`, so a run costs
-        # one `expected_payoff` call per pair it reads, however large d is
+        # `windows` and UCB read payoffs only through `_payoff`, so a run costs one
+        # `expected_payoff` call per pair it reads, however large d is
         self._pay = [{} for _ in range(self.k)]
         self._cycle_ids: dict = {}     # each distinct prefix, numbered by first use
         self._blocks = array("q")      # per block: n, cycle id, policy, retain_from
@@ -371,7 +368,7 @@ class Environment:
         only because perfbench/tracer.py patches it (ROADMAP item 1)."""
         return self.pull_cycles((arm,), 1, policy, retain_from=0 if retained else 1)
 
-    def log_blocks(self, blocks, repeat: int = 1) -> None:
+    def log_blocks(self, blocks) -> None:
         """Log decided blocks, each (prefix, n, policy, retain_from) with a tuple prefix, in
         order and exactly as `pull_cycles` logs its own block, but compute no reward:
         `columns` derives the realized channel from the uniforms. `blocks` is any iterable,
@@ -386,14 +383,9 @@ class Environment:
         integer (2.7 pulls is an error, not 2), raises before its block is logged, as does
         an error raised by the iterable itself; the blocks before it stay logged and the
         clock stands at their end.
-
-        `repeat` logs the whole list that many times, as `blocks * repeat` would: the first
-        copy as above, each further copy as the same rows, so the clock moves on by
-        (repeat - 1) L, where L is the copy's length.
         """
         ids, log, k = self._cycle_ids, self._blocks, self.k
         extend, t, have = log.extend, self.t, len(self._u)
-        t0, start = t, len(log)
         try:
             for prefix, n, policy, retain_from in blocks:
                 cycle = ids.get(prefix)
@@ -417,13 +409,7 @@ class Environment:
             del log[len(log) - len(log) % 4:]   # a row cut short by a non-integer field
             raise
         finally:
-            self.t = t = int(t)     # a Python int, whatever integer type the sizes had
-        if repeat > 1:
-            rows, shift = log[start:], (repeat - 1) * (t - t0)
-            self._reserve(t + shift)
-            for _ in range(repeat - 1):
-                log.extend(rows)
-            self.t += shift
+            self.t = int(t)     # a Python int, whatever integer type the sizes had
 
     def pull_cycles(self, prefix, n_pulls: int, policy: int = -1,
                     retain_from: int = 0) -> tuple[float, int]:

@@ -12,15 +12,16 @@ some arm could leave with a slightly smaller radius, confirms the first one
 that really eliminates with the scalar rule, and tells the sampler how many
 rounds it used. Rounds handed out but not used are never consumed.
 
-Both samplers read their rounds off an `Environment`: a round is a list of
-blocks, its samples are the retained pulls. A plain stochastic bandit is a
-delay bandit whose discount is 0, with one all-retained block per round. For
-delay-dependent environments the rounds are calibrated: arms are grouped into
-cycles of length d0 > max_i d_i and each cycle is pulled twice, keeping only
-the second pass, so every kept sample is an unbiased draw of the baseline.
+Both samplers read their rounds straight off a generator: a round is a list of
+blocks, as `Environment.log_blocks` takes them, its samples are the retained
+pulls, and pull t reads uniform t of the stream. For delay-dependent
+environments the rounds are calibrated: arms are grouped into cycles of length
+d0 > max_i d_i and each cycle is pulled twice, keeping only the second pass, so
+every kept sample is an unbiased draw of the baseline. A plain stochastic
+bandit's round is one block that pulls each active arm once, all retained.
 Either way, until an arm leaves every round pulls the same arm sequence and
-each kept sample is u[t] < mu, so a chunk reads its samples off the uniform
-buffer and logs its rounds as one round's blocks repeated.
+each kept sample is u[t] < mu, so a chunk's samples are read off its uniforms
+at the kept offsets, and no pull is logged.
 """
 
 from __future__ import annotations
@@ -30,11 +31,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import BanditInstance, Discount, Environment, _check_delta
+from .core import BanditInstance, _check_delta
 
 __all__ = [
     "RankingOutcome",
-    "baseline_pulls",
     "calibrated_sample_round",
     "calibrated_sampler",
     "epsilon_r",
@@ -164,9 +164,6 @@ def rank_arms(sampler, k: int, delta: float, pull_cap: int = 10**7) -> RankingOu
                 break
         for i, s in zip(arms, cum[n - 1].tolist()):
             sums[i] = s
-        # free the chunk before its rounds are logged, so the log can grow in place rather
-        # than move past the chunk's arrays and leave a hole in the heap
-        del samples, cum, rs, means
         take(n)
         r += n
         pulls += n * per_round
@@ -176,37 +173,44 @@ def rank_arms(sampler, k: int, delta: float, pull_cap: int = 10**7) -> RankingOu
     return RankingOutcome(perm, r, pulls, elim_round, complete, final_means)
 
 
-def _sampler(env: Environment, round_blocks):
-    """A sampler over `env` whose round over `active` is the `log_blocks` blocks
-    `round_blocks(active)`; block by block, pulls retain_from to n - 1 are the round's
-    retained pulls, which must take each active arm once, in the order of `active`.
+def _sampler(rng: np.random.Generator, mus, round_blocks):
+    """A sampler whose round over `active` is the blocks `round_blocks(active)`, each
+    (prefix, n, policy, retain_from) as `Environment.log_blocks` takes them; block by block,
+    pulls retain_from to n - 1 are the round's retained pulls, which must take each active
+    arm once, in the order of `active`.
 
-    A call plans the round (once per active set), reads up to `rounds` rounds' samples
-    straight off the uniform buffer, and logs nothing; `take(n)` logs the round's blocks n
-    times over. A retained pull pays its arm's baseline, so its sample is u[t] < mu. A chunk
-    stays within the reserved buffer when a round fits there, so the buffer grows when, and
-    as far as, pulling round by round grows it.
+    A call plans the round (once per active set) and reads up to `rounds` rounds' samples
+    off the uniforms of `rng`: a retained pull pays its arm's baseline, so its sample is
+    u[t] < mu. It holds only the uniforms drawn ahead and not yet taken, and draws just the
+    rest of the chunk; `take(n)` drops n rounds of them. `Generator.random` gives the same
+    doubles however the calls are split, so pull t reads uniform t of the stream however
+    the rounds are chunked.
     """
-    plan = None     # the last active set, its blocks, length, kept offsets and their payoffs
+    plan = None     # the last active set, its round's length, kept offsets and payoffs
+    ahead = np.empty(0)
+
+    def take(n):
+        nonlocal ahead
+        ahead = ahead[n * plan[1]:]
 
     def sampler(active, rounds):
-        nonlocal plan
+        nonlocal plan, ahead
         if plan is None or plan[0] != active:
-            blocks, offsets, kept, t = round_blocks(active), [], [], 0
-            for prefix, n, _, retain_from in blocks:
+            offsets, kept, t = [], [], 0
+            for prefix, n, _, retain_from in round_blocks(active):
                 offsets += range(t + retain_from, t + n)
                 kept += (prefix[i % len(prefix)] for i in range(retain_from, n))
                 t += n
             if kept != list(active):
                 raise RuntimeError(f"a round over {list(active)} retains pulls of {kept}")
-            pay = np.array([env._payoff(a, 0) for a in active])
-            plan = list(active), blocks, t, offsets, pay
-        _, blocks, length, offsets, pay = plan
-        t = env.t
-        rounds = max(1, min(rounds, _CHUNK_PULLS // length, (len(env._u) - t) // length))
-        env._reserve(t + rounds * length)
-        u = env._u[t:t + rounds * length].reshape(rounds, length)[:, offsets]
-        return (u < pay).astype(float), length, lambda n: env.log_blocks(blocks, repeat=n)
+            plan = list(active), t, offsets, np.array([float(mus[a]) for a in active])
+        _, length, offsets, pay = plan
+        need = max(1, min(rounds, _CHUNK_PULLS // length)) * length
+        if need > len(ahead):
+            more = rng.random(need - len(ahead))
+            ahead = np.concatenate((ahead, more)) if len(ahead) else more
+        u = ahead[:need].reshape(-1, length)[:, offsets]
+        return (u < pay).astype(float), length, take
 
     return sampler
 
@@ -214,14 +218,14 @@ def _sampler(env: Environment, round_blocks):
 def iid_bernoulli_sampler(mus, rng: np.random.Generator):
     """Plain stochastic-bandit sampler: one Bernoulli(mu_i) draw per active arm and round.
 
-    A plain bandit is a delay bandit whose discount is 0, so this is the calibrated
-    sampler's path over such an environment, with a round of one block that pulls each
-    active arm once, all retained. Pull t reads uniform t, so rounds are drawn row-major
-    and the stream is the same however rounds are chunked. A mu outside [0, 1] raises
-    before any draw."""
+    `_sampler` with a round of one block that pulls each active arm once, all retained.
+    Pull t reads uniform t, so rounds are drawn row-major and the stream is the same however
+    rounds are chunked. A mu outside [0, 1] raises before any draw."""
     mus = tuple(mus)
-    inst = BanditInstance(mus, (1,) * len(mus), Discount.constant(0), relaxed=True)
-    return _sampler(Environment(inst, rng), lambda active: [(tuple(active), len(active), -1, 0)])
+    for mu in mus:
+        if not 0 <= mu <= 1:
+            raise ValueError(f"baseline mean must lie in [0, 1], got {mu}")
+    return _sampler(rng, mus, lambda active: [(tuple(active), len(active), -1, 0)])
 
 
 def _round_plan(instance: BanditInstance, active: list, d0: int) -> list:
@@ -232,21 +236,22 @@ def _round_plan(instance: BanditInstance, active: list, d0: int) -> list:
     sample is taken d0 > max_i d_i rounds after the arm's previous pull; a second block then
     pulls the padding, discarded. Deficient groups are padded with removed arms first
     (repeats are fine, their samples are dropped), then with actives from earlier groups.
-    If no padding pool exists at all (fewer arms than d0, nothing removed yet), each arm's
-    block is d0 filler pulls of other arms, then the arm, retained, which keeps the sample
-    unbiased at a gap > d0.
+    If no padding pool exists at all (fewer arms than d0, nothing removed yet), each arm gets
+    a block of d0 filler pulls cycling over the other arms, discarded, then a block of the
+    arm alone, retained, which keeps the sample unbiased at a gap > d0.
     """
     if not active:
         raise ValueError("need at least one active arm")
+    if instance.k < 2:      # a round needs another arm to fill a calibration gap with
+        raise ValueError("need at least two arms")
     if d0 <= max(instance.ds):
         raise ValueError("d0 must exceed every delay parameter")
     removed = sorted(set(range(instance.k)) - set(active))
     blocks = []
     if len(active) < d0 and not removed:
         for x in active:
-            others = [a for a in range(instance.k) if a != x]
-            fillers = tuple(others[j % len(others)] for j in range(d0))
-            blocks.append((fillers + (x,), d0 + 1, -1, d0))
+            others = tuple(a for a in range(instance.k) if a != x)
+            blocks += [(others, d0, -1, d0), ((x,), 1, -1, 0)]
         return blocks
     for start in range(0, len(active), d0):
         group = tuple(active[start:start + d0])
@@ -258,50 +263,21 @@ def _round_plan(instance: BanditInstance, active: list, d0: int) -> list:
     return blocks
 
 
-def calibrated_sampler(env: Environment, d0: int):
-    """Adapter so rank_arms can run against a delay environment: `_sampler` over `env`,
-    each round planned by `_round_plan`."""
-    return _sampler(env, lambda active: _round_plan(env.instance, active, d0))
+def calibrated_sampler(instance: BanditInstance, rng: np.random.Generator, d0: int):
+    """Adapter so rank_arms can run against a delay environment: `_sampler` over the
+    instance's baselines and the uniforms of `rng`, each round planned by `_round_plan`."""
+    return _sampler(rng, instance.mus, lambda active: _round_plan(instance, active, d0))
 
 
-def baseline_pulls(instance: BanditInstance, d0: int, delta: float, pull_cap: int) -> int:
-    """The pulls `rank_arms` over `calibrated_sampler(env, d0)` makes on `instance` if every
-    running mean sits on its arm's baseline, at most `pull_cap`: an arm leaves at the first
-    round r at which 2 `epsilon_r` falls below its gap to each active neighbour, and until
-    then every round costs its `_round_plan`'s pulls. `rank` sizes its uniform buffer by
-    it, so the buffer follows the pulls a call makes rather than doubling its way there.
-    Inputs `rank_arms` or the sampler reject give 0."""
-    if not 0 < delta < 1 or d0 <= max(instance.ds):
-        return 0
-    k, mus = instance.k, instance.mus
-    active = sorted(range(k), key=lambda a: (-mus[a], a))
-    r = pulls = 0
-    while len(active) > 1 and pulls < pull_cap:
-        gaps = [min(mus[active[j - 1]] - mus[a] if j else math.inf,
-                    mus[a] - mus[active[j + 1]] if j + 1 < len(active) else math.inf)
-                for j, a in enumerate(active)]
-        widest = float(max(gaps))
-        if widest <= 0:
-            return pull_cap
-        lo, hi = r, max(2 * r, 1)   # the least round past r with 2 eps below the widest gap
-        while 2 * epsilon_r(k, hi, delta) >= widest:
-            lo, hi = hi, 2 * hi
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            lo, hi = (lo, mid) if 2 * epsilon_r(k, mid, delta) < widest else (mid, hi)
-        pulls += (hi - r) * sum(block[1] for block in _round_plan(instance, sorted(active), d0))
-        r, eps = hi, epsilon_r(k, hi, delta)
-        active = [a for a, gap in zip(active, gaps) if gap <= 2 * eps]
-    return min(pulls, pull_cap)
-
-
-def calibrated_sample_round(env: Environment, active_arms, d0: int):
+def calibrated_sample_round(instance: BanditInstance, rng: np.random.Generator, active_arms,
+                            d0: int):
     """One unbiased baseline sample per active arm from a delay environment, pulled.
 
-    The one-round case of `calibrated_sampler` (see `_round_plan`): returns the samples by
-    arm, in the order of `active_arms`, and the round's pull count.
+    The one-round case of `calibrated_sampler` (see `_round_plan`): it reads the round's
+    uniforms off `rng`, no more, and returns the samples by arm, in the order of
+    `active_arms`, and the round's pull count.
     """
     active = list(active_arms)
-    samples, pulls, take = calibrated_sampler(env, d0)(active, 1)
+    samples, pulls, take = calibrated_sampler(instance, rng, d0)(active, 1)
     take(1)
     return dict(zip(active, samples[0].tolist())), pulls

@@ -98,12 +98,11 @@ def step_columns(inst, blocks, u):
     return {name: np.array(col, dtype) for (name, dtype), col in zip(dtypes.items(), cols)}
 
 
-def log_blocks_by_block(env, blocks, repeat: int = 1) -> None:
+def log_blocks_by_block(env, blocks) -> None:
     """Reference for `Environment.log_blocks`: block by block, a new prefix checked and
     numbered, the buffer reserved up to the block's end, the row appended with retain_from
     clipped to [0, n] and the clock moved (int() truncates a fractional n or retain_from)."""
     ids, log = env._cycle_ids, env._blocks
-    t0, start = env.t, len(log)
     for prefix, n, policy, retain_from in blocks:
         cycle = ids.get(prefix)
         if cycle is None:
@@ -118,12 +117,6 @@ def log_blocks_by_block(env, blocks, repeat: int = 1) -> None:
         env._reserve(env.t + n)
         log.extend((n, cycle, policy, min(max(int(retain_from), 0), n)))
         env.t += n
-    if repeat > 1:
-        rows, shift = log[start:], (repeat - 1) * (env.t - t0)
-        env._reserve(env.t + shift)
-        for _ in range(repeat - 1):
-            log.extend(rows)
-        env.t += shift
 
 
 def ucb_reference(inst, T, seed):

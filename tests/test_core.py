@@ -259,36 +259,39 @@ class TestEnvironment:
 
     @pytest.mark.parametrize("repeat", [1, 2, 1000])
     def test_repeated_blocks_log_as_the_repeated_list(self, repeat):
-        # a block shorter than its prefix, an empty block, a clipped retain_from; arm 3 was
-        # pulled before the list and arm 4 never, and the list pulls neither
+        # a list repeated up to 1,000 times from a capacity of 16, with a block shorter than
+        # its prefix, an empty block and a clipped retain_from; arm 3 was pulled before the
+        # list and arm 4 never, and the list pulls neither
         inst = make_instance([0.9, 0.7, 0.5, 0.3, 0.1], [2, 3, 1, 4, 2], Discount.geometric(0.7))
         blocks = [((0, 1, 2), 2, 1, 0), ((2,), 0, 2, 0), ((1, 2, 0), 5, 3, 9), ((0,), 1, -1, 0)]
-        once, listed = (Environment(inst, substream(5, "rep"), capacity=16) for _ in range(2))
-        for env in (once, listed):
+        logged, pulled = (Environment(inst, substream(5, "rep"), capacity=16) for _ in range(2))
+        for env in (logged, pulled):
             env.pull_cycles((3,), 1)
-        once.log_blocks(blocks, repeat=repeat)
-        listed.log_blocks(blocks * repeat)
-        assert once._blocks == listed._blocks and once._cycle_ids == listed._cycle_ids
-        assert once.t == listed.t == 1 + 8 * repeat
-        assert once._last_pulls() == listed._last_pulls() and once._last_pulls()[3:] == [0, None]
-        assert_same_columns(once.columns(), listed.columns())
+        logged.log_blocks(blocks * repeat)
+        for block in blocks * repeat:
+            pulled.pull_cycles(*block)
+        assert logged._blocks == pulled._blocks and logged._cycle_ids == pulled._cycle_ids
+        assert logged.t == pulled.t == 1 + 8 * repeat
+        assert logged._last_pulls() == pulled._last_pulls()
+        assert logged._last_pulls()[3:] == [0, None]
+        assert_same_columns(logged.columns(), pulled.columns())
 
     @pytest.mark.parametrize("prefix", [(), (0, 2), (-1,)])
     @pytest.mark.parametrize("first", [True, False])
     def test_repeated_logging_stops_at_a_bad_prefix_in_the_first_copy(self, prefix, first):
         # a bad first block logs nothing; a bad second block leaves only the first copy of
-        # the block before it, as the repeated list does
+        # the block before it, as logging block by block does
         inst = make_instance([0.9, 0.6], [1, 1], Discount.constant(0.5))
         blocks = [(prefix, 3, -1, 0), ((0,), 2, -1, 0)] if first else \
             [((0,), 2, -1, 0), (prefix, 3, -1, 0)]
-        once, listed = (Environment(inst, substream(0, "bad")) for _ in range(2))
+        lean, ref = (Environment(inst, substream(0, "bad")) for _ in range(2))
         with pytest.raises((ValueError, IndexError)):
-            once.log_blocks(blocks, repeat=1000)
+            lean.log_blocks(blocks * 1000)
         with pytest.raises((ValueError, IndexError)):
-            listed.log_blocks(blocks * 1000)
-        assert (once.t, once._last_pulls()) == (listed.t, listed._last_pulls()) == \
+            log_blocks_by_block(ref, blocks * 1000)
+        assert (lean.t, lean._last_pulls()) == (ref.t, ref._last_pulls()) == \
             ((0, [None, None]) if first else (2, [1, None]))
-        assert once._blocks == listed._blocks and once._cycle_ids == listed._cycle_ids
+        assert lean._blocks == ref._blocks and lean._cycle_ids == ref._cycle_ids
 
     def test_pulled_pairs_retain_the_hits_at_gap_m(self):
         # the second of a pair of distinct-arm cycles retains the pulls whose uniform falls
@@ -351,8 +354,8 @@ class TestEnvironment:
         ints, nps = (Environment(inst, substream(0, "np")) for _ in range(2))
         assert ints.pull_cycles((0, 1), 5, retain_from=1) == \
             nps.pull_cycles((0, 1), np.int64(5), retain_from=np.int32(1))
-        ints.log_blocks([((1,), 3, -1, 9)], repeat=2)
-        nps.log_blocks([((1,), np.int16(3), np.int8(-1), np.uint64(9))], repeat=2)
+        ints.log_blocks([((1,), 3, -1, 9)] * 2)
+        nps.log_blocks([((1,), np.int16(3), np.int8(-1), np.uint64(9))] * 2)
         assert ints._blocks == nps._blocks and type(nps.t) is int and nps.t == ints.t == 11
 
     def test_thousands_of_logged_blocks_equal_pulled_and_referenced_blocks(self):

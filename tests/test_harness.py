@@ -20,7 +20,6 @@ from hypothesis import strategies as st
 import delaybandit
 from delaybandit import (
     Discount,
-    Environment,
     PolicyTrace,
     dump_instance,
     g_value,
@@ -545,22 +544,21 @@ class TestCli:
         return str(path)
 
     @pytest.mark.parametrize("seed, pulls", [(0, 154238), (4, 190442)])
-    def test_rank_sizes_its_buffer_once(self, tmp_path, capsys, monkeypatch, seed, pulls):
-        # sized at twice a baseline run's 147,882 pulls, the buffer holds the pulls on fig2
-        # draw 0 without growing, so its size does not hang on the seed (from 1,024 slots it
-        # doubled 8 times; a quarter above the baseline, seed 4 grew it once)
-        grown, reserve = [], Environment._reserve
-
-        def counted(env, upto):
-            have = len(env._u)
-            reserve(env, upto)
-            grown.append(len(env._u) > have)
-
-        monkeypatch.setattr(Environment, "_reserve", counted)
-        assert main(["rank", "--instance", self.write_fig2_draw0(tmp_path),
-                     "--seed", str(seed)]) == 0
+    def test_rank_memory_does_not_grow_with_the_pulls(self, tmp_path, capsys, seed, pulls):
+        # the sampler reads its rounds straight off the generator and holds one chunk of
+        # uniforms, so 150-190k pulls on fig2 draw 0 peak far below 0.5 MiB (a log of every
+        # pull and uniform took 3 MiB)
+        path = self.write_fig2_draw0(tmp_path)
+        main(["rank", "--instance", path, "--pull-cap", "100"])   # warm-up: first-use caches
+        capsys.readouterr()
+        tracemalloc.start()
+        try:
+            assert main(["rank", "--instance", path, "--seed", str(seed)]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         assert f"pulls: {pulls}" in capsys.readouterr().out.splitlines()
-        assert grown and not any(grown)
+        assert peak <= 2**19
 
     @pytest.mark.parametrize("delays, args", [
         (None, ["--d0", "100000", "--pull-cap", "100"]),

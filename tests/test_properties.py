@@ -45,6 +45,7 @@ from delaybandit import core
 from delaybandit.core import _SCALAR_SLACK, _WINDOW_PULLS
 from delaybandit.harness import run_algorithm
 from delaybandit.policies import Run, running_totals
+from delaybandit.ranker import _round_plan
 from delaybandit.oracle import (FLOAT_TOL, _evaluate_policy, _howard, _improve_policy,
                                 _weight_tables)
 from helpers import (_certify_by_fractions, assert_same_columns, bernoulli_rounds,
@@ -116,7 +117,7 @@ def test_last_pulls_are_read_off_the_log(ds, pool, picks, repeat, seed, back):
     # arm's last pull is its last index in the arms column, None if it was never pulled,
     # and with `since` also None if that index is before it
     env = Environment(fig2_instance(ds), substream(seed, "env"))
-    env.log_blocks([(pool[i % len(pool)][0], n, i, 0) for i, n in picks], repeat=repeat)
+    env.log_blocks([(pool[i % len(pool)][0], n, i, 0) for i, n in picks] * repeat)
     arms = env.columns()["arms"].tolist()
     want = [len(arms) - 1 - arms[::-1].index(a) if a in arms else None for a in range(7)]
     assert env._last_pulls() == want
@@ -150,9 +151,9 @@ def test_lean_logging_equals_logging_block_by_block(block_list, before, repeat, 
     for env in (lean, ref):
         env.pull_cycles((4,), before)
     raised = []
-    for log in (lean.log_blocks, lambda blocks, repeat: log_blocks_by_block(ref, blocks, repeat)):
+    for log in (lean.log_blocks, lambda blocks: log_blocks_by_block(ref, blocks)):
         try:
-            log(block_list, repeat=repeat)
+            log(block_list * repeat)
             raised.append(None)
         except (ValueError, IndexError) as exc:
             raised.append(type(exc))
@@ -269,12 +270,12 @@ def test_block_calibrated_rounds_equal_per_pull_rounds(instance_seed, data):
     assume(inst.k >= 2)
     d0 = max(inst.ds) + data.draw(st.integers(1, 4))
     seed = data.draw(st.integers(0, 2**16))
-    env = Environment(inst, substream(seed, "rank"))
+    rng = substream(seed, "rank")
     arm_sets = st.permutations(range(inst.k)).flatmap(
         lambda arms: st.integers(1, inst.k).map(lambda m: list(arms[:m])))
     pulls = []
     for active in data.draw(st.lists(arm_sets, min_size=1, max_size=4)):
-        got = calibrated_sample_round(env, active, d0)
+        got = calibrated_sample_round(inst, rng, active, d0)
         t0 = len(pulls)
         pulls += _calibrated_round_by_pulls(inst.k, active, d0)
         want = step_columns(inst, [((arm,), 1, -1, 0 if kept else 1) for arm, kept in pulls],
@@ -283,7 +284,6 @@ def test_block_calibrated_rounds_equal_per_pull_rounds(instance_seed, data):
                    for t, (arm, kept) in enumerate(pulls[t0:], t0) if kept}
         assert got == (samples, len(pulls) - t0)
         assert list(got[0]) == active
-    assert_same_columns(env.columns(), want)
 
 
 def _bernoulli_stream(mus, seed):
@@ -325,13 +325,14 @@ def test_chunked_calibrated_ranking_equals_rounds_by_round(instance_seed, data):
     seed = data.draw(st.integers(0, 2**16))
     delta = data.draw(st.sampled_from([0.1, 0.5, 0.99]))
     pull_cap = data.draw(st.integers(1, 20_000))
-    chunked, stepped = (Environment(inst, substream(seed, "rank")) for _ in range(2))
-    got = rank_arms(calibrated_sampler(chunked, d0), inst.k, delta, pull_cap)
-    want = rank_arms_by_round(lambda active: calibrated_sample_round(stepped, active, d0),
+    stepped = substream(seed, "rank")
+    got = rank_arms(calibrated_sampler(inst, substream(seed, "rank"), d0), inst.k, delta,
+                    pull_cap)
+    want = rank_arms_by_round(lambda active: calibrated_sample_round(inst, stepped, active, d0),
                               inst.k, delta, pull_cap)
     assert got == want
-    assert chunked.t == stepped.t == got.pulls and chunked._last_pulls() == stepped._last_pulls()
-    assert_same_columns(chunked.columns(), stepped.columns())
+    # the rounds by round read exactly the outcome's pulls off the stream
+    assert stepped.random() == substream(seed, "rank").random(got.pulls + 1)[-1]
 
 
 def _assert_ghost_reference_is_ghost_run(inst, T):
@@ -355,13 +356,29 @@ def test_ghost_reference_matches_ghost_run(instance_seed, exact, T):
 
 
 def _logged_run(source, inst, T, seed):
-    """A Run of T pulls (at least k for low) from one of the experiment's algorithms, or
-    `rank` on the calibrated sampler with its pull cap at T."""
+    """A Run of T pulls (at least k for low) from one of the experiment's algorithms, or for
+    "rank" of calibrated rounds logged until the clock reaches T."""
     if source != "rank":
         return run_algorithm(source, inst, max(T, inst.k) if source == "low" else T, 0.1, seed)[0]
+    return Run(_calibrated_rounds(inst, T, seed))
+
+
+def _calibrated_rounds(inst, T, seed):
+    """An Environment holding `_round_plan` rounds, logged round by round until its clock
+    reaches T (at least one round): two serialized rounds over every arm at d0 = k + 1,
+    then two rounds at d0 = max d + 1 over each of k, k - 1, ..., 1 arms of a seeded order,
+    over and over. The rounds hold repeated prefixes, padded groups (padded from earlier
+    groups when max d + 1 < k, else from removed arms) and retained pulls that start
+    partway into a block."""
     env = Environment(inst, substream(seed, "rank"))
-    rank_arms(calibrated_sampler(env, max(inst.ds) + 1), inst.k, 0.1, max(T, 1))
-    return Run(env)
+    order = np.random.default_rng(seed).permutation(inst.k).tolist()
+    plans = [(order, inst.k + 1)] * 2 + [(order[:m], max(inst.ds) + 1)
+                                         for m in range(inst.k, 0, -1) for _ in range(2)]
+    while True:
+        for active, d0 in plans:
+            env.log_blocks(_round_plan(inst, active, d0))
+            if env.t >= T:
+                return env
 
 
 def _assert_windowed_totals_equal_whole_arrays(inst, run, ts):

@@ -1,5 +1,5 @@
 import math
-from fractions import Fraction as F
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,8 +19,8 @@ from delaybandit import (
     stage_schedule,
     substream,
 )
-from delaybandit.ranker import _sampler, _slack_radii, baseline_pulls
-from helpers import assert_same_columns, bernoulli_rounds, by_round, rank_arms_by_round
+from delaybandit.ranker import _round_plan, _sampler, _slack_radii
+from helpers import bernoulli_rounds, by_round, rank_arms_by_round, step_columns
 
 
 class TestEpsilon:
@@ -175,42 +175,55 @@ class TestRankArms:
         assert sorted(out.permutation) == [0, 1]
         assert out.pulls >= 100
 
+    def test_iid_memory_does_not_grow_with_the_pulls(self):
+        # tied arms run to the cap; the sampler holds one chunk of uniforms, so a million
+        # pulls peak far below a megabyte (a log of every pull and uniform took 23.6 MiB)
+        tracemalloc.start()
+        try:
+            out = rank_arms(iid_bernoulli_sampler([0.5, 0.5], substream(0, "iid")), 2, 0.1,
+                            pull_cap=10**6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (out.pulls, out.complete) == (10**6, False)
+        assert peak <= 2**20
+
 
 class TestCalibratedSampling:
-    def make_env(self, seed=0, k=6):
+    def make_inst(self, k=6):
         mus = [0.9, 0.8, 0.7, 0.6, 0.5, 0.4][:k]
         ds = [1, 2, 1, 2, 1, 2][:k]
-        inst = make_instance(mus, ds, Discount.constant(0.5))
-        return Environment(inst, substream(seed, "cal"))
+        return make_instance(mus, ds, Discount.constant(0.5))
 
     def test_exact_group(self):
-        env = self.make_env(k=3)
-        samples, pulls = calibrated_sample_round(env, [0, 1, 2], 3)
+        samples, pulls = calibrated_sample_round(self.make_inst(k=3), substream(0, "cal"),
+                                                 [0, 1, 2], 3)
         assert pulls == 2 * 3
         assert len(samples) == 3
 
     def test_deficient_group_padding(self):
         # |A| = d0 + 1: two groups, second padded; padding samples dropped
-        env = self.make_env(k=6)
-        samples, pulls = calibrated_sample_round(env, [0, 1, 2, 3], 3)
+        samples, pulls = calibrated_sample_round(self.make_inst(k=6), substream(0, "cal"),
+                                                 [0, 1, 2, 3], 3)
         assert pulls == 4 * 3
         assert len(samples) == 4
 
     def test_retained_gap_is_exactly_d0(self):
-        env = self.make_env(k=6)
+        inst = self.make_inst(k=6)
+        env = Environment(inst, substream(0, "cal"))
         for _ in range(5):
-            calibrated_sample_round(env, [0, 1, 2, 3, 4], 3)
+            env.log_blocks(_round_plan(inst, [0, 1, 2, 3, 4], 3))
         cols = env.columns()
         gaps = cols["gaps"][cols["retained"]]
-        assert (gaps == 3).all()
+        assert len(gaps) == 5 * 5 and (gaps == 3).all()
 
     def test_unbiased_means(self):
         inst = make_instance([0.8, 0.6, 0.4, 0.2], [2, 2, 2, 2], Discount.constant(0.9))
-        env = Environment(inst, substream(1, "mc"))
+        rng = substream(1, "mc")
         n = 4000
         totals = np.zeros(4)
         for _ in range(n):
-            samples, _ = calibrated_sample_round(env, [0, 1, 2, 3], 3)
+            samples, _ = calibrated_sample_round(inst, rng, [0, 1, 2, 3], 3)
             for a, v in samples.items():
                 totals[a] += v
         means = totals / n
@@ -221,19 +234,45 @@ class TestCalibratedSampling:
     def test_fallback_when_no_padding_pool(self):
         # k < d0 and nothing removed yet: serialized calibration, still unbiased
         inst = make_instance([1.0, 0.5], [2, 2], Discount.constant(1.0))
-        env = Environment(inst, substream(2, "fb"))
-        samples, pulls = calibrated_sample_round(env, [0, 1], 4)
+        samples, pulls = calibrated_sample_round(inst, substream(2, "fb"), [0, 1], 4)
         assert len(samples) == 2
         assert pulls == 2 * (4 + 1)
         assert samples[0] == 1.0  # gap > d always pays the full baseline here
+        env = Environment(inst, substream(2, "fb"))
+        for _ in range(3):
+            env.log_blocks(_round_plan(inst, [0, 1], 4))
         cols = env.columns()
         gaps = cols["gaps"][cols["retained"]]
-        assert ((gaps > 2) | (gaps == -1)).all()
+        assert len(gaps) == 3 * 2 and ((gaps > 2) | (gaps == -1)).all()
+
+    @pytest.mark.parametrize("d0", [8, 10**6])
+    def test_serialized_round_is_two_blocks_an_arm(self, d0):
+        # all 7 fig2 arms active and d0 > 7: d0 pulls cycling over the other arms, none kept,
+        # then the arm, kept; no block holds d0 arms, so the plan's memory does not grow
+        # with d0 (a d0-long prefix per arm took 56 MB at d0 = 10^6)
+        inst = materialize_instance(preset_fig2().instance, 0)
+        tracemalloc.start()
+        try:
+            blocks = _round_plan(inst, list(range(7)), d0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        others = [tuple(a for a in range(7) if a != x) for x in range(7)]
+        assert blocks == [block for x in range(7)
+                          for block in ((others[x], d0, -1, d0), ((x,), 1, -1, 0))]
+        assert peak <= 2**16
 
     def test_d0_validation(self):
-        env = self.make_env()
-        with pytest.raises(ValueError):
-            calibrated_sample_round(env, [0, 1], 2)  # d0 must exceed max d = 2
+        with pytest.raises(ValueError):     # d0 must exceed max d = 2
+            calibrated_sample_round(self.make_inst(), substream(0, "cal"), [0, 1], 2)
+
+    def test_one_arm_has_no_calibration_round(self):
+        # no other arm can fill the gap before the kept pull
+        rng = substream(0, "cal")
+        with pytest.raises(ValueError, match="need at least two arms"):
+            calibrated_sample_round(make_instance([0.5], [1], Discount.constant(0.5)), rng,
+                                    [0], 2)
+        assert rng.random() == substream(0, "cal").random()     # nothing was drawn
 
     @pytest.mark.parametrize("blocks", [
         [((1, 0), 2, -1, 0)],                       # out of the order of active
@@ -242,21 +281,34 @@ class TestCalibratedSampling:
         [((0,), 1, -1, 0), ((0, 1), 2, -1, 0)],     # retains arm 0 twice
     ])
     def test_round_must_retain_each_active_arm_once_in_order(self, blocks):
-        env = self.make_env(k=3)
+        rng = substream(0, "cal")
         with pytest.raises(RuntimeError):
-            _sampler(env, lambda active: blocks)([0, 1], 5)
-        assert env.t == 0
+            _sampler(rng, self.make_inst(k=3).mus, lambda active: blocks)([0, 1], 5)
+        assert rng.random() == substream(0, "cal").random()     # nothing was drawn
 
     @pytest.mark.parametrize("draw", range(5))
     def test_retained_pulls_are_the_ranking_samples(self, draw):
-        # each arm's retained pulls in the log are its samples: one per round until it
-        # leaves, and their realized mean is the outcome's mean, exactly
+        # a round by round run whose samples are the retained pulls of its `_round_plan`
+        # blocks, read off `step_columns` on the same stream, gives the same outcome, means
+        # included; and those samples are the retained pulls of the whole run's log
         inst = materialize_instance(preset_fig2().instance, draw)
-        env = Environment(inst, substream(draw, "rank"))
-        out = rank_arms(calibrated_sampler(env, max(inst.ds) + 1), inst.k, 0.1)
-        cols = env.columns()
+        d0 = max(inst.ds) + 1
+        out = rank_arms(calibrated_sampler(inst, substream(draw, "rank"), d0), inst.k, 0.1)
+        rng, blocks, samples = substream(draw, "rank"), [], []
+
+        def sample_round(active):
+            plan = _round_plan(inst, active, d0)
+            n = sum(b[1] for b in plan)
+            cols = step_columns(inst, plan, rng.random(n))
+            blocks.extend(plan)
+            samples.extend(cols["realized"][cols["retained"]].tolist())
+            return dict(zip(active, map(float, samples[-len(active):]))), n
+
+        assert rank_arms_by_round(sample_round, inst.k, 0.1) == out
+        whole = step_columns(inst, blocks, substream(draw, "rank").random(out.pulls))
+        assert whole["realized"][whole["retained"]].tolist() == samples
         for arm in range(inst.k):
-            kept = cols["realized"][cols["retained"] & (cols["arms"] == arm)]
+            kept = whole["realized"][whole["retained"] & (whole["arms"] == arm)]
             assert len(kept) == (out.elimination_round[arm] or out.rounds)
             assert out.means[arm] == int(kept.sum()) / len(kept)
 
@@ -264,31 +316,9 @@ class TestCalibratedSampling:
         inst = make_instance([0.95, 0.6, 0.25], [2, 1, 2], Discount.constant(0.8))
         correct = 0
         for seed in range(10):
-            env = Environment(inst, substream(seed, "e2e"))
-            out = rank_arms(calibrated_sampler(env, 3), 3, 0.1)
+            out = rank_arms(calibrated_sampler(inst, substream(seed, "e2e"), 3), 3, 0.1)
             correct += out.permutation == (0, 1, 2)
         assert correct >= 8
-
-
-class TestBaselinePulls:
-    """`baseline_pulls`, which sizes `rank`'s uniform buffer, on fig2 draw 0 (d 4 3 3 6 4 3 4)."""
-
-    def test_fig2_draw0(self):
-        inst = materialize_instance(preset_fig2().instance, 0)
-        assert baseline_pulls(inst, 7, 0.1, 10**7) == 147_882   # the README's figure
-        assert baseline_pulls(inst, 7, 0.1, 1000) == 1000
-
-    @pytest.mark.parametrize("d0, delta", [(6, 0.1), (7, 1.0)])
-    def test_rejected_inputs_give_zero(self, d0, delta):
-        # d0 = 6 is not above the largest delay, and delta = 1 is out of range
-        inst = materialize_instance(preset_fig2().instance, 0)
-        assert baseline_pulls(inst, d0, delta, 10**7) == 0
-
-    def test_tied_arms_run_to_the_cap(self):
-        # arms 1 and 2 never separate, so the baseline run is the cap
-        inst = make_instance([F(1), F(1, 2), F(1, 2)], [1, 1, 1], Discount.constant(F(1, 2)),
-                             relaxed=True)
-        assert baseline_pulls(inst, 2, 0.1, 10**6) == 10**6
 
 
 class TestChunkedRounds:
@@ -299,12 +329,12 @@ class TestChunkedRounds:
     def test_calibrated_fig2_draws_equal_rounds_by_round(self, draw, seed, pull_cap):
         inst = materialize_instance(preset_fig2().instance, draw)
         d0 = max(inst.ds) + 1
-        chunked, stepped = (Environment(inst, substream(seed, "rank")) for _ in range(2))
-        got = rank_arms(calibrated_sampler(chunked, d0), inst.k, 0.1, pull_cap)
-        want = rank_arms_by_round(lambda active: calibrated_sample_round(stepped, active, d0),
-                                  inst.k, 0.1, pull_cap)
+        stepped = substream(seed, "rank")
+        got = rank_arms(calibrated_sampler(inst, substream(seed, "rank"), d0), inst.k, 0.1,
+                        pull_cap)
+        want = rank_arms_by_round(
+            lambda active: calibrated_sample_round(inst, stepped, active, d0), inst.k, 0.1,
+            pull_cap)
         assert got == want
-        assert chunked.t == stepped.t == got.pulls
-        assert chunked._last_pulls() == stepped._last_pulls()
-        assert len(chunked._u) == len(stepped._u)
-        assert_same_columns(chunked.columns(), stepped.columns())
+        # the rounds by round read exactly the outcome's pulls off the stream
+        assert stepped.random() == substream(seed, "rank").random(got.pulls + 1)[-1]
